@@ -365,7 +365,7 @@ impl OnlineAlgorithm for LearningCollocator {
 mod tests {
     use super::*;
     use rdbp_model::workload::{self, Workload};
-    use rdbp_model::{run, run_observed, run_trace, AuditLevel, CostModel, FamilyCostObserver};
+    use rdbp_model::{run, run_trace, AuditLevel, CostModel, Driver, FamilyCostObserver};
 
     #[test]
     fn learning_weights_are_deterministic_and_positive() {
@@ -414,13 +414,11 @@ mod tests {
             let mut alg = BisectionSwap::new(&i);
             let mut w = workload::CutChaser::new();
             let mut obs = FamilyCostObserver::new(CostModel::bisection(alpha));
-            let report = run_observed(
-                &mut alg,
-                &mut w,
-                800,
-                AuditLevel::Full { load_limit: 8 },
-                &mut obs,
-            );
+            let mut driver = Driver::new(alg.name(), w.name(), AuditLevel::Full { load_limit: 8 });
+            for _ in 0..800 {
+                driver.step_generated(&mut alg, &mut w, &mut obs);
+            }
+            let report = driver.finish(&mut obs);
             assert!(
                 obs.total() >= report.ledger.total(),
                 "alpha={alpha}: {} < {}",
@@ -460,13 +458,11 @@ mod tests {
         let mut alg = LearningCollocator::new(&i, weights.clone());
         let mut w = workload::Zipf::new(&i, 1.1, 5);
         let mut obs = FamilyCostObserver::new(CostModel::learning(weights));
-        let report = run_observed(
-            &mut alg,
-            &mut w,
-            2000,
-            AuditLevel::Full { load_limit: 8 },
-            &mut obs,
-        );
+        let mut driver = Driver::new(alg.name(), w.name(), AuditLevel::Full { load_limit: 8 });
+        for _ in 0..2000 {
+            driver.step_generated(&mut alg, &mut w, &mut obs);
+        }
+        let report = driver.finish(&mut obs);
         assert_eq!(obs.total(), report.ledger.total());
         assert_eq!(report.capacity_violations, 0);
     }

@@ -27,7 +27,7 @@
 use rdbp_baselines::{learning_weights, FleeToMin, LineStrategy, StayPut, WorkFunctionLine};
 use rdbp_bench::{f3, full_profile, parallel_map, results_dir, Table};
 use rdbp_engine::{adversary_search, AlgorithmSpec, Registries, SearchConfig};
-use rdbp_model::{run_trace_observed, AuditLevel, CostModel, FamilyCostObserver, RingInstance};
+use rdbp_model::{AuditLevel, CostModel, Driver, FamilyCostObserver, RingInstance};
 use rdbp_offline::adversaries::chase_line_strategy;
 
 /// One grid cell: a family, its instance shape, and one victim.
@@ -134,12 +134,10 @@ fn main() {
             .expect("resolved once already")
             .algorithm;
         let mut family_obs = FamilyCostObserver::new(model);
-        let _ = run_trace_observed(
-            alg.as_mut(),
-            &outcome.trace,
-            AuditLevel::None,
-            &mut family_obs,
-        );
+        let mut driver = Driver::new(alg.name(), "trace", AuditLevel::None);
+        for &request in &outcome.trace {
+            driver.step(alg.as_mut(), request, &mut family_obs);
+        }
         (cell.clone(), outcome, family_obs.total())
     });
 

@@ -1,5 +1,7 @@
-//! Runs the complete experiment suite (F1–F7, T1–T4, S2, S4–S8,
-//! A1–A3) in sequence, as recorded in EXPERIMENTS.md. Set
+//! Runs the complete experiment suite (F1–F7, T1–T4, S2, S4–S6, S8,
+//! A1–A3) in sequence, as recorded in EXPERIMENTS.md. S7 has no binary
+//! of its own: S2 measures its throughput sweep and the perf-gate case
+//! `dyn-hedge-zipf-b1000-none` carries its counters. Set
 //! `RDBP_FULL=1` for publication-size sweeps (the nightly CI
 //! `full-sweep` job does).
 
@@ -22,7 +24,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp_adversary_search",
     "exp_throughput",
     "exp_serve_throughput",
-    "exp_arena_throughput",
     "exp_serve_scaling",
     "exp_cluster_scaling",
     "exp_well_behaved",

@@ -763,12 +763,7 @@ pub fn pinned_oracle_cases() -> Vec<OracleCase> {
 /// One warm-up pass plus `repeats` timed runs of `run`: counters are
 /// asserted bit-identical across repetitions and to have served
 /// exactly `steps` requests; wall-clock takes the minimum.
-fn measure_wire_case(
-    id: &str,
-    steps: u64,
-    repeats: u32,
-    run: impl Fn() -> WorkCounters,
-) -> CaseResult {
+fn measure_case(id: &str, steps: u64, repeats: u32, run: impl Fn() -> WorkCounters) -> CaseResult {
     let _ = run(); // warm-up (thread-pool and page-in)
     let mut counters: Option<WorkCounters> = None;
     let mut best_ns = u64::MAX;
@@ -786,7 +781,7 @@ fn measure_wire_case(
         best_ns = best_ns.min(elapsed.max(1));
     }
     let counters = counters.expect("at least one repetition ran");
-    assert_eq!(counters.requests, steps, "case {id}: sessions under-served");
+    assert_eq!(counters.requests, steps, "case {id}: under-served");
     CaseResult {
         id: id.to_string(),
         steps,
@@ -809,7 +804,7 @@ pub fn run_serve_cases(cases: &[ServeCase], repeats: u32) -> Vec<CaseResult> {
     assert!(repeats > 0, "need at least one repetition");
     cases
         .iter()
-        .map(|case| measure_wire_case(&case.id, case.steps(), repeats, || case.run_once()))
+        .map(|case| measure_case(&case.id, case.steps(), repeats, || case.run_once()))
         .collect()
 }
 
@@ -830,7 +825,7 @@ pub fn run_oracle_cases(cases: &[OracleCase], repeats: u32) -> Vec<CaseResult> {
         .iter()
         .map(|case| {
             let trace = record_scenario_trace(&case.id, &case.scenario, &registries);
-            measure_wire_case(&case.id, case.scenario.steps, repeats, || {
+            measure_case(&case.id, case.scenario.steps, repeats, || {
                 case.run_once(&trace)
             })
         })
@@ -851,7 +846,7 @@ pub fn run_cluster_cases(cases: &[ClusterCase], repeats: u32) -> Vec<CaseResult>
     assert!(repeats > 0, "need at least one repetition");
     cases
         .iter()
-        .map(|case| measure_wire_case(&case.id, case.steps(), repeats, || case.run_once()))
+        .map(|case| measure_case(&case.id, case.steps(), repeats, || case.run_once()))
         .collect()
 }
 
@@ -900,51 +895,21 @@ fn record_trace(case: &BenchCase, registries: &Registries) -> Vec<Edge> {
 pub fn run_cases(suite: &str, cases: &[BenchCase], repeats: u32) -> BenchReport {
     assert!(repeats > 0, "need at least one repetition");
     let registries = Registries::builtin();
-    let mut results = Vec::with_capacity(cases.len());
-    for case in cases {
-        let trace = case.replay.then(|| record_trace(case, &registries));
-        let run_once = || {
-            let prepared = case
-                .scenario
-                .resolve(&registries)
-                .unwrap_or_else(|e| panic!("case {}: {e}", case.id));
-            match &trace {
-                Some(requests) => prepared.replay_counted(requests, &mut NoopObserver),
-                None => prepared.run_batched_counted(case.batch, &mut NoopObserver),
-            }
-        };
-        let _ = run_once(); // warm-up (page-in, allocator)
-        let mut counters: Option<WorkCounters> = None;
-        let mut best_ns = u64::MAX;
-        for rep in 0..repeats {
-            let start = Instant::now();
-            let (report, c) = run_once();
-            let elapsed = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            assert_eq!(
-                report.steps, case.scenario.steps,
-                "case {}: short run",
-                case.id
-            );
-            match &counters {
-                None => counters = Some(c),
-                Some(first) => assert_eq!(
-                    *first, c,
-                    "case {}: counters drifted between repetitions {rep} — scenario \
-                     is not deterministic",
-                    case.id
-                ),
-            }
-            best_ns = best_ns.min(elapsed.max(1));
-        }
-        let counters = counters.expect("at least one repetition ran");
-        results.push(CaseResult {
-            id: case.id.clone(),
-            steps: case.scenario.steps,
-            counters,
-            wall_ns: best_ns,
-            throughput: case.scenario.steps as f64 / (best_ns as f64 / 1e9),
-        });
-    }
+    let results = cases
+        .iter()
+        .map(|case| {
+            let trace = case.replay.then(|| record_trace(case, &registries));
+            measure_case(&case.id, case.scenario.steps, repeats, || {
+                let prepared = case
+                    .scenario
+                    .resolve(&registries)
+                    .unwrap_or_else(|e| panic!("case {}: {e}", case.id));
+                prepared
+                    .run(trace.as_deref(), case.batch, &mut NoopObserver)
+                    .1
+            })
+        })
+        .collect();
     BenchReport {
         schema_version: BENCH_SCHEMA_VERSION,
         suite: suite.to_string(),

@@ -167,15 +167,15 @@ fn oracle_counters_are_identical_across_independent_invocations() {
 
 #[test]
 fn engine_counted_runs_match_plain_runs() {
-    // run_counted is the same run with counters on the side: the report
-    // must be identical to the plain path's.
+    // The engine's run returns counters on the side: the report must be
+    // identical to the plain path's.
     let registries = Registries::builtin();
     let spec = scenario("dynamic", Some("hedge"), "zipf", AuditSpec::Full);
     let plain = spec.run().unwrap();
     let (counted, counters) = spec
         .resolve(&registries)
         .unwrap()
-        .run_counted(&mut NoopObserver);
+        .run(None, 64, &mut NoopObserver);
     assert_eq!(plain, counted);
     assert_eq!(counters.requests, plain.steps);
 }

@@ -17,7 +17,7 @@
 //!   capacities/ε/policies/seeds, fan out via [`parallel_map`],
 //!   aggregate with [`summarize`];
 //! * streaming results: every run accepts an
-//!   [`rdbp_model::Observer`] ([`Scenario::run_observed`]), so per-step
+//!   [`rdbp_model::Observer`] ([`Scenario::run_with`]), so per-step
 //!   cost curves, CSV emission and load head-room come from
 //!   [`rdbp_model::observers`] instead of end-of-run diffing.
 //!

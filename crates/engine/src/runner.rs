@@ -1,14 +1,14 @@
 //! Executing a [`Scenario`]: spec → registries → audited driver run.
 
 use rdbp_model::{
-    run_batch, run_batch_counted, run_counted, run_observed, run_trace_counted, run_trace_observed,
-    AuditLevel, Edge, NoopObserver, Observer, OnlineAlgorithm, RingInstance, RunReport,
+    AuditLevel, Driver, Edge, NoopObserver, Observer, OnlineAlgorithm, RingInstance, RunReport,
     WorkCounters, Workload,
 };
 
-/// Batch size [`PreparedScenario::run`] uses when no observer needs
-/// per-step events (identical accounting either way; this only sets
-/// the [`rdbp_model::BatchEvent`] granularity).
+/// Batch size [`Scenario::run_with`] hands [`PreparedScenario::run`]
+/// (identical accounting for every size; this only sets the
+/// [`rdbp_model::BatchEvent`] granularity when no observer needs
+/// per-step events).
 const DEFAULT_RUN_BATCH: u64 = 4096;
 
 use crate::registry::Registries;
@@ -56,115 +56,66 @@ impl PreparedScenario {
         self.audit
     }
 
-    /// Runs the scenario to completion, streaming step events to
-    /// `observer`.
-    ///
-    /// When no observer asks for per-step events
-    /// ([`Observer::wants_steps`] — e.g. the [`NoopObserver`] behind
-    /// [`Scenario::run`]), the run is routed through the batched driver
-    /// automatically: identical report, one observer dispatch per
-    /// batch, allocation-free serve loop.
-    ///
-    /// # Panics
-    /// Same contract as [`rdbp_model::run`]: panics under full
-    /// auditing if the algorithm mis-reports migrations.
-    pub fn run(self, observer: &mut dyn Observer) -> RunReport {
-        if observer.wants_steps() {
-            let mut this = self;
-            run_observed(
-                this.algorithm.as_mut(),
-                this.workload.as_mut(),
-                this.steps,
-                this.audit,
-                observer,
-            )
-        } else {
-            self.run_batched(DEFAULT_RUN_BATCH, observer)
-        }
-    }
-
-    /// Runs the scenario through the batched driver with an explicit
-    /// batch size (the `rdbp-sim --batch` entry point). Per-step
-    /// observer events are never emitted; one
-    /// [`rdbp_model::BatchEvent`] fires per batch. The report is
-    /// identical to [`PreparedScenario::run`] for every batch size.
-    ///
-    /// # Panics
-    /// Panics if `batch == 0`; otherwise same contract as
-    /// [`rdbp_model::run`].
-    pub fn run_batched(mut self, batch: u64, observer: &mut dyn Observer) -> RunReport {
-        run_batch(
-            self.algorithm.as_mut(),
-            self.workload.as_mut(),
-            self.steps,
-            batch,
-            self.audit,
-            observer,
-        )
-    }
-
-    /// Replays a fixed request trace through the resolved algorithm
-    /// instead of generating requests (the scenario's workload and
-    /// step count are ignored).
-    ///
-    /// # Panics
-    /// Same contract as [`rdbp_model::run_trace`].
-    pub fn replay(mut self, requests: &[Edge], observer: &mut dyn Observer) -> RunReport {
-        run_trace_observed(self.algorithm.as_mut(), requests, self.audit, observer)
-    }
-
-    /// [`PreparedScenario::run`] plus the run's merged
-    /// [`WorkCounters`] — the perf-gate entry point. Same
-    /// batched-vs-per-step routing as `run`.
-    ///
-    /// # Panics
-    /// Same contract as [`PreparedScenario::run`].
-    pub fn run_counted(self, observer: &mut dyn Observer) -> (RunReport, WorkCounters) {
-        if observer.wants_steps() {
-            let mut this = self;
-            run_counted(
-                this.algorithm.as_mut(),
-                this.workload.as_mut(),
-                this.steps,
-                this.audit,
-                observer,
-            )
-        } else {
-            self.run_batched_counted(DEFAULT_RUN_BATCH, observer)
-        }
-    }
-
-    /// [`PreparedScenario::run_batched`] plus the run's merged
+    /// Runs the scenario to completion — the one run entry point of the
+    /// engine. Returns the report and the run's merged
     /// [`WorkCounters`].
     ///
+    /// With `trace`, the resolved algorithm replays that fixed request
+    /// sequence instead of generating the scenario's `steps` workload
+    /// requests (the report's workload then reads `"trace"`). When
+    /// `observer` asks for per-step events ([`Observer::wants_steps`]),
+    /// requests are served one at a time, each emitting a
+    /// [`rdbp_model::StepEvent`]; otherwise they are served in driver
+    /// batches of `batch` requests, one [`rdbp_model::BatchEvent`]
+    /// each. Report and counters are identical on every path and for
+    /// every batch size.
+    ///
     /// # Panics
-    /// Same contract as [`PreparedScenario::run_batched`].
-    pub fn run_batched_counted(
+    /// Panics if `batch == 0`, or under full auditing if the algorithm
+    /// mis-reports migrations (same contract as [`rdbp_model::run`]).
+    pub fn run(
         mut self,
+        trace: Option<&[Edge]>,
         batch: u64,
         observer: &mut dyn Observer,
     ) -> (RunReport, WorkCounters) {
-        run_batch_counted(
-            self.algorithm.as_mut(),
-            self.workload.as_mut(),
-            self.steps,
-            batch,
-            self.audit,
-            observer,
-        )
-    }
-
-    /// [`PreparedScenario::replay`] plus the run's merged
-    /// [`WorkCounters`].
-    ///
-    /// # Panics
-    /// Same contract as [`PreparedScenario::replay`].
-    pub fn replay_counted(
-        mut self,
-        requests: &[Edge],
-        observer: &mut dyn Observer,
-    ) -> (RunReport, WorkCounters) {
-        run_trace_counted(self.algorithm.as_mut(), requests, self.audit, observer)
+        assert!(batch > 0, "batch size must be positive");
+        let algorithm = self.algorithm.as_mut();
+        let workload = self.workload.as_mut();
+        let source = if trace.is_some() {
+            "trace"
+        } else {
+            workload.name()
+        };
+        let mut driver = Driver::new(algorithm.name(), source, self.audit);
+        match (trace, observer.wants_steps()) {
+            (Some(requests), true) => {
+                for &request in requests {
+                    driver.step(algorithm, request, observer);
+                }
+            }
+            (Some(requests), false) => {
+                let size = usize::try_from(batch).unwrap_or(usize::MAX);
+                for chunk in requests.chunks(size) {
+                    driver.step_batch(algorithm, chunk, observer);
+                }
+            }
+            (None, true) => {
+                for _ in 0..self.steps {
+                    driver.step_generated(algorithm, workload, observer);
+                }
+            }
+            (None, false) => {
+                let mut left = self.steps;
+                while left > 0 {
+                    let take = left.min(batch);
+                    driver.step_batch_generated(algorithm, workload, take, observer);
+                    left -= take;
+                }
+            }
+        }
+        let counters = driver.work_counters(algorithm);
+        (driver.finish(observer), counters)
     }
 
     /// Decomposes the resolution into its live parts — what a
@@ -204,17 +155,10 @@ impl Scenario {
         self.run_with(&Registries::builtin(), &mut NoopObserver)
     }
 
-    /// Resolves the scenario against the built-in registries and runs
-    /// it, streaming step events to `observer`.
-    ///
-    /// # Errors
-    /// Returns a [`SpecError`] if any spec fails to resolve.
-    pub fn run_observed(&self, observer: &mut dyn Observer) -> Result<RunReport, SpecError> {
-        self.run_with(&Registries::builtin(), observer)
-    }
-
     /// Runs the scenario against explicit registries — the hook for
-    /// custom algorithms/workloads registered by downstream crates.
+    /// custom algorithms/workloads registered by downstream crates —
+    /// streaming driver events to `observer` (pass
+    /// `&Registries::builtin()` for the built-in registries).
     ///
     /// # Errors
     /// Returns a [`SpecError`] if any spec fails to resolve.
@@ -223,7 +167,8 @@ impl Scenario {
         registries: &Registries,
         observer: &mut dyn Observer,
     ) -> Result<RunReport, SpecError> {
-        Ok(self.resolve(registries)?.run(observer))
+        let prepared = self.resolve(registries)?;
+        Ok(prepared.run(None, DEFAULT_RUN_BATCH, observer).0)
     }
 
     /// Resolves every spec into live objects without running anything.
@@ -348,25 +293,38 @@ mod tests {
 
     #[test]
     fn batched_and_per_step_scenario_runs_are_identical() {
+        // Every routing of the one `run` entry point — live or replayed,
+        // per-step or batched at any size, audited or not — yields the
+        // same report and the same work counters.
         let registries = Registries::builtin();
-        for workload in ["uniform", "zipf", "chaser"] {
-            let s = scenario("dynamic", workload);
-            let per_step = s
-                .resolve(&registries)
-                .unwrap()
-                .run_batched(1, &mut NoopObserver);
-            for batch in [7u64, 64, 100_000] {
-                let batched = s
-                    .resolve(&registries)
-                    .unwrap()
-                    .run_batched(batch, &mut NoopObserver);
-                assert_eq!(batched, per_step, "{workload} batch={batch}");
+        for audit in [AuditSpec::Full, AuditSpec::None] {
+            for workload in ["uniform", "zipf", "chaser"] {
+                let mut s = scenario("dynamic", workload);
+                s.audit = audit;
+                let run = |trace: Option<&[Edge]>, batch: u64, observer: &mut dyn Observer| {
+                    s.resolve(&registries).unwrap().run(trace, batch, observer)
+                };
+                let mut recorder = rdbp_model::observers::TraceRecorder::new();
+                let per_step = run(None, 1, &mut recorder);
+                let trace = recorder.into_requests();
+                assert_eq!(trace.len(), 500);
+                for batch in [1u64, 7, 64, 100_000] {
+                    let batched = run(None, batch, &mut NoopObserver);
+                    assert_eq!(batched, per_step, "{workload} {audit:?} batch={batch}");
+                }
+                // Replaying the served requests is the same run under
+                // the `trace` provenance name.
+                let mut want = per_step.clone();
+                want.0.workload = "trace".into();
+                let mut replay_recorder = rdbp_model::observers::TraceRecorder::new();
+                let stepped = run(Some(&trace), 100_000, &mut replay_recorder);
+                assert_eq!(stepped, want, "{workload} {audit:?} stepped replay");
+                assert_eq!(replay_recorder.requests(), &trace[..]);
+                for batch in [1u64, 7, 100_000] {
+                    let replayed = run(Some(&trace), batch, &mut NoopObserver);
+                    assert_eq!(replayed, want, "{workload} {audit:?} replay batch={batch}");
+                }
             }
-            // The observed (per-step) driver path agrees too.
-            let mut recorder = rdbp_model::observers::TraceRecorder::new();
-            let observed = s.resolve(&registries).unwrap().run(&mut recorder);
-            assert_eq!(observed, per_step, "{workload} observed");
-            assert_eq!(recorder.requests().len(), 500);
         }
     }
 
@@ -377,11 +335,11 @@ mod tests {
         // Record the live run's requests, then replay them through a
         // fresh resolution: identical ledger.
         let mut recorder = rdbp_model::observers::TraceRecorder::new();
-        let live = s.resolve(&registries).unwrap().run(&mut recorder);
-        let replayed = s
-            .resolve(&registries)
-            .unwrap()
-            .replay(recorder.requests(), &mut NoopObserver);
+        let (live, _) = s.resolve(&registries).unwrap().run(None, 1, &mut recorder);
+        let (replayed, _) =
+            s.resolve(&registries)
+                .unwrap()
+                .run(Some(recorder.requests()), 1, &mut NoopObserver);
         assert_eq!(live.ledger, replayed.ledger);
         assert_eq!(replayed.workload, "trace");
     }

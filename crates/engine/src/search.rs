@@ -17,11 +17,11 @@
 //!    non-improving evaluations the incumbent restarts from a fresh
 //!    strategy rollout (the global best is never forgotten).
 //!
-//! The ratio's denominator is a certified lower bound on the dynamic
-//! optimum from the configured [`OracleSpec`] (default `ringload`), so
-//! a reported ratio is a *certified* empirical competitive ratio: the
-//! true ratio on the found schedule is at least as large. The
-//! numerator is the driver's standard-model ledger total.
+//! The ratio's denominator is a certified lower bound LB ≤ OPT on the
+//! dynamic optimum from the configured [`OracleSpec`] (default
+//! `ringload`), so cost/LB ≥ cost/OPT: the true ratio on the found
+//! schedule is *at most* the reported one. The numerator is the
+//! driver's standard-model ledger total.
 //!
 //! **Determinism:** every rollout replays the algorithm from its
 //! construction seed, every strategy is deterministic, and the only

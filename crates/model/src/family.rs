@@ -185,7 +185,9 @@ impl Observer for FamilyCostObserver {
 mod tests {
     use super::*;
     use crate::workload::CutChaser;
-    use crate::{run_observed, AuditLevel, Placement, Process, RingInstance, Server};
+    use crate::{
+        AuditLevel, Driver, OnlineAlgorithm, Placement, Process, RingInstance, Server, Workload,
+    };
 
     /// Minimal greedy collocator: pull the clockwise endpoint over
     /// whenever there is room (enough to exercise both cost kinds).
@@ -224,14 +226,12 @@ mod tests {
         };
         let mut workload = CutChaser::new();
         let mut obs = FamilyCostObserver::new(model);
-        let report = run_observed(
-            &mut alg,
-            &mut workload,
-            steps,
-            AuditLevel::Full { load_limit: 5 },
-            &mut obs,
-        );
-        let ledger_total = report.ledger.total();
+        let audit = AuditLevel::Full { load_limit: 5 };
+        let mut driver = Driver::new(alg.name(), workload.name(), audit);
+        for _ in 0..steps {
+            driver.step_generated(&mut alg, &mut workload, &mut obs);
+        }
+        let ledger_total = driver.finish(&mut obs).ledger.total();
         (obs, ledger_total)
     }
 

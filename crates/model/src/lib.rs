@@ -54,8 +54,7 @@ pub use ledger::CostLedger;
 pub use placement::{JournalIter, MigrationJournal, MigrationRecord, Placement};
 pub use seed::split_mix64;
 pub use sim::{
-    run, run_batch, run_batch_counted, run_counted, run_observed, run_trace, run_trace_counted,
-    run_trace_observed, AuditLevel, BatchEvent, BatchOutcome, Driver, NoopObserver, Observer,
-    OnlineAlgorithm, RunReport, StepEvent, StrictAuditor,
+    run, run_trace, AuditLevel, BatchEvent, BatchOutcome, Driver, NoopObserver, Observer,
+    OnlineAlgorithm, RunReport, StepEvent,
 };
 pub use workload::Workload;

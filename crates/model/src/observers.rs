@@ -1,8 +1,8 @@
 //! Built-in [`Observer`] implementations for the simulation driver.
 //!
-//! Observers stream per-step information out of [`crate::run_observed`] /
-//! [`crate::run_trace_observed`] while the run is in flight, replacing
-//! ad-hoc "re-run and diff ledgers" instrumentation:
+//! Observers stream per-step information out of a [`crate::Driver`]
+//! while the run is in flight, replacing ad-hoc "re-run and diff
+//! ledgers" instrumentation:
 //!
 //! * [`CostCurve`] — samples the cumulative cost ledger every `every`
 //!   steps (the per-step cost curves the experiment figures plot);
@@ -271,7 +271,7 @@ impl Observer for Fanout<'_> {
 mod tests {
     use super::*;
     use crate::workload::Sequential;
-    use crate::{run_observed, AuditLevel, Placement, RingInstance};
+    use crate::{AuditLevel, Driver, OnlineAlgorithm, Placement, RingInstance, Workload};
 
     /// A placement-frozen dummy algorithm.
     struct Lazy {
@@ -296,12 +296,22 @@ mod tests {
         }
     }
 
+    /// Runs `steps` sequential requests against [`lazy`], streaming
+    /// every step to `observer`.
+    fn observe(steps: u64, audit: AuditLevel, observer: &mut dyn Observer) -> RunReport {
+        let mut alg = lazy();
+        let mut w = Sequential::new();
+        let mut driver = Driver::new(alg.name(), w.name(), audit);
+        for _ in 0..steps {
+            driver.step_generated(&mut alg, &mut w, observer);
+        }
+        driver.finish(observer)
+    }
+
     #[test]
     fn cost_curve_samples_and_finishes() {
         let mut curve = CostCurve::new(5);
-        let mut alg = lazy();
-        let mut w = Sequential::new();
-        let report = run_observed(&mut alg, &mut w, 12, AuditLevel::None, &mut curve);
+        let report = observe(12, AuditLevel::None, &mut curve);
         let samples = curve.samples();
         assert_eq!(
             samples.iter().map(|s| s.steps).collect::<Vec<_>>(),
@@ -314,9 +324,7 @@ mod tests {
     #[test]
     fn csv_emitter_writes_one_row_per_step() {
         let mut emitter = CsvEmitter::new(Vec::new());
-        let mut alg = lazy();
-        let mut w = Sequential::new();
-        let _ = run_observed(&mut alg, &mut w, 4, AuditLevel::None, &mut emitter);
+        let _ = observe(4, AuditLevel::None, &mut emitter);
         let text = String::from_utf8(emitter.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5, "header + 4 rows");
@@ -327,15 +335,7 @@ mod tests {
     #[test]
     fn load_headroom_tracks_minimum() {
         let mut head = LoadHeadroom::new(6);
-        let mut alg = lazy();
-        let mut w = Sequential::new();
-        let _ = run_observed(
-            &mut alg,
-            &mut w,
-            3,
-            AuditLevel::Full { load_limit: 6 },
-            &mut head,
-        );
+        let _ = observe(3, AuditLevel::Full { load_limit: 6 }, &mut head);
         // Contiguous load is 4 on every step → head-room 2 throughout.
         assert_eq!(head.min_headroom(), Some(2));
         assert_eq!(head.limit(), 6);
@@ -344,9 +344,7 @@ mod tests {
     #[test]
     fn trace_recorder_captures_requests() {
         let mut rec = TraceRecorder::new();
-        let mut alg = lazy();
-        let mut w = Sequential::new();
-        let _ = run_observed(&mut alg, &mut w, 3, AuditLevel::None, &mut rec);
+        let _ = observe(3, AuditLevel::None, &mut rec);
         assert_eq!(rec.requests(), &[Edge(0), Edge(1), Edge(2)]);
         assert_eq!(rec.into_requests().len(), 3);
     }
@@ -357,9 +355,7 @@ mod tests {
         let mut curve = CostCurve::new(1);
         {
             let mut fan = Fanout::new(vec![&mut rec, &mut curve]);
-            let mut alg = lazy();
-            let mut w = Sequential::new();
-            let _ = run_observed(&mut alg, &mut w, 2, AuditLevel::None, &mut fan);
+            let _ = observe(2, AuditLevel::None, &mut fan);
         }
         assert_eq!(rec.requests().len(), 2);
         assert_eq!(curve.samples().len(), 2);

@@ -274,9 +274,8 @@ pub trait Observer {
     fn on_step(&mut self, _event: &StepEvent) {}
 
     /// Called once per batch by the batched entry points
-    /// ([`Driver::step_batch`], [`Driver::step_batch_generated`],
-    /// [`run_batch`]). Batched runs do **not** call
-    /// [`Observer::on_step`].
+    /// ([`Driver::step_batch`], [`Driver::step_batch_generated`]).
+    /// Batched runs do **not** call [`Observer::on_step`].
     fn on_batch(&mut self, _event: &BatchEvent) {}
 
     /// Whether this observer needs per-step events. Executors that are
@@ -302,7 +301,12 @@ impl Observer for NoopObserver {
     }
 }
 
-/// Runs `algorithm` against `workload` for `steps` requests.
+/// Runs `algorithm` against `workload` for `steps` requests, one
+/// [`Driver::step_generated`] call per request.
+///
+/// Callers that need an observer, a batch size or the run's
+/// [`WorkCounters`] hold a [`Driver`] themselves (or go through the
+/// scenario engine's `PreparedScenario::run`).
 ///
 /// # Panics
 /// Panics under [`AuditLevel::Full`] if the algorithm mis-reports its
@@ -312,137 +316,15 @@ where
     A: OnlineAlgorithm + ?Sized,
     W: Workload + ?Sized,
 {
-    run_observed(algorithm, workload, steps, audit, &mut NoopObserver)
-}
-
-/// Runs `algorithm` against `workload`, streaming a [`StepEvent`] per
-/// request to `observer`.
-///
-/// # Panics
-/// Same contract as [`run`].
-pub fn run_observed<A, W>(
-    algorithm: &mut A,
-    workload: &mut W,
-    steps: u64,
-    audit: AuditLevel,
-    observer: &mut dyn Observer,
-) -> RunReport
-where
-    A: OnlineAlgorithm + ?Sized,
-    W: Workload + ?Sized,
-{
     let mut driver = Driver::new(algorithm.name(), workload.name(), audit);
     for _ in 0..steps {
-        driver.step_generated(algorithm, workload, observer);
+        driver.step_generated(algorithm, workload, &mut NoopObserver);
     }
-    driver.finish(observer)
+    driver.finish(&mut NoopObserver)
 }
 
-/// Runs `algorithm` against `workload` through the batched driver:
-/// requests are served in batches of `batch`, with one
-/// [`BatchEvent`] dispatched per batch instead of a [`StepEvent`] per
-/// request. Accounting (ledger, max load, violations) is identical to
-/// [`run`] for every batch size.
-///
-/// # Panics
-/// Panics if `batch == 0`; otherwise same contract as [`run`].
-pub fn run_batch<A, W>(
-    algorithm: &mut A,
-    workload: &mut W,
-    steps: u64,
-    batch: u64,
-    audit: AuditLevel,
-    observer: &mut dyn Observer,
-) -> RunReport
-where
-    A: OnlineAlgorithm + ?Sized,
-    W: Workload + ?Sized,
-{
-    assert!(batch > 0, "batch size must be positive");
-    let mut driver = Driver::new(algorithm.name(), workload.name(), audit);
-    let mut left = steps;
-    while left > 0 {
-        let take = left.min(batch);
-        driver.step_batch_generated(algorithm, workload, take, observer);
-        left -= take;
-    }
-    driver.finish(observer)
-}
-
-/// [`run_observed`] plus the run's merged [`WorkCounters`] — the
-/// per-step entry point of the perf-gate bench harness.
-///
-/// # Panics
-/// Same contract as [`run`].
-pub fn run_counted<A, W>(
-    algorithm: &mut A,
-    workload: &mut W,
-    steps: u64,
-    audit: AuditLevel,
-    observer: &mut dyn Observer,
-) -> (RunReport, WorkCounters)
-where
-    A: OnlineAlgorithm + ?Sized,
-    W: Workload + ?Sized,
-{
-    let mut driver = Driver::new(algorithm.name(), workload.name(), audit);
-    for _ in 0..steps {
-        driver.step_generated(algorithm, workload, observer);
-    }
-    let counters = driver.work_counters(algorithm);
-    (driver.finish(observer), counters)
-}
-
-/// [`run_batch`] plus the run's merged [`WorkCounters`].
-///
-/// # Panics
-/// Same contract as [`run_batch`].
-pub fn run_batch_counted<A, W>(
-    algorithm: &mut A,
-    workload: &mut W,
-    steps: u64,
-    batch: u64,
-    audit: AuditLevel,
-    observer: &mut dyn Observer,
-) -> (RunReport, WorkCounters)
-where
-    A: OnlineAlgorithm + ?Sized,
-    W: Workload + ?Sized,
-{
-    assert!(batch > 0, "batch size must be positive");
-    let mut driver = Driver::new(algorithm.name(), workload.name(), audit);
-    let mut left = steps;
-    while left > 0 {
-        let take = left.min(batch);
-        driver.step_batch_generated(algorithm, workload, take, observer);
-        left -= take;
-    }
-    let counters = driver.work_counters(algorithm);
-    (driver.finish(observer), counters)
-}
-
-/// [`run_trace_observed`] plus the run's merged [`WorkCounters`].
-///
-/// # Panics
-/// Same contract as [`run`].
-pub fn run_trace_counted<A>(
-    algorithm: &mut A,
-    requests: &[Edge],
-    audit: AuditLevel,
-    observer: &mut dyn Observer,
-) -> (RunReport, WorkCounters)
-where
-    A: OnlineAlgorithm + ?Sized,
-{
-    let mut driver = Driver::new(algorithm.name(), "trace", audit);
-    for &request in requests {
-        driver.step(algorithm, request, observer);
-    }
-    let counters = driver.work_counters(algorithm);
-    (driver.finish(observer), counters)
-}
-
-/// Replays a fixed request trace against `algorithm`.
+/// Replays a fixed request trace against `algorithm`, one
+/// [`Driver::step`] call per request.
 ///
 /// # Panics
 /// Same contract as [`run`].
@@ -450,36 +332,19 @@ pub fn run_trace<A>(algorithm: &mut A, requests: &[Edge], audit: AuditLevel) -> 
 where
     A: OnlineAlgorithm + ?Sized,
 {
-    run_trace_observed(algorithm, requests, audit, &mut NoopObserver)
-}
-
-/// Replays a fixed request trace, streaming a [`StepEvent`] per request
-/// to `observer`.
-///
-/// # Panics
-/// Same contract as [`run`].
-pub fn run_trace_observed<A>(
-    algorithm: &mut A,
-    requests: &[Edge],
-    audit: AuditLevel,
-    observer: &mut dyn Observer,
-) -> RunReport
-where
-    A: OnlineAlgorithm + ?Sized,
-{
     let mut driver = Driver::new(algorithm.name(), "trace", audit);
     for &request in requests {
-        driver.step(algorithm, request, observer);
+        driver.step(algorithm, request, &mut NoopObserver);
     }
-    driver.finish(observer)
+    driver.finish(&mut NoopObserver)
 }
 
 /// The incremental driver: the referee state of a run in flight.
 ///
-/// [`run_observed`] and [`run_trace_observed`] are thin loops over
-/// this; long-lived callers (the serve subsystem's sessions) hold a
-/// `Driver` open and feed it requests as they arrive. Cost charging and
-/// auditing are identical in both shapes — a run assembled from any
+/// [`run`] and [`run_trace`] are thin loops over this; long-lived
+/// callers (the serve subsystem's sessions) hold a `Driver` open and
+/// feed it requests as they arrive. Cost charging and auditing are
+/// identical in both shapes — a run assembled from any
 /// interleaving of [`Driver::step`]/[`Driver::step_batch`] calls
 /// produces the same [`RunReport`] as the equivalent batch run.
 ///
@@ -833,55 +698,6 @@ fn accumulate(event: &mut BatchEvent, step: &StepEvent) {
     event.violations += u64::from(step.violated);
 }
 
-/// The pre-journal reference auditor: clones the placement before each
-/// serve and verifies the reported migrations against the O(n) Hamming
-/// diff, exactly as `Driver::step` did before the delta-driven refactor.
-///
-/// Kept as the independent ground truth for the differential-audit
-/// property tests (`tests/differential_audit.rs`): on any honest
-/// algorithm, the journal audit and this reference must agree
-/// step-for-step. Not used on any hot path.
-#[derive(Debug, Default)]
-pub struct StrictAuditor {
-    scratch: Option<Placement>,
-}
-
-impl StrictAuditor {
-    /// A fresh reference auditor.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Captures the pre-serve placement (clone into a reused scratch).
-    pub fn arm(&mut self, placement: &Placement) {
-        match &mut self.scratch {
-            Some(prev) => prev.clone_from(placement),
-            None => self.scratch = Some(placement.clone()),
-        }
-    }
-
-    /// Verifies `reported` against the Hamming distance between the
-    /// armed snapshot and `placement`; returns that distance.
-    ///
-    /// # Panics
-    /// Panics if [`StrictAuditor::arm`] was never called, or if the
-    /// algorithm under-reported (`reported <` actual diff) — the exact
-    /// strictness the old driver enforced.
-    pub fn verify(&self, placement: &Placement, reported: u64) -> u64 {
-        let actual = self
-            .scratch
-            .as_ref()
-            .expect("StrictAuditor::arm before verify")
-            .migration_distance(placement);
-        assert!(
-            reported >= actual,
-            "algorithm under-reported migrations: reported {reported}, actual {actual}"
-        );
-        actual
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,6 +751,31 @@ mod tests {
                 0
             }
         }
+    }
+
+    /// Serves `steps` generated requests through one [`Driver`] in
+    /// batches of `batch`, returning the report and merged counters.
+    fn drive<A, W>(
+        alg: &mut A,
+        w: &mut W,
+        steps: u64,
+        batch: u64,
+        audit: AuditLevel,
+        observer: &mut dyn Observer,
+    ) -> (RunReport, WorkCounters)
+    where
+        A: OnlineAlgorithm,
+        W: Workload,
+    {
+        let mut driver = Driver::new(alg.name(), w.name(), audit);
+        let mut left = steps;
+        while left > 0 {
+            let take = left.min(batch);
+            driver.step_batch_generated(alg, w, take, observer);
+            left -= take;
+        }
+        let counters = driver.work_counters(alg);
+        (driver.finish(observer), counters)
     }
 
     #[test]
@@ -1052,7 +893,7 @@ mod tests {
                 placement: Placement::contiguous(&inst),
             };
             let mut w = crate::workload::UniformRandom::new(7);
-            let report = run_batch(&mut alg, &mut w, 500, batch, audit, &mut NoopObserver);
+            let (report, _) = drive(&mut alg, &mut w, 500, batch, audit, &mut NoopObserver);
             assert_eq!(report.ledger, baseline.ledger, "batch={batch}");
             assert_eq!(report.steps, baseline.steps, "batch={batch}");
             assert_eq!(
@@ -1091,7 +932,7 @@ mod tests {
             batches: 0,
             steps_seen: 0,
         };
-        let report = run_batch(
+        let (report, _) = drive(
             &mut alg,
             &mut w,
             300,
@@ -1119,7 +960,7 @@ mod tests {
             placement: Placement::contiguous(&inst),
         };
         let mut wb = crate::workload::CutChaser::new();
-        let batched = run_batch(
+        let (batched, _) = drive(
             &mut b,
             &mut wb,
             200,
@@ -1145,10 +986,11 @@ mod tests {
             placement: Placement::contiguous(&inst),
         };
         let mut w = crate::workload::UniformRandom::new(7);
-        let (report, counters) = run_counted(
+        let (report, counters) = drive(
             &mut alg,
             &mut w,
             400,
+            1,
             AuditLevel::Full { load_limit: 12 },
             &mut NoopObserver,
         );
@@ -1167,7 +1009,7 @@ mod tests {
                 placement: Placement::contiguous(&inst),
             };
             let mut w = crate::workload::UniformRandom::new(3);
-            run_batch_counted(&mut alg, &mut w, 500, batch, audit, &mut NoopObserver)
+            drive(&mut alg, &mut w, 500, batch, audit, &mut NoopObserver)
         };
         for audit in [AuditLevel::Full { load_limit: 12 }, AuditLevel::None] {
             let (report_a, counters_a) = run_once(64, audit);
@@ -1180,22 +1022,5 @@ mod tests {
         let (_, unaudited) = run_once(64, AuditLevel::None);
         assert_eq!(unaudited.audited_steps, 0);
         assert_eq!(unaudited.journal_records, 0);
-    }
-
-    #[test]
-    fn strict_auditor_matches_honest_reports() {
-        let inst = RingInstance::new(12, 3, 4);
-        let mut alg = GreedyPull {
-            placement: Placement::contiguous(&inst),
-        };
-        let mut strict = StrictAuditor::new();
-        let mut w = crate::workload::UniformRandom::new(11);
-        for _ in 0..200 {
-            let request = w.next_request(&alg.placement);
-            strict.arm(&alg.placement);
-            let reported = alg.serve(request);
-            let actual = strict.verify(&alg.placement, reported);
-            assert_eq!(reported, actual);
-        }
     }
 }

@@ -213,24 +213,6 @@ impl HstHedge {
         Distribution::new(self.probs.borrow().clone())
     }
 
-    /// Total bytes of the arena's parallel arrays (topology tables,
-    /// live state, caches, scratch) — the debug accessor behind the
-    /// data-oriented layout work; see DESIGN.md §14.
-    #[must_use]
-    pub fn hst_arena_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let u32s = self.lo.len()
-            + self.hi.len()
-            + self.parent.len()
-            + self.child_start.len()
-            + self.child_count.len()
-            + self.leaf_of_state.len();
-        let f64s = self.log_w.len() + self.phase_cost.len() + self.cond.len() + self.val.len() + {
-            self.probs.borrow().len()
-        };
-        u32s * size_of::<u32>() + f64s * size_of::<f64>()
-    }
-
     /// Number of levels in the hierarchy (1 for a single state). The
     /// `serve_hit` walk touches at most `hst_levels() - 1` families.
     #[must_use]
@@ -700,7 +682,6 @@ mod tests {
                 assert_eq!(p.lo[leaf] as usize, s);
                 assert_eq!(p.child_count[leaf], 0);
             }
-            assert!(p.hst_arena_bytes() > 0);
             assert!(p.hst_levels() >= 1);
         }
     }

@@ -23,8 +23,8 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use rdbp_engine::{Registries, Scenario};
 use rdbp_model::{
-    AuditLevel, CostLedger, Driver, Edge, NoopObserver, OnlineAlgorithm, RingInstance, RunReport,
-    WorkCounters, Workload,
+    AuditLevel, BatchEvent, CostLedger, Driver, Edge, NoopObserver, OnlineAlgorithm, RingInstance,
+    RunReport, WorkCounters, Workload,
 };
 
 use crate::ServeError;
@@ -136,14 +136,13 @@ impl Session {
     /// Same contract as [`rdbp_model::run`]: panics under full auditing
     /// if the algorithm mis-reports its migrations.
     pub fn submit(&mut self, steps: u64) -> BatchSummary {
-        let before = self.driver.report().clone();
-        self.driver.step_batch_generated(
+        let event = self.driver.step_batch_generated(
             self.algorithm.as_mut(),
             self.workload.as_mut(),
             steps,
             &mut NoopObserver,
         );
-        self.summarize(&before, steps)
+        self.summarize(&event)
     }
 
     /// Serves an explicit request batch (bypasses the workload) through
@@ -152,19 +151,21 @@ impl Session {
     /// # Panics
     /// Same contract as [`Session::submit`].
     pub fn submit_trace(&mut self, requests: &[Edge]) -> BatchSummary {
-        let before = self.driver.report().clone();
-        self.driver
+        let event = self
+            .driver
             .step_batch(self.algorithm.as_mut(), requests, &mut NoopObserver);
-        self.summarize(&before, requests.len() as u64)
+        self.summarize(&event)
     }
 
-    fn summarize(&self, before: &RunReport, served: u64) -> BatchSummary {
+    /// This batch's figures from the driver's [`BatchEvent`], the
+    /// cumulative ones from its report.
+    fn summarize(&self, event: &BatchEvent) -> BatchSummary {
         let report = self.driver.report();
         BatchSummary {
-            served,
+            served: event.served,
             steps: report.steps,
             ledger: report.ledger,
-            batch_cost: report.ledger.total() - before.ledger.total(),
+            batch_cost: event.cost_delta(),
             max_load: report.max_load_seen,
             violations: report.capacity_violations,
         }
@@ -275,10 +276,13 @@ mod tests {
         let batch = batch_spec.run().unwrap();
 
         let mut session = Session::new(spec, &registries).unwrap();
-        session.submit(100);
-        session.submit(599);
-        let summary = session.submit(1);
-        assert_eq!(summary.steps, 700);
+        let summaries = [session.submit(100), session.submit(599), session.submit(1)];
+        assert_eq!(summaries[2].steps, 700);
+        // Per-submit figures tie out with the final report.
+        let served: u64 = summaries.iter().map(|s| s.served).sum();
+        let cost: u64 = summaries.iter().map(|s| s.batch_cost).sum();
+        assert_eq!(served, batch.steps);
+        assert_eq!(cost, batch.ledger.total());
         assert_eq!(session.finish(), batch);
     }
 

@@ -36,7 +36,7 @@ fn main() {
     // with a streaming cost curve sampled every 10k requests.
     let mut curve = CostCurve::new(10_000);
     let dyn_report = base("dynamic")
-        .run_observed(&mut curve)
+        .run_with(&Registries::builtin(), &mut curve)
         .expect("built-in scenario");
 
     // Theorem 2.2's algorithm (vs static optima, augmentation 3+ε).

@@ -333,13 +333,17 @@ fn main() {
         }
         t
     });
-    // The counted entry points are the same runs with the work-counter
-    // ledger surfaced on the side — identical reports either way.
-    let (report, mut counters) = match (&loaded, batch) {
-        (Some(t), _) => prepared.replay_counted(&t.requests, &mut recorder),
-        (None, Some(n)) => prepared.run_batched_counted(n, &mut rdbp::model::NoopObserver),
-        (None, None) => prepared.run_counted(&mut recorder),
+    // Without --batch the recorder asks for per-step events, so the run
+    // serves one request at a time; --batch drops it for the batched
+    // driver. The work counters come back with every run.
+    let mut noop = rdbp::model::NoopObserver;
+    let observer: &mut dyn Observer = if batch.is_some() {
+        &mut noop
+    } else {
+        &mut recorder
     };
+    let trace = loaded.as_ref().map(|t| t.requests.as_slice());
+    let (report, mut counters) = prepared.run(trace, batch.unwrap_or(1), observer);
     let requests = recorder.into_requests();
 
     // --ratio compares the run against an offline oracle on the exact

@@ -96,10 +96,10 @@ pub mod prelude {
     pub use rdbp_model::observers;
     pub use rdbp_model::workload;
     pub use rdbp_model::{
-        run, run_batch, run_observed, run_trace, run_trace_observed, AdaptiveAdversary,
-        AdversaryWorkload, AuditLevel, BatchEvent, CostLedger, CostModel, Edge, FamilyCostObserver,
-        GreedyCutMaximizer, MigrationRecord, Observer, OnlineAlgorithm, Placement, Process,
-        RingInstance, RunReport, Segment, SeparationChaser, Server, StepEvent,
+        run, run_trace, AdaptiveAdversary, AdversaryWorkload, AuditLevel, BatchEvent, CostLedger,
+        CostModel, Edge, FamilyCostObserver, GreedyCutMaximizer, MigrationRecord, Observer,
+        OnlineAlgorithm, Placement, Process, RingInstance, RunReport, Segment, SeparationChaser,
+        Server, StepEvent,
     };
     pub use rdbp_mts::PolicyKind;
     pub use rdbp_offline::{

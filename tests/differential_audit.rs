@@ -1,7 +1,7 @@
 //! Differential audit property: the delta-driven journal audit (the
 //! production `Driver::step` path) and the pre-refactor clone+Hamming
-//! reference audit ([`rdbp_model::StrictAuditor`]) agree step-for-step
-//! on random algorithm × workload runs.
+//! reference audit ([`StrictAuditor`], defined here) agree
+//! step-for-step on random algorithm × workload runs.
 //!
 //! The reference run re-implements the old driver loop verbatim:
 //! charge communication from the pre-serve placement, snapshot the
@@ -14,7 +14,55 @@
 //! exactly as strict as O(n) auditing on honest algorithms.
 
 use rdbp::prelude::*;
-use rdbp_model::StrictAuditor;
+
+/// The pre-journal reference auditor: clones the placement before each
+/// serve and verifies the reported migrations against the O(n) Hamming
+/// diff, exactly as `Driver::step` did before the delta-driven refactor.
+///
+/// Kept as the independent ground truth for the differential-audit
+/// property tests below: on any honest algorithm, the journal audit
+/// and this reference must agree step-for-step. Not used on any hot
+/// path.
+#[derive(Debug, Default)]
+pub struct StrictAuditor {
+    scratch: Option<Placement>,
+}
+
+impl StrictAuditor {
+    /// A fresh reference auditor.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Captures the pre-serve placement (clone into a reused scratch).
+    pub fn arm(&mut self, placement: &Placement) {
+        match &mut self.scratch {
+            Some(prev) => prev.clone_from(placement),
+            None => self.scratch = Some(placement.clone()),
+        }
+    }
+
+    /// Verifies `reported` against the Hamming distance between the
+    /// armed snapshot and `placement`; returns that distance.
+    ///
+    /// # Panics
+    /// Panics if [`StrictAuditor::arm`] was never called, or if the
+    /// algorithm under-reported (`reported <` actual diff) — the exact
+    /// strictness the old driver enforced.
+    pub fn verify(&self, placement: &Placement, reported: u64) -> u64 {
+        let actual = self
+            .scratch
+            .as_ref()
+            .expect("StrictAuditor::arm before verify")
+            .migration_distance(placement);
+        assert!(
+            reported >= actual,
+            "algorithm under-reported migrations: reported {reported}, actual {actual}"
+        );
+        actual
+    }
+}
 
 /// Per-step observations shared by both runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,11 +144,28 @@ fn journal_run(scenario: &Scenario, registries: &Registries) -> (Vec<Obs>, RunRe
         }
     }
     let mut collect = Collect::default();
-    let report = scenario
+    let (report, _) = scenario
         .resolve(registries)
         .expect("resolve")
-        .run(&mut collect);
+        .run(None, 1, &mut collect);
     (collect.0, report)
+}
+
+#[test]
+fn strict_auditor_matches_honest_reports() {
+    use rdbp::model::workload::{UniformRandom, Workload};
+
+    let inst = RingInstance::new(12, 3, 4);
+    let mut alg = GreedySwap::new(&inst);
+    let mut strict = StrictAuditor::new();
+    let mut w = UniformRandom::new(11);
+    for _ in 0..200 {
+        let request = w.next_request(alg.placement());
+        strict.arm(alg.placement());
+        let reported = alg.serve(request);
+        let actual = strict.verify(alg.placement(), reported);
+        assert_eq!(reported, actual);
+    }
 }
 
 #[test]

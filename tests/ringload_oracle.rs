@@ -61,7 +61,7 @@ fn ringload_sandwiches_the_exact_dynamic_opt_on_small_instances() {
                 scenario.seed = 5;
                 let prepared = scenario.resolve(&registries).expect("resolve");
                 let mut recorder = TraceRecorder::new();
-                prepared.run_counted(&mut recorder);
+                prepared.run(None, 1, &mut recorder);
                 let trace = recorder.into_requests();
 
                 let initial = Placement::contiguous(&inst);

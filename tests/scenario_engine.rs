@@ -136,7 +136,9 @@ fn step_event_deltas_sum_to_the_final_ledger_under_both_audit_levels() {
         let mut scenario = sample_scenario();
         scenario.audit = audit;
         let mut sum = Summing::default();
-        let report = scenario.run_observed(&mut sum).expect("runs");
+        let report = scenario
+            .run_with(&Registries::builtin(), &mut sum)
+            .expect("runs");
         assert_eq!(
             sum.communication, report.ledger.communication,
             "comm deltas must sum to the ledger ({audit:?})"
@@ -160,7 +162,9 @@ fn observers_do_not_perturb_the_run() {
     let scenario = sample_scenario();
     let plain = scenario.run().unwrap();
     let mut recorder = TraceRecorder::new();
-    let observed = scenario.run_observed(&mut recorder).unwrap();
+    let observed = scenario
+        .run_with(&Registries::builtin(), &mut recorder)
+        .unwrap();
     assert_eq!(plain, observed, "observers are passive");
     assert_eq!(recorder.requests().len() as u64, plain.steps);
 }
