@@ -1,13 +1,14 @@
 //! Criterion: offline solver costs (static OPT DP, line-MTS DP, tiny
-//! dynamic OPT).
+//! dynamic OPT, the ringload oracle's lower bound).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rdbp_model::workload::{record, UniformRandom};
+use rdbp_model::workload::{record, SlidingWindow, UniformRandom, Workload, Zipf};
 use rdbp_model::{Placement, RingInstance};
 use rdbp_mts::offline;
-use rdbp_offline::{dynamic_opt, static_opt};
+use rdbp_offline::{dynamic_opt, static_opt, OfflineOracle};
+use rdbp_ringload::RingloadOracle;
 
 fn bench_static_opt(c: &mut Criterion) {
     let mut group = c.benchmark_group("static-opt-dp");
@@ -66,6 +67,31 @@ fn bench_dynamic_opt(c: &mut Criterion) {
     group.finish();
 }
 
+/// The ringload lower bound on the benchmark's shapes: `sim-ratio`'s
+/// 64 offsets over a sliding trace, and `serve-replay`'s zipf ring.
+fn bench_ringload_lower_bound(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ringload-lower-bound");
+    group.sample_size(10);
+    let wide = RingInstance::packed(64, 256);
+    let small = RingInstance::packed(8, 32);
+    let shapes: [(RingInstance, Box<dyn Workload>); 2] = [
+        (wide, Box::new(SlidingWindow::new(wide.capacity(), 8, 1))),
+        (small, Box::new(Zipf::new(&small, 1.2, 1))),
+    ];
+    for (inst, mut workload) in shapes {
+        let initial = Placement::contiguous(&inst);
+        let trace = record(workload.as_mut(), &initial, 200_000);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("n{}", inst.n())),
+            &trace,
+            |b, trace| {
+                b.iter(|| black_box(RingloadOracle::new().lower_bound(&inst, &initial, trace)));
+            },
+        );
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -76,6 +102,7 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_static_opt, bench_line_mts_opt, bench_dynamic_opt
+    targets = bench_static_opt, bench_line_mts_opt, bench_dynamic_opt,
+        bench_ringload_lower_bound
 }
 criterion_main!(benches);

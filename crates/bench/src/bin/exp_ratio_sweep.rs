@@ -70,13 +70,16 @@ fn main() {
                 );
                 let report = run_trace(&mut alg, &trace, AuditLevel::None);
                 let mut oracle = RingloadOracle::new();
-                let lb = oracle.lower_bound(&inst, &initial, &trace).max(1.0);
+                let lb = oracle.lower_bound(&inst, &initial, &trace);
                 let ub = oracle
                     .upper_bound(&inst, &initial, &trace)
                     .expect("ringload always has an upper bound");
                 assert!(lb <= ub, "oracle certificate inverted at k={k}");
-                ratios.push(report.ledger.total() as f64 / lb);
-                tightness.push(ub / lb);
+                // Clamp only the denominators: LB = UB = 0 is a valid
+                // certificate when all traffic stays inside blocks.
+                let denominator = lb.max(1.0);
+                ratios.push(report.ledger.total() as f64 / denominator);
+                tightness.push(ub / denominator);
             }
             (
                 k,

@@ -64,9 +64,11 @@ pub struct WorkCounters {
     /// Quantile-coupling follow/resample operations (randomized
     /// policies).
     pub coupling_follows: u64,
-    /// Cut-pair/window evaluations performed by offline oracles (the
-    /// ring-loading solver's demands-across-cuts scan and the oracle's
-    /// per-offset window scan).
+    /// Cut-pair/window evaluations performed by offline oracles: the
+    /// ring-loading solver's demands-across-cuts scan, the ringload
+    /// oracle's rotation ranking and, for its lower bound, the
+    /// (request, window offset) pairs decided (`trace.len() × offsets`,
+    /// however many of them one skipped request settles at once).
     pub oracle_cut_evals: u64,
     /// Rounding/strategy-evaluation passes performed by offline oracles
     /// (unsplit rounding sweeps and candidate-rotation evaluations).

@@ -48,9 +48,13 @@ use rdbp_offline::OfflineOracle;
 /// at sizes far beyond the exact solvers (see module docs).
 #[derive(Debug, Clone)]
 pub struct RingloadOracle {
-    /// Maximum number of window offsets the lower bound maximizes over
-    /// (each offset is individually sound; more offsets only tighten
-    /// the bound). Sampled deterministically from `0..k`.
+    /// Offset budget of the lower bound, which maximizes over the
+    /// window offsets `0, step, 2·step, … < k` with
+    /// `step = max(1, ⌊k / max_offsets⌋)`. That is `⌈k / step⌉`
+    /// offsets, which can exceed the budget: all `k` while
+    /// `k < 2·max_offsets`, so up to `2·max_offsets − 1` (100 at
+    /// k = 100, 67 at k = 200 with the default 64). Each offset is
+    /// individually sound; more offsets only tighten the bound.
     pub max_offsets: usize,
     /// Maximum number of candidate rotations the upper bound evaluates
     /// migration costs for (pre-ranked by their cut sets' aggregate
@@ -79,42 +83,25 @@ impl RingloadOracle {
     }
 
     /// The phase count of the best sampled window offset (twice the
-    /// lower bound, kept integral).
+    /// lower bound, kept integral). Offsets `0, step, 2·step, …` below
+    /// `k` are scanned, `step = max(1, ⌊k / max_offsets⌋)`; each group
+    /// of up to [`LANES`] of them is counted in one trace pass.
     fn best_phase_count(&mut self, instance: &RingInstance, trace: &[Edge]) -> u64 {
-        let n = instance.n();
-        let k = instance.capacity();
+        let n = instance.n() as usize;
+        let k = instance.capacity() as usize;
         if n <= k {
             // One server could hold the whole ring: no forced cuts.
             return 0;
         }
-        let windows = (n / k) as usize;
-        let covered = windows * k as usize;
-        let step = (k as usize / self.max_offsets.max(1)).max(1);
-        let mut seen = vec![false; covered];
-        let mut count = vec![0u32; windows];
-        let mut best = 0u64;
-        for c in (0..k).step_by(step) {
-            seen.fill(false);
-            count.fill(0);
-            let mut phases = 0u64;
-            for e in trace {
-                let pos = ((e.0 + n - c) % n) as usize;
-                if pos < covered && !seen[pos] {
-                    seen[pos] = true;
-                    let w = pos / k as usize;
-                    count[w] += 1;
-                    if count[w] == k {
-                        // Window complete: one phase banked, reset it.
-                        phases += 1;
-                        count[w] = 0;
-                        seen[w * k as usize..(w + 1) * k as usize].fill(false);
-                    }
-                }
-            }
-            self.cut_evals += trace.len() as u64;
-            best = best.max(phases);
-        }
-        best
+        let step = (k / self.max_offsets.max(1)).max(1);
+        let offsets: Vec<usize> = (0..k).step_by(step).collect();
+        // One (request, offset) pair decided per evaluation.
+        self.cut_evals += trace.len() as u64 * offsets.len() as u64;
+        offsets
+            .chunks(LANES)
+            .flat_map(|group| lane_phase_counts(n, k, group, trace))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The cheapest explicit feasible schedule (see module docs).
@@ -176,6 +163,94 @@ impl RingloadOracle {
     }
 }
 
+/// Window offsets counted together in one trace pass: one bit lane of
+/// a `u64` per offset.
+const LANES: usize = 64;
+
+/// The edges outside the tiling at offset `c`: positions
+/// `⌊n/k⌋·k .. n` counted clockwise from edge `c`.
+fn untiled_edges(n: usize, covered: usize, c: usize) -> impl Iterator<Item = usize> {
+    (covered..n).map(move |pos| (pos + c) % n)
+}
+
+/// The complete-phase count of every offset in `offsets` (ascending,
+/// below `k`, at most [`LANES`]), from one pass over the trace.
+///
+/// Bit `j` of `seen[e]` is set when edge `e` was requested in the
+/// current phase of its window under offset `offsets[j]`, or lies
+/// outside that offset's tiling (set once, never cleared). Unused lanes
+/// start set, so a request whose edge is set in every lane costs one
+/// load and one compare; otherwise only its fresh lanes are counted.
+fn lane_phase_counts(n: usize, k: usize, offsets: &[usize], trace: &[Edge]) -> [u64; LANES] {
+    debug_assert!(!offsets.is_empty() && offsets.len() <= LANES);
+    let windows = n / k;
+    let covered = windows * k;
+    let mut seen = vec![u64::MAX.checked_shl(offsets.len() as u32).unwrap_or(0); n];
+    for (j, &c) in offsets.iter().enumerate() {
+        for e in untiled_edges(n, covered, c) {
+            seen[e] |= 1 << j;
+        }
+    }
+    // Window-major: the lanes of one window share a cache line or two.
+    let mut count = vec![0u32; windows * LANES];
+    let mut phases = [0u64; LANES];
+    for &Edge(e) in trace {
+        let e = e as usize;
+        let mut fresh = !seen[e];
+        if fresh == 0 {
+            continue;
+        }
+        seen[e] = u64::MAX;
+        let (q, r) = (e / k, e % k);
+        while fresh != 0 {
+            let j = fresh.trailing_zeros() as usize;
+            fresh &= fresh - 1;
+            let c = offsets[j];
+            // Window of position (e − c) mod n; fresh lanes are tiled.
+            let w = if r >= c {
+                q
+            } else if q > 0 {
+                q - 1
+            } else {
+                (e + n - c) / k
+            };
+            debug_assert!(w < windows, "fresh lane {j} outside its tiling");
+            let slot = &mut count[w * LANES + j];
+            debug_assert!(
+                (*slot as usize) < k,
+                "lane {j} window {w} reached k unbanked"
+            );
+            *slot += 1;
+            if *slot as usize == k {
+                // Window complete: one phase banked, reset it.
+                *slot = 0;
+                phases[j] += 1;
+                let keep = !(1u64 << j);
+                let start = w * k + c; // < n; the window may wrap
+                let end = start + k;
+                for s in &mut seen[start..end.min(n)] {
+                    *s &= keep;
+                }
+                for s in &mut seen[..end.saturating_sub(n)] {
+                    *s &= keep;
+                }
+            }
+        }
+    }
+    debug_assert!(
+        count.iter().all(|&c| (c as usize) < k),
+        "a lane count reached k"
+    );
+    debug_assert!(
+        offsets
+            .iter()
+            .enumerate()
+            .all(|(j, &c)| untiled_edges(n, covered, c).all(|e| seen[e] >> j & 1 == 1)),
+        "an out-of-tiling bit was cleared"
+    );
+    phases
+}
+
 impl OfflineOracle for RingloadOracle {
     fn name(&self) -> &'static str {
         "ringload"
@@ -220,6 +295,162 @@ impl OfflineOracle for RingloadOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The per-offset scan the lane kernel replaced, kept as its
+    /// reference: one trace pass per sampled offset, counting
+    /// `trace.len()` cut evaluations for each.
+    fn reference_phase_count(
+        oracle: &mut RingloadOracle,
+        instance: &RingInstance,
+        trace: &[Edge],
+    ) -> u64 {
+        let n = instance.n();
+        let k = instance.capacity();
+        if n <= k {
+            // One server could hold the whole ring: no forced cuts.
+            return 0;
+        }
+        let windows = (n / k) as usize;
+        let covered = windows * k as usize;
+        let step = (k as usize / oracle.max_offsets.max(1)).max(1);
+        let mut seen = vec![false; covered];
+        let mut count = vec![0u32; windows];
+        let mut best = 0u64;
+        for c in (0..k).step_by(step) {
+            seen.fill(false);
+            count.fill(0);
+            let mut phases = 0u64;
+            for e in trace {
+                let pos = ((e.0 + n - c) % n) as usize;
+                if pos < covered && !seen[pos] {
+                    seen[pos] = true;
+                    let w = pos / k as usize;
+                    count[w] += 1;
+                    if count[w] == k {
+                        // Window complete: one phase banked, reset it.
+                        phases += 1;
+                        count[w] = 0;
+                        seen[w * k as usize..(w + 1) * k as usize].fill(false);
+                    }
+                }
+            }
+            oracle.cut_evals += trace.len() as u64;
+            best = best.max(phases);
+        }
+        best
+    }
+
+    /// Asserts the lane kernel and the reference scan agree on the
+    /// phase count and on `oracle_cut_evals`, at every offset budget.
+    fn assert_matches_reference(instance: &RingInstance, trace: &[Edge]) {
+        for max_offsets in [1, 7, 64, 200] {
+            let mut kernel = RingloadOracle {
+                max_offsets,
+                ..RingloadOracle::new()
+            };
+            let mut reference = kernel.clone();
+            let got = kernel.best_phase_count(instance, trace);
+            let want = reference_phase_count(&mut reference, instance, trace);
+            assert_eq!(
+                (got, kernel.cut_evals),
+                (want, reference.cut_evals),
+                "{instance:?}, max_offsets={max_offsets}, {} requests",
+                trace.len()
+            );
+        }
+    }
+
+    /// A random instance: capacity 1..=300, weighted towards more than
+    /// 64 offsets (65..=127, 200); packed, with slack (`n < ℓ·k`, some
+    /// edges outside every tiling), or on one server (`n ≤ k`).
+    fn random_instance(rng: &mut StdRng) -> RingInstance {
+        let k = match rng.random_range(0..8u32) {
+            0 | 1 => rng.random_range(65..=127),
+            2 => 200,
+            3 => rng.random_range(128..=300),
+            _ => rng.random_range(1..=64),
+        };
+        let servers = rng.random_range(1..=6u32).max(3u32.div_ceil(k));
+        let full = servers * k;
+        let n = if rng.random_bool(0.5) {
+            full
+        } else {
+            rng.random_range(3.max(full / 2)..=full)
+        };
+        RingInstance::new(n, servers, k)
+    }
+
+    /// A random trace mixing sweeps (every window completes), short
+    /// local walks (some windows complete), uniform requests and a
+    /// hammered edge.
+    fn random_trace(rng: &mut StdRng, instance: &RingInstance) -> Vec<Edge> {
+        let n = instance.n();
+        let len = rng.random_range(0..=(3 * n).min(1500));
+        let mut at = rng.random_range(0..n);
+        let mode = rng.random_range(0..4u32);
+        (0..len)
+            .map(|_| {
+                at = match mode {
+                    0 => (at + 1) % n,
+                    1 => (at + rng.random_range(0..3u32) + n - 1) % n,
+                    2 => rng.random_range(0..n),
+                    _ if rng.random_bool(0.9) => at,
+                    _ => rng.random_range(0..n),
+                };
+                Edge(at)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_per_offset_scan_on_random_instances() {
+        let mut rng = StdRng::seed_from_u64(0x51ce);
+        for _ in 0..400 {
+            let inst = random_instance(&mut rng);
+            let trace = random_trace(&mut rng, &inst);
+            assert_matches_reference(&inst, &trace);
+        }
+    }
+
+    #[test]
+    fn lane_kernel_matches_the_per_offset_scan_on_edge_cases() {
+        let mut instances = vec![
+            RingInstance::new(6, 1, 8),   // n < k
+            RingInstance::new(8, 1, 8),   // n = k
+            RingInstance::packed(3, 1),   // k = 1: every request a phase
+            RingInstance::packed(4, 100), // 100 offsets: two lane groups
+            RingInstance::packed(2, 200), // 67 offsets at the default
+            RingInstance::new(250, 2, 127),
+            RingInstance::new(700, 3, 300),
+        ];
+        instances.extend((64..=66).map(|k| RingInstance::new(3 * k - 5, 3, k)));
+        for inst in instances {
+            let sweeps: Vec<Edge> = (0..5 * u64::from(inst.n()) + 3)
+                .map(|i| inst.edge(i))
+                .collect();
+            let backwards: Vec<Edge> = sweeps.iter().rev().copied().collect();
+            let hammered = vec![inst.edge(u64::from(inst.n()) - 1); 500];
+            for trace in [Vec::new(), sweeps, backwards, hammered] {
+                assert_matches_reference(&inst, &trace);
+            }
+        }
+    }
+
+    #[test]
+    fn offsets_scanned_can_exceed_max_offsets() {
+        // step = ⌊100/64⌋ = 1, so all 100 offsets are scanned.
+        let inst = RingInstance::packed(4, 100);
+        let initial = Placement::contiguous(&inst);
+        let trace = sweep_trace(&inst, 2);
+        let mut oracle = RingloadOracle::new();
+        oracle.lower_bound(&inst, &initial, &trace);
+        assert_eq!(
+            oracle.work_counters().oracle_cut_evals,
+            100 * trace.len() as u64
+        );
+    }
 
     /// A trace that sweeps every edge of the ring repeatedly: every
     /// window completes one phase per sweep.
