@@ -3,14 +3,17 @@
 //! differential (a live-migrated session's transcript is
 //! byte-identical to an unmigrated one, over both wire protocols),
 //! migrate-under-pipelined-load, SIGKILL failover with the
-//! lost-requests contract, and the router's error surface.
+//! lost-requests contract, and the router's error surface, hostile
+//! input included.
 
-use std::net::SocketAddr;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use rdbp_engine::{AlgorithmSpec, InstanceSpec, Scenario, WorkloadSpec};
+use rdbp_serve::wire::{self, HEADER_LEN, MAX_FRAME};
 use rdbp_serve::{Client, Request, Response, Work};
 
 /// The `rdbp-serve` binary the router will spawn (its sibling in the
@@ -636,5 +639,102 @@ fn rebalance_loop_evens_out_a_skewed_cluster() {
         };
         assert_eq!(summary.violations, 0);
     }
+    router.shutdown(false);
+}
+
+/// A raw connection to the router that gives up instead of hanging
+/// when an expected reply or close never comes.
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect to router");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("set read timeout");
+    stream
+}
+
+/// Reads one binary frame from a raw stream and decodes it as a
+/// response.
+fn read_response(stream: &mut TcpStream) -> Response {
+    let mut header = [0u8; HEADER_LEN];
+    stream
+        .read_exact(&mut header)
+        .expect("response frame header");
+    assert_eq!(header[0], wire::MAGIC, "response must be a binary frame");
+    let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
+    let mut payload = vec![0u8; len];
+    stream
+        .read_exact(&mut payload)
+        .expect("response frame payload");
+    wire::decode_response(header[1], &payload).expect("decodable response")
+}
+
+fn error_message(response: Response) -> String {
+    match response {
+        Response::Error { message } => message,
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+}
+
+/// The peer hung up (a timeout is not a close).
+fn assert_closed(stream: &mut TcpStream) {
+    match stream.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+        other => panic!("connection must close, got {other:?}"),
+    }
+}
+
+/// The hostile inputs the backend e2e suite sends `rdbp-serve` draw the
+/// same answers from the router: a desynchronizing frame an error and a
+/// close, a malformed but delimited frame an error on a connection
+/// that stays usable, and an NDJSON line over the cap an error and a
+/// close.
+#[test]
+fn router_answers_hostile_input_like_a_backend() {
+    let router = RouterUnderTest::start("hostile", 1, &["--snapshot-ms", "0"]);
+
+    // An oversized declared frame length: error, then close.
+    let mut stream = raw_connect(router.addr);
+    let mut header = vec![wire::MAGIC, 0x02];
+    header.extend_from_slice(&u32::MAX.to_le_bytes());
+    stream.write_all(&header).unwrap();
+    let message = error_message(read_response(&mut stream));
+    assert!(message.contains("cap"), "{message}");
+    assert_closed(&mut stream);
+
+    // An unknown opcode, then a ping: error, then pong.
+    let mut stream = raw_connect(router.addr);
+    let mut unknown_op = vec![wire::MAGIC, 0x7E];
+    unknown_op.extend_from_slice(&1u32.to_le_bytes());
+    unknown_op.push(0x00); // null body
+    stream.write_all(&unknown_op).unwrap();
+    stream
+        .write_all(&wire::encode_request(&Request::Ping))
+        .unwrap();
+    error_message(read_response(&mut stream));
+    assert!(matches!(read_response(&mut stream), Response::Pong));
+    // Then a bad magic byte: error, then close.
+    stream.write_all(&[0x00]).unwrap();
+    let message = error_message(read_response(&mut stream));
+    assert!(message.contains("magic"), "{message}");
+    assert_closed(&mut stream);
+
+    // An NDJSON line over the cap: error, then close.
+    let mut stream = raw_connect(router.addr);
+    let chunk = vec![b'a'; 64 * 1024];
+    let mut sent = 0usize;
+    while sent <= MAX_FRAME {
+        // The router may hang up mid-send; that's the point.
+        if stream.write_all(&chunk).is_err() {
+            break;
+        }
+        sent += chunk.len();
+    }
+    let mut reply = String::new();
+    let _ = stream.read_to_string(&mut reply);
+    assert!(
+        reply.contains("\"ok\":\"error\"") && reply.contains("cap"),
+        "expected an oversized-line error, got: {reply:?}"
+    );
     router.shutdown(false);
 }

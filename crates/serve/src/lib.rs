@@ -18,15 +18,19 @@
 //! * [`SessionManager`] — sessions sharded `id % workers` across a
 //!   worker-thread pool (vendored [`crossbeam`] channels +
 //!   [`parking_lot`] routing locks); per-session FIFO ordering,
-//!   cross-session parallelism, aggregate stats.
-//! * [`proto`] — the request/response model (`create`, `submit`,
-//!   `query`, `snapshot`, `restore`, `close`, `stats`, `ping`,
-//!   `shutdown`) with its newline-delimited-JSON encoding,
+//!   cross-session parallelism, aggregate stats. Each op is
+//!   implemented once, asynchronously; the blocking API waits on it.
+//! * [`proto`] — the request/response model, thirteen ops (`create`,
+//!   `submit`, `query`, `snapshot`, `restore`, `close`, `stats`,
+//!   `ping`, `hello`, `shutdown`, and the router's `migrate`,
+//!   `lineage`, `cluster`) with its newline-delimited-JSON encoding,
 //!   hand-written serde like the scenario specs.
 //! * [`wire`] — the length-prefixed binary framing of the same model:
 //!   one opcode/kind byte plus a binary value tree, decoding to the
 //!   exact [`serde::Value`]s the NDJSON form produces, so both
-//!   protocols drive identical server behavior.
+//!   protocols drive identical server behavior; and the
+//!   [`wire::Framer`] every connection (reactor, router, [`Client`])
+//!   parses and encodes through.
 //! * [`server`] — the nonblocking TCP front end (`rdbp-serve` binary):
 //!   an epoll reactor (vendored [`mio`]-style poll shim) multiplexing
 //!   thousands of connections over the worker pool with per-connection
@@ -65,9 +69,9 @@ pub use manager::{
     ManagerStats, SessionInfo, SessionManager, SessionStatus, StopReport, Work, MAX_SUBMIT,
 };
 pub use proto::{BackendSummary, Request, Response, ServerHello, SessionLineage, PROTO_VERSION};
-pub use server::{serve, serve_config, serve_with, Client, Proto, ServerConfig};
+pub use server::{serve, serve_config, Client, ServerConfig};
 pub use session::{BatchSummary, Session, SNAPSHOT_VERSION};
-pub use wire::MAX_FRAME;
+pub use wire::{Proto, MAX_FRAME};
 
 /// An error from the serving layer: spec resolution, snapshot
 /// round-trips, routing, or worker failures.

@@ -5,25 +5,21 @@
 //! Sessions are pinned to `worker = id % W` at creation, so every
 //! operation on one session flows through one queue — **per-session
 //! ordering is guaranteed** while different sessions proceed fully in
-//! parallel. Callers block on a per-request reply channel, which makes
-//! the public API synchronous and lets many connection threads drive
-//! the pool concurrently.
+//! parallel.
 //!
 //! The manager keeps only routing state ([`parking_lot::RwLock`] over
 //! the id → shard map) and aggregate counters; all partitioning state
 //! lives inside the workers, so no lock is ever held across a
 //! simulation step.
 //!
-//! Two calling conventions share the same worker queues:
-//!
-//! * the **synchronous API** (`create`, `submit`, …) blocks the caller
-//!   on a reply channel — what library users and the in-process bench
-//!   paths drive;
-//! * the **asynchronous API** (`create_async`, `submit_async`, …)
-//!   hands the worker a completion callback and returns immediately —
-//!   what the nonblocking TCP reactor ([`crate::server`]) drives, so
-//!   one reactor thread can keep thousands of connections in flight
-//!   without blocking on any of them.
+//! Each op has one implementation, its **asynchronous** form
+//! (`create_async`, `submit_async`, …): it hands the worker a typed
+//! completion callback and returns immediately — what the nonblocking
+//! TCP reactor ([`crate::server`]) drives, so one reactor thread can
+//! keep thousands of connections in flight without blocking on any of
+//! them. The **blocking** form (`create`, `submit`, …) runs the async
+//! one and waits for its callback on a channel — what library users
+//! and the in-process bench paths drive, from any number of threads.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,7 +27,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
+use crossbeam::channel::{unbounded, SendError, Sender};
 use parking_lot::{Mutex, RwLock};
 use serde::Value;
 
@@ -121,56 +117,39 @@ struct Counters {
     violations: AtomicU64,
 }
 
-/// What one operation produced, delivered to its `Reply` callback.
-/// The variant mirrors the op kind; a mismatch is a programming error.
-#[derive(Debug)]
-pub enum OpResult {
-    /// `create`/`restore` outcome.
-    Session(Result<SessionInfo, ServeError>),
-    /// `submit` outcome.
-    Batch(Result<BatchSummary, ServeError>),
-    /// `query` outcome.
-    Status(Result<SessionStatus, ServeError>),
-    /// `snapshot` outcome.
-    SnapshotValue(Result<Value, ServeError>),
-    /// `close` outcome.
-    Report(Result<RunReport, ServeError>),
-    /// The op never reached a worker (the pool has stopped).
-    Failed(ServeError),
-}
-
-/// A completion callback: invoked exactly once, on the worker thread
-/// that executed the op (or inline by the submitting thread when the
-/// op fails before reaching a worker).
-type Reply = Box<dyn FnOnce(OpResult) + Send + 'static>;
+/// A completion callback: invoked at most once, on the worker thread
+/// that executed the op, or inline by the submitting thread when the
+/// op fails before reaching a worker. A worker that stops with the op
+/// still queued drops it uncalled.
+type Reply<T> = Box<dyn FnOnce(Result<T, ServeError>) + Send + 'static>;
 
 enum Op {
     Create {
         id: u64,
         scenario: Box<Scenario>,
-        reply: Reply,
+        reply: Reply<SessionInfo>,
     },
     Restore {
         id: u64,
         snapshot: Box<Value>,
-        reply: Reply,
+        reply: Reply<SessionInfo>,
     },
     Submit {
         id: u64,
         work: Work,
-        reply: Reply,
+        reply: Reply<BatchSummary>,
     },
     Query {
         id: u64,
-        reply: Reply,
+        reply: Reply<SessionStatus>,
     },
     Snapshot {
         id: u64,
-        reply: Reply,
+        reply: Reply<Value>,
     },
     Close {
         id: u64,
-        reply: Reply,
+        reply: Reply<RunReport>,
     },
     /// Drains the queue up to this point, then exits the worker.
     Stop,
@@ -182,7 +161,9 @@ pub struct SessionManager {
     queues: Vec<Sender<Op>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     next_id: AtomicU64,
-    shard_of: RwLock<HashMap<u64, usize>>,
+    /// Shared with the callbacks of `create`, `restore` and `close`,
+    /// which update it when their op completes.
+    shard_of: Arc<RwLock<HashMap<u64, usize>>>,
     counters: Arc<Counters>,
 }
 
@@ -215,7 +196,7 @@ impl SessionManager {
             queues,
             handles: Mutex::new(handles),
             next_id: AtomicU64::new(1),
-            shard_of: RwLock::new(HashMap::new()),
+            shard_of: Arc::new(RwLock::new(HashMap::new())),
             counters,
         }
     }
@@ -253,45 +234,12 @@ impl SessionManager {
         Ok(&self.queues[shard])
     }
 
-    /// Synchronous call: sends an op with a channel-backed callback and
-    /// blocks for the result. `extract` unwraps the matching
-    /// [`OpResult`] variant.
-    fn ask<T: Send + 'static>(
-        &self,
-        queue: &Sender<Op>,
-        make: impl FnOnce(Reply) -> Op,
-        extract: fn(OpResult) -> Result<T, ServeError>,
-    ) -> Result<T, ServeError> {
-        let (tx, rx) = unbounded();
-        let reply: Reply = Box::new(move |result| {
-            let _ = tx.send(extract(result));
-        });
-        queue
-            .send(make(reply))
-            .map_err(|_| ServeError("session worker terminated".into()))?;
-        rx.recv()
-            .map_err(|_| ServeError("session worker terminated".into()))?
-    }
-
     /// Creates a session from a scenario spec; returns its identity.
     ///
     /// # Errors
     /// Returns a [`ServeError`] if the spec fails to resolve.
     pub fn create(&self, scenario: Scenario) -> Result<SessionInfo, ServeError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let result = self.ask(
-            self.route_new(id),
-            |reply| Op::Create {
-                id,
-                scenario: Box::new(scenario),
-                reply,
-            },
-            expect_session,
-        );
-        if result.is_err() {
-            self.shard_of.write().remove(&id);
-        }
-        result
+        wait(|done| self.create_async(scenario, done))
     }
 
     /// Restores a session from a [`Session::snapshot`] value under a
@@ -300,20 +248,7 @@ impl SessionManager {
     /// # Errors
     /// Returns a [`ServeError`] on any snapshot mismatch.
     pub fn restore(&self, snapshot: Value) -> Result<SessionInfo, ServeError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let result = self.ask(
-            self.route_new(id),
-            |reply| Op::Restore {
-                id,
-                snapshot: Box::new(snapshot),
-                reply,
-            },
-            expect_session,
-        );
-        if result.is_err() {
-            self.shard_of.write().remove(&id);
-        }
-        result
+        wait(|done| self.restore_async(snapshot, done))
     }
 
     /// Submits work to a session (FIFO-ordered per session).
@@ -322,12 +257,7 @@ impl SessionManager {
     /// Returns a [`ServeError`] for unknown sessions or submissions
     /// larger than [`MAX_SUBMIT`].
     pub fn submit(&self, id: u64, work: Work) -> Result<BatchSummary, ServeError> {
-        check_submit_size(&work)?;
-        self.ask(
-            self.route(id)?,
-            |reply| Op::Submit { id, work, reply },
-            expect_batch,
-        )
+        wait(|done| self.submit_async(id, work, done))
     }
 
     /// Reads a session's current report without advancing it.
@@ -335,11 +265,7 @@ impl SessionManager {
     /// # Errors
     /// Returns a [`ServeError`] for unknown sessions.
     pub fn query(&self, id: u64) -> Result<SessionStatus, ServeError> {
-        self.ask(
-            self.route(id)?,
-            |reply| Op::Query { id, reply },
-            expect_status,
-        )
+        wait(|done| self.query_async(id, done))
     }
 
     /// Captures a session's snapshot (the session stays live).
@@ -348,11 +274,7 @@ impl SessionManager {
     /// Returns a [`ServeError`] for unknown sessions or unsupported
     /// algorithms/workloads.
     pub fn snapshot(&self, id: u64) -> Result<Value, ServeError> {
-        self.ask(
-            self.route(id)?,
-            |reply| Op::Snapshot { id, reply },
-            expect_value,
-        )
+        wait(|done| self.snapshot_async(id, done))
     }
 
     /// Closes a session, yielding its final report.
@@ -360,95 +282,41 @@ impl SessionManager {
     /// # Errors
     /// Returns a [`ServeError`] for unknown sessions.
     pub fn close(&self, id: u64) -> Result<RunReport, ServeError> {
-        let result = self.ask(
-            self.route(id)?,
-            |reply| Op::Close { id, reply },
-            expect_report,
-        );
-        if result.is_ok() {
-            self.shard_of.write().remove(&id);
-        }
-        result
+        wait(|done| self.close_async(id, done))
     }
 
-    // --- asynchronous API (the reactor's calling convention) ---------
-
-    /// Sends an op to `queue`, or completes `reply` inline with an
-    /// error if the worker is gone.
-    fn dispatch(queue: &Sender<Op>, make: impl FnOnce(Reply) -> Op, reply: Reply) {
-        // Rebuild the op's reply only on failure: send consumes the op.
-        let mut failed: Option<Reply> = None;
-        match queue.send(make(reply)) {
-            Ok(()) => {}
-            Err(crossbeam::channel::SendError(op)) => {
-                failed = Some(match op {
-                    Op::Create { reply, .. }
-                    | Op::Restore { reply, .. }
-                    | Op::Submit { reply, .. }
-                    | Op::Query { reply, .. }
-                    | Op::Snapshot { reply, .. }
-                    | Op::Close { reply, .. } => reply,
-                    Op::Stop => return,
-                });
-            }
-        }
-        if let Some(reply) = failed {
-            reply(OpResult::Failed(ServeError(
-                "session worker terminated".into(),
-            )));
-        }
-    }
+    // --- asynchronous API: each op's one implementation --------------
 
     /// Creates a session asynchronously; `done` runs on the worker
     /// thread once the outcome is known.
     pub fn create_async(
-        self: &Arc<Self>,
+        &self,
         scenario: Scenario,
         done: impl FnOnce(Result<SessionInfo, ServeError>) + Send + 'static,
     ) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let manager = Arc::clone(self);
-        let reply: Reply = Box::new(move |result| {
-            let result = expect_session(result);
-            if result.is_err() {
-                manager.shard_of.write().remove(&id);
-            }
-            done(result);
-        });
-        Self::dispatch(
-            self.route_new(id),
-            |reply| Op::Create {
+        self.open(
+            |id, reply| Op::Create {
                 id,
                 scenario: Box::new(scenario),
                 reply,
             },
-            reply,
+            done,
         );
     }
 
     /// Restores a session from a snapshot asynchronously.
     pub fn restore_async(
-        self: &Arc<Self>,
+        &self,
         snapshot: Value,
         done: impl FnOnce(Result<SessionInfo, ServeError>) + Send + 'static,
     ) {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let manager = Arc::clone(self);
-        let reply: Reply = Box::new(move |result| {
-            let result = expect_session(result);
-            if result.is_err() {
-                manager.shard_of.write().remove(&id);
-            }
-            done(result);
-        });
-        Self::dispatch(
-            self.route_new(id),
-            |reply| Op::Restore {
+        self.open(
+            |id, reply| Op::Restore {
                 id,
                 snapshot: Box::new(snapshot),
                 reply,
             },
-            reply,
+            done,
         );
     }
 
@@ -463,12 +331,7 @@ impl SessionManager {
         if let Err(e) = check_submit_size(&work) {
             return done(Err(e));
         }
-        let queue = match self.route(id) {
-            Ok(queue) => queue,
-            Err(e) => return done(Err(e)),
-        };
-        let reply: Reply = Box::new(move |result| done(expect_batch(result)));
-        Self::dispatch(queue, |reply| Op::Submit { id, work, reply }, reply);
+        self.on_session(id, done, |reply| Op::Submit { id, work, reply });
     }
 
     /// Queries a session's status asynchronously.
@@ -477,12 +340,7 @@ impl SessionManager {
         id: u64,
         done: impl FnOnce(Result<SessionStatus, ServeError>) + Send + 'static,
     ) {
-        let queue = match self.route(id) {
-            Ok(queue) => queue,
-            Err(e) => return done(Err(e)),
-        };
-        let reply: Reply = Box::new(move |result| done(expect_status(result)));
-        Self::dispatch(queue, |reply| Op::Query { id, reply }, reply);
+        self.on_session(id, done, |reply| Op::Query { id, reply });
     }
 
     /// Captures a session snapshot asynchronously.
@@ -491,33 +349,56 @@ impl SessionManager {
         id: u64,
         done: impl FnOnce(Result<Value, ServeError>) + Send + 'static,
     ) {
-        let queue = match self.route(id) {
-            Ok(queue) => queue,
-            Err(e) => return done(Err(e)),
-        };
-        let reply: Reply = Box::new(move |result| done(expect_value(result)));
-        Self::dispatch(queue, |reply| Op::Snapshot { id, reply }, reply);
+        self.on_session(id, done, |reply| Op::Snapshot { id, reply });
     }
 
-    /// Closes a session asynchronously.
+    /// Closes a session asynchronously; a closed session's id is
+    /// forgotten.
     pub fn close_async(
-        self: &Arc<Self>,
+        &self,
         id: u64,
         done: impl FnOnce(Result<RunReport, ServeError>) + Send + 'static,
     ) {
-        let queue = match self.route(id) {
-            Ok(queue) => queue,
-            Err(e) => return done(Err(e)),
-        };
-        let manager = Arc::clone(self);
-        let reply: Reply = Box::new(move |result| {
-            let result = expect_report(result);
+        let shard_of = Arc::clone(&self.shard_of);
+        let forget = move |result: Result<RunReport, ServeError>| {
             if result.is_ok() {
-                manager.shard_of.write().remove(&id);
+                shard_of.write().remove(&id);
+            }
+            done(result);
+        };
+        self.on_session(id, forget, |reply| Op::Close { id, reply });
+    }
+
+    /// Routes a fresh id to its shard and sends it the op `make`
+    /// builds. A create or restore that fails forgets the id again.
+    fn open(
+        &self,
+        make: impl FnOnce(u64, Reply<SessionInfo>) -> Op,
+        done: impl FnOnce(Result<SessionInfo, ServeError>) + Send + 'static,
+    ) {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let shard_of = Arc::clone(&self.shard_of);
+        let reply: Reply<SessionInfo> = Box::new(move |result| {
+            if result.is_err() {
+                shard_of.write().remove(&id);
             }
             done(result);
         });
-        Self::dispatch(queue, |reply| Op::Close { id, reply }, reply);
+        send(self.route_new(id), make(id, reply));
+    }
+
+    /// Sends the op `make` builds to session `id`'s shard, or fails
+    /// `done` inline if the session is unknown.
+    fn on_session<T: 'static>(
+        &self,
+        id: u64,
+        done: impl FnOnce(Result<T, ServeError>) + Send + 'static,
+        make: impl FnOnce(Reply<T>) -> Op,
+    ) {
+        match self.route(id) {
+            Ok(queue) => send(queue, make(Box::new(done))),
+            Err(e) => done(Err(e)),
+        }
     }
 
     /// Aggregate counters across all sessions ever.
@@ -623,7 +504,7 @@ fn worker_main(
                     counters.created.fetch_add(1, Ordering::Relaxed);
                     info
                 });
-                reply(OpResult::Session(result));
+                reply(result);
             }
             Op::Restore {
                 id,
@@ -642,7 +523,7 @@ fn worker_main(
                     counters.created.fetch_add(1, Ordering::Relaxed);
                     info
                 });
-                reply(OpResult::Session(result));
+                reply(result);
             }
             Op::Submit { id, work, reply } => {
                 let result = match sessions.get_mut(&id) {
@@ -660,7 +541,7 @@ fn worker_main(
                         Ok(summary)
                     }
                 };
-                reply(OpResult::Batch(result));
+                reply(result);
             }
             Op::Query { id, reply } => {
                 let result = match sessions.get(&id) {
@@ -672,14 +553,14 @@ fn worker_main(
                         counters: session.work_counters(),
                     }),
                 };
-                reply(OpResult::Status(result));
+                reply(result);
             }
             Op::Snapshot { id, reply } => {
                 let result = match sessions.get(&id) {
                     None => Err(unknown(id)),
                     Some(session) => session.snapshot(),
                 };
-                reply(OpResult::SnapshotValue(result));
+                reply(result);
             }
             Op::Close { id, reply } => {
                 let result = match sessions.remove(&id) {
@@ -689,7 +570,7 @@ fn worker_main(
                         Ok(session.finish())
                     }
                 };
-                reply(OpResult::Report(result));
+                reply(result);
             }
             Op::Stop => break,
         }
@@ -710,48 +591,33 @@ fn check_submit_size(work: &Work) -> Result<(), ServeError> {
     Ok(())
 }
 
-fn mismatched<T>(got: &OpResult) -> Result<T, ServeError> {
-    Err(ServeError(format!("mismatched op result: {got:?}")))
-}
-
-fn expect_session(r: OpResult) -> Result<SessionInfo, ServeError> {
-    match r {
-        OpResult::Session(res) => res,
-        OpResult::Failed(e) => Err(e),
-        other => mismatched(&other),
+/// Sends `op` to a worker queue, or fails its reply if the worker is
+/// gone.
+fn send(queue: &Sender<Op>, op: Op) {
+    let Err(SendError(op)) = queue.send(op) else {
+        return;
+    };
+    match op {
+        Op::Create { reply, .. } | Op::Restore { reply, .. } => reply(Err(terminated())),
+        Op::Submit { reply, .. } => reply(Err(terminated())),
+        Op::Query { reply, .. } => reply(Err(terminated())),
+        Op::Snapshot { reply, .. } => reply(Err(terminated())),
+        Op::Close { reply, .. } => reply(Err(terminated())),
+        Op::Stop => {}
     }
 }
 
-fn expect_batch(r: OpResult) -> Result<BatchSummary, ServeError> {
-    match r {
-        OpResult::Batch(res) => res,
-        OpResult::Failed(e) => Err(e),
-        other => mismatched(&other),
-    }
+/// Runs an async op and blocks until its reply arrives.
+fn wait<T: Send + 'static>(start: impl FnOnce(Reply<T>)) -> Result<T, ServeError> {
+    let (tx, rx) = unbounded();
+    start(Box::new(move |result| {
+        let _ = tx.send(result);
+    }));
+    rx.recv().map_err(|_| terminated())?
 }
 
-fn expect_status(r: OpResult) -> Result<SessionStatus, ServeError> {
-    match r {
-        OpResult::Status(res) => res,
-        OpResult::Failed(e) => Err(e),
-        other => mismatched(&other),
-    }
-}
-
-fn expect_value(r: OpResult) -> Result<Value, ServeError> {
-    match r {
-        OpResult::SnapshotValue(res) => res,
-        OpResult::Failed(e) => Err(e),
-        other => mismatched(&other),
-    }
-}
-
-fn expect_report(r: OpResult) -> Result<RunReport, ServeError> {
-    match r {
-        OpResult::Report(res) => res,
-        OpResult::Failed(e) => Err(e),
-        other => mismatched(&other),
-    }
+fn terminated() -> ServeError {
+    ServeError("session worker terminated".into())
 }
 
 fn unknown(id: u64) -> ServeError {
@@ -857,6 +723,43 @@ mod tests {
         assert!(manager.submit(99, Work::Generate(1)).is_err());
         assert!(manager.query(99).is_err());
         assert!(manager.close(99).is_err());
+    }
+
+    #[test]
+    fn failed_ops_forget_their_routes_and_a_stopped_pool_answers() {
+        let manager = SessionManager::new(2, Registries::builtin());
+        let bogus = Scenario::new(
+            InstanceSpec::packed(4, 8),
+            AlgorithmSpec::named("no-such-algorithm"),
+            WorkloadSpec::named("uniform"),
+            0,
+        );
+        assert!(manager.create(bogus.clone()).is_err());
+        let (tx, rx) = unbounded();
+        let reply = tx.clone();
+        manager.create_async(bogus, move |result| {
+            let _ = reply.send(result);
+        });
+        assert!(rx.recv().unwrap().is_err());
+        assert!(manager.restore(Value::Null).is_err());
+        let id = manager.create(scenario(1)).unwrap().id;
+        manager.close(id).unwrap();
+        assert!(manager.shard_of.read().is_empty());
+
+        let id = manager.create(scenario(2)).unwrap().id;
+        manager.stop();
+        let terminated = |e: ServeError| assert_eq!(e.0, "session worker terminated");
+        terminated(manager.submit(id, Work::Generate(1)).unwrap_err());
+        terminated(manager.query(id).unwrap_err());
+        terminated(manager.snapshot(id).unwrap_err());
+        terminated(manager.close(id).unwrap_err());
+        terminated(manager.create(scenario(3)).unwrap_err());
+        // The async form is answered too, not dropped uncalled.
+        manager.create_async(scenario(4), move |result| {
+            let _ = tx.send(result);
+        });
+        terminated(rx.recv().unwrap().unwrap_err());
+        assert_eq!(manager.shard_of.read().keys().collect::<Vec<_>>(), [&id]);
     }
 
     #[test]

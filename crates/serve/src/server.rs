@@ -13,9 +13,11 @@
 //!   the debuggable fallback.
 //!
 //! In [`Proto::Auto`] mode (the default) the protocol is detected from
-//! a connection's first byte: [`wire::MAGIC`] is never a valid first
-//! byte of JSON text, so binary clients and `nc`-style NDJSON clients
-//! share one port.
+//! a connection's first byte: [`crate::wire::MAGIC`] is never a valid
+//! first byte of JSON text, so binary clients and `nc`-style NDJSON
+//! clients share one port. Each connection parses and encodes through
+//! a [`Framer`], as do the [`Client`] and the router frontend, so all
+//! three apply one set of framing rules.
 //!
 //! **Pipelining.** Clients may send many requests without waiting;
 //! parsed requests queue per connection and responses return strictly
@@ -41,7 +43,7 @@
 //! can never turn shutdown into a panic), and returns.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,39 +53,7 @@ use mio::{Events, Interest, Poll, Token, Waker};
 
 use crate::manager::SessionManager;
 use crate::proto::{Request, Response, ServerHello, PROTO_VERSION};
-use crate::wire::{self, FrameHead, WireError, HEADER_LEN, MAX_FRAME};
-
-/// Which wire protocol(s) the server accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Proto {
-    /// Detect per connection from its first byte (the default).
-    #[default]
-    Auto,
-    /// NDJSON only: binary magic is treated as a malformed JSON line.
-    Ndjson,
-    /// Binary only: JSON text is rejected as a bad frame magic.
-    Binary,
-}
-
-impl std::str::FromStr for Proto {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(Proto::Auto),
-            "ndjson" => Ok(Proto::Ndjson),
-            "binary" => Ok(Proto::Binary),
-            other => Err(format!("unknown protocol `{other}` (auto|ndjson|binary)")),
-        }
-    }
-}
-
-/// One connection's resolved protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnProto {
-    Ndjson,
-    Binary,
-}
+use crate::wire::{Framer, Proto, WireError, HEADER_LEN, MAX_FRAME};
 
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
@@ -155,9 +125,7 @@ enum Started {
 
 struct Connection {
     stream: TcpStream,
-    /// Resolved on the first byte in [`Proto::Auto`] mode.
-    proto: Option<ConnProto>,
-    inbuf: Vec<u8>,
+    framer: Framer,
     outbuf: Vec<u8>,
     /// Prefix of `outbuf` already written to the socket.
     written: usize,
@@ -177,12 +145,7 @@ impl Connection {
     fn new(stream: TcpStream, proto: Proto) -> Self {
         Self {
             stream,
-            proto: match proto {
-                Proto::Auto => None,
-                Proto::Ndjson => Some(ConnProto::Ndjson),
-                Proto::Binary => Some(ConnProto::Binary),
-            },
-            inbuf: Vec::new(),
+            framer: Framer::new(proto),
             outbuf: Vec::new(),
             written: 0,
             pending: VecDeque::new(),
@@ -199,17 +162,8 @@ impl Connection {
     /// Serializes `response` onto the output buffer in this
     /// connection's protocol.
     fn push_response(&mut self, response: &Response) {
-        match self.proto.unwrap_or(ConnProto::Ndjson) {
-            ConnProto::Ndjson => {
-                if let Ok(text) = serde_json::to_string(response) {
-                    self.outbuf.extend_from_slice(text.as_bytes());
-                    self.outbuf.push(b'\n');
-                }
-            }
-            ConnProto::Binary => self
-                .outbuf
-                .extend_from_slice(&wire::encode_response(response)),
-        }
+        self.outbuf
+            .extend_from_slice(&self.framer.encode_response(response));
     }
 
     /// Reads whatever the socket has (up to the soft cap), then parses
@@ -217,7 +171,9 @@ impl Connection {
     /// connection died.
     fn fill(&mut self) -> bool {
         let mut chunk = [0u8; 16 * 1024];
-        while !self.closing && self.inbuf.len() < READ_SOFT_CAP && self.pending.len() < PIPELINE_MAX
+        while !self.closing
+            && self.framer.buffered() < READ_SOFT_CAP
+            && self.pending.len() < PIPELINE_MAX
         {
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -226,7 +182,7 @@ impl Connection {
                     self.closing = true;
                     break;
                 }
-                Ok(n) => self.inbuf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.framer.push(&chunk[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return false,
@@ -236,84 +192,24 @@ impl Connection {
         true
     }
 
-    /// Splits `inbuf` into jobs: complete frames/lines become ops (or
-    /// per-message error responses); framing violations become a final
-    /// error-then-close job.
+    /// Queues every complete message as a job: requests become ops, a
+    /// malformed message its error response, and a framing violation a
+    /// final error-then-close job.
     fn parse(&mut self) {
-        if self.proto.is_none() {
-            let Some(&first) = self.inbuf.first() else {
-                return;
-            };
-            self.proto = Some(if first == wire::MAGIC {
-                ConnProto::Binary
-            } else {
-                ConnProto::Ndjson
-            });
-        }
-        match self.proto {
-            Some(ConnProto::Ndjson) => self.parse_ndjson(),
-            Some(ConnProto::Binary) => self.parse_binary(),
-            None => {}
-        }
-    }
-
-    fn parse_ndjson(&mut self) {
-        loop {
-            let Some(end) = self.inbuf.iter().position(|&b| b == b'\n') else {
-                if self.inbuf.len() > MAX_FRAME {
-                    self.protocol_error(format!("request line exceeds the {MAX_FRAME}-byte cap"));
-                }
-                return;
-            };
-            let line: Vec<u8> = self.inbuf.drain(..=end).collect();
-            let Ok(text) = std::str::from_utf8(&line[..end]) else {
-                self.pending.push_back(Job::Respond(Response::Error {
-                    message: "request line is not UTF-8".into(),
-                }));
-                continue;
-            };
-            if text.trim().is_empty() {
-                continue;
-            }
-            self.pending
-                .push_back(match serde_json::from_str::<Request>(text) {
-                    Ok(request) => Job::Op(request),
-                    Err(e) => Job::Respond(Response::Error {
-                        message: e.to_string(),
-                    }),
-                });
-        }
-    }
-
-    fn parse_binary(&mut self) {
-        loop {
-            match wire::try_frame(&self.inbuf) {
-                Ok(FrameHead::Incomplete) => return,
-                Ok(FrameHead::Complete { code, size }) => {
-                    let job = match wire::decode_request(code, &self.inbuf[HEADER_LEN..size]) {
-                        Ok(request) => Job::Op(request),
-                        Err(e) => Job::Respond(Response::Error {
-                            message: e.message().to_string(),
-                        }),
-                    };
-                    self.inbuf.drain(..size);
-                    self.pending.push_back(job);
-                }
-                Err(e @ (WireError::Fatal(_) | WireError::Frame(_))) => {
-                    self.protocol_error(e.message().to_string());
+        while let Some(message) = self.framer.next_request() {
+            match message {
+                Ok(request) => self.pending.push_back(Job::Op(request)),
+                Err(WireError::Frame(message)) => self
+                    .pending
+                    .push_back(Job::Respond(Response::Error { message })),
+                Err(WireError::Fatal(message)) => {
+                    self.pending
+                        .push_back(Job::RespondClose(Response::Error { message }));
+                    self.closing = true;
                     return;
                 }
             }
         }
-    }
-
-    /// Queues a final error response and stops reading: the stream is
-    /// desynchronized (or abusive) and must close after the reply.
-    fn protocol_error(&mut self, message: String) {
-        self.pending
-            .push_back(Job::RespondClose(Response::Error { message }));
-        self.inbuf.clear();
-        self.closing = true;
     }
 
     /// Writes buffered output until the socket blocks. Returns `false`
@@ -338,8 +234,9 @@ impl Connection {
 
     /// The registration this connection's state calls for right now.
     fn wanted(&self) -> Option<Interest> {
-        let wants_read =
-            !self.closing && self.pending.len() < PIPELINE_MAX && self.inbuf.len() < READ_SOFT_CAP;
+        let wants_read = !self.closing
+            && self.pending.len() < PIPELINE_MAX
+            && self.framer.buffered() < READ_SOFT_CAP;
         match (wants_read, self.has_output()) {
             (true, true) => Some(Interest::READABLE.add(Interest::WRITABLE)),
             (true, false) => Some(Interest::READABLE),
@@ -363,23 +260,7 @@ impl Connection {
 /// Returns any I/O error from the reactor's own machinery (accept
 /// loop, poll); per-connection errors only end that connection.
 pub fn serve(listener: TcpListener, manager: SessionManager) -> io::Result<()> {
-    serve_with(listener, manager, Proto::Auto)
-}
-
-/// [`serve`], with the accepted protocol(s) pinned.
-///
-/// # Errors
-/// Returns any I/O error from the reactor's own machinery (accept
-/// loop, poll); per-connection errors only end that connection.
-pub fn serve_with(listener: TcpListener, manager: SessionManager, proto: Proto) -> io::Result<()> {
-    serve_config(
-        listener,
-        manager,
-        ServerConfig {
-            proto,
-            ..ServerConfig::default()
-        },
-    )
+    serve_config(listener, manager, ServerConfig::default())
 }
 
 /// [`serve`], with every tunable exposed.
@@ -719,9 +600,8 @@ fn not_a_router(op: &str) -> Response {
 /// callers can pipeline several requests before reading responses.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    ndjson: bool,
+    stream: TcpStream,
+    framer: Framer,
 }
 
 impl Client {
@@ -730,7 +610,7 @@ impl Client {
     /// # Errors
     /// Returns any underlying I/O error.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Self::connect_proto(addr, false)
+        Self::connect_proto(addr, Proto::Binary)
     }
 
     /// Connects to a running server, speaking NDJSON.
@@ -738,19 +618,17 @@ impl Client {
     /// # Errors
     /// Returns any underlying I/O error.
     pub fn connect_ndjson(addr: SocketAddr) -> io::Result<Self> {
-        Self::connect_proto(addr, true)
+        Self::connect_proto(addr, Proto::Ndjson)
     }
 
-    fn connect_proto(addr: SocketAddr, ndjson: bool) -> io::Result<Self> {
+    fn connect_proto(addr: SocketAddr, proto: Proto) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         if let Err(e) = stream.set_nodelay(true) {
             eprintln!("rdbp client: set_nodelay failed: {e}");
         }
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
-            reader,
-            writer: stream,
-            ndjson,
+            stream,
+            framer: Framer::new(proto),
         })
     }
 
@@ -763,7 +641,7 @@ impl Client {
     /// # Errors
     /// Returns any underlying socket error.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.reader.get_ref().set_read_timeout(timeout)
+        self.stream.set_read_timeout(timeout)
     }
 
     /// Sends one request without waiting for its response.
@@ -771,16 +649,7 @@ impl Client {
     /// # Errors
     /// Returns an I/O error on a broken connection.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        let bytes = if self.ndjson {
-            let mut text = serde_json::to_string(request)
-                .map_err(io::Error::from)?
-                .into_bytes();
-            text.push(b'\n');
-            text
-        } else {
-            wire::encode_request(request)
-        };
-        self.writer.write_all(&bytes)
+        self.stream.write_all(&self.framer.encode_request(request))
     }
 
     /// Reads the next response, in request order.
@@ -789,10 +658,23 @@ impl Client {
     /// Returns an I/O error on a broken connection or a protocol error
     /// on an unparseable (or oversized) response.
     pub fn recv(&mut self) -> io::Result<Response> {
-        if self.ndjson {
-            self.recv_ndjson()
-        } else {
-            self.recv_binary()
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            if let Some(response) = self.framer.next_response() {
+                return response
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
+            }
+            match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection",
+                    ))
+                }
+                Ok(n) => self.framer.push(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
     }
 
@@ -804,60 +686,5 @@ impl Client {
     pub fn call(&mut self, request: &Request) -> io::Result<Response> {
         self.send(request)?;
         self.recv()
-    }
-
-    fn recv_ndjson(&mut self) -> io::Result<Response> {
-        // A hand-rolled bounded read_line: the response line is capped
-        // at MAX_FRAME, so a corrupt (or hostile) peer cannot make the
-        // client buffer grow without bound.
-        let mut line = Vec::new();
-        loop {
-            let buf = self.reader.fill_buf()?;
-            if buf.is_empty() {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            if let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                line.extend_from_slice(&buf[..pos]);
-                self.reader.consume(pos + 1);
-                break;
-            }
-            line.extend_from_slice(buf);
-            let n = buf.len();
-            self.reader.consume(n);
-            if line.len() > MAX_FRAME {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("response line exceeds the {MAX_FRAME}-byte cap"),
-                ));
-            }
-        }
-        let text = std::str::from_utf8(&line)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "response is not UTF-8"))?;
-        serde_json::from_str(text).map_err(io::Error::from)
-    }
-
-    fn recv_binary(&mut self) -> io::Result<Response> {
-        let mut header = [0u8; HEADER_LEN];
-        self.reader.read_exact(&mut header)?;
-        if header[0] != wire::MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad response frame magic 0x{:02X}", header[0]),
-            ));
-        }
-        let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("response frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-            ));
-        }
-        let mut payload = vec![0u8; len];
-        self.reader.read_exact(&mut payload)?;
-        wire::decode_response(header[1], &payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 }

@@ -1,8 +1,12 @@
-//! The length-prefixed binary wire format (and its framing rules).
+//! The wire layer: the length-prefixed binary format, and the
+//! [`Framer`] that splits a connection's bytes into messages.
 //!
-//! NDJSON (see [`crate::proto`]) is kept as the debug protocol; this
-//! module is the production framing the reactor and the
-//! [`crate::Client`] default to. A frame is:
+//! NDJSON (see [`crate::proto`]) is kept as the debug protocol; the
+//! binary format is the production framing the reactor and the
+//! [`crate::Client`] default to. Which of the two a connection speaks,
+//! and how its bytes become messages and its messages bytes, is decided
+//! here alone: the reactor, the router frontend and the `Client` each
+//! hold one [`Framer`]. A frame is:
 //!
 //! ```text
 //! offset 0   u8   MAGIC (0xB5 — never a valid NDJSON first byte)
@@ -29,14 +33,14 @@
 //! 0x08 obj   (u32 count + (u32 key len + key bytes + value)*)
 //! ```
 //!
-//! Robustness rules (enforced on both decode paths): frames and
-//! NDJSON lines larger than [`MAX_FRAME`] are rejected with a protocol
-//! error instead of growing buffers without bound; nesting deeper than
+//! Robustness rules (enforced on both encodings): frames and NDJSON
+//! lines larger than [`MAX_FRAME`] are rejected with a protocol error
+//! instead of growing buffers without bound; nesting deeper than
 //! [`MAX_DEPTH`] is rejected (a tiny frame must not be able to
 //! overflow the decoder's stack); declared lengths are validated
 //! against the bytes actually present before any allocation.
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::proto::{Request, Response};
 
@@ -388,11 +392,11 @@ pub fn decode_response(code: u8, payload: &[u8]) -> Result<Response, WireError> 
 
 /// What [`try_frame`] found at the head of a receive buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameHead {
+enum FrameHead {
     /// Not enough bytes buffered yet; read more.
     Incomplete,
-    /// A whole frame: its code byte, payload range start, and the
-    /// total frame size to consume from the buffer.
+    /// A whole frame: its code byte and the total frame size to
+    /// consume from the buffer.
     Complete {
         /// The frame's code byte (request opcode or response status).
         code: u8,
@@ -408,7 +412,7 @@ pub enum FrameHead {
 /// # Errors
 /// Returns a [`WireError::Fatal`] on a bad magic byte or an oversized
 /// declared length — both desynchronize the stream.
-pub fn try_frame(buf: &[u8]) -> Result<FrameHead, WireError> {
+fn try_frame(buf: &[u8]) -> Result<FrameHead, WireError> {
     let Some(&first) = buf.first() else {
         return Ok(FrameHead::Incomplete);
     };
@@ -433,6 +437,199 @@ pub fn try_frame(buf: &[u8]) -> Result<FrameHead, WireError> {
         code: buf[1],
         size: HEADER_LEN + len,
     })
+}
+
+// --- per-connection framing ----------------------------------------------
+
+/// Which wire protocol(s) a connection speaks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Proto {
+    /// Detect per connection from its first byte (the default).
+    #[default]
+    Auto,
+    /// NDJSON only: binary magic is treated as a malformed JSON line.
+    Ndjson,
+    /// Binary only: JSON text is rejected as a bad frame magic.
+    Binary,
+}
+
+impl std::str::FromStr for Proto {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "auto" => Ok(Proto::Auto),
+            "ndjson" => Ok(Proto::Ndjson),
+            "binary" => Ok(Proto::Binary),
+            other => Err(format!("unknown protocol `{other}` (auto|ndjson|binary)")),
+        }
+    }
+}
+
+/// One connection's framing state: turns the bytes a socket delivers
+/// into messages, and messages into the bytes to write, in the
+/// connection's encoding. The reactor, the router frontend and
+/// [`crate::Client`] all frame through it, so these rules hold on
+/// every hop:
+///
+/// * the encoding is pinned by a [`Proto`], or detected from the first
+///   byte under [`Proto::Auto`] ([`MAGIC`] means binary, anything else
+///   NDJSON);
+/// * NDJSON skips blank lines, answers a non-UTF-8 or unparseable line
+///   with [`WireError::Frame`], and answers [`WireError::Fatal`] once
+///   more than [`MAX_FRAME`] bytes are buffered without a newline;
+/// * binary answers a bad magic byte or an oversized declared length
+///   with [`WireError::Fatal`], and an undecodable frame with
+///   [`WireError::Frame`].
+///
+/// The newline search resumes where the last one stopped, so a line is
+/// scanned once however many pushes deliver it.
+#[derive(Debug)]
+pub struct Framer {
+    /// `Auto` until the first byte arrives, then the detected encoding.
+    proto: Proto,
+    buf: Vec<u8>,
+    /// Where the unparsed bytes of `buf` begin.
+    start: usize,
+    /// How many unparsed bytes were already searched for a newline.
+    scanned: usize,
+}
+
+impl Framer {
+    /// An empty framer speaking `proto`.
+    #[must_use]
+    pub fn new(proto: Proto) -> Self {
+        Self {
+            proto,
+            buf: Vec::new(),
+            start: 0,
+            scanned: 0,
+        }
+    }
+
+    /// Appends bytes read from the connection.
+    pub fn push(&mut self, bytes: &[u8]) {
+        // Compact once per push rather than once per parsed message.
+        if self.start > 0 {
+            self.buf.drain(..self.start);
+            self.start = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes pushed but not yet returned as messages.
+    #[must_use]
+    pub fn buffered(&self) -> usize {
+        self.buf.len() - self.start
+    }
+
+    /// The next request in the buffered bytes. `None` means more bytes
+    /// are needed. `Some(Err(WireError::Frame))` is one malformed
+    /// message: answer it and keep the connection.
+    /// `Some(Err(WireError::Fatal))` means the framer has dropped its
+    /// buffer: answer and close.
+    pub fn next_request(&mut self) -> Option<Result<Request, WireError>> {
+        self.next("request", decode_request)
+    }
+
+    /// The next response in the buffered bytes, under the same rules
+    /// as [`Framer::next_request`].
+    pub fn next_response(&mut self) -> Option<Result<Response, WireError>> {
+        self.next("response", decode_response)
+    }
+
+    /// The bytes that send `request` in this connection's encoding
+    /// (NDJSON while the encoding is undetected).
+    #[must_use]
+    pub fn encode_request(&self, request: &Request) -> Vec<u8> {
+        self.encode(request, encode_request)
+    }
+
+    /// The bytes that send `response` in this connection's encoding
+    /// (NDJSON while the encoding is undetected).
+    #[must_use]
+    pub fn encode_response(&self, response: &Response) -> Vec<u8> {
+        self.encode(response, encode_response)
+    }
+
+    fn encode<T: Serialize>(&self, message: &T, binary: fn(&T) -> Vec<u8>) -> Vec<u8> {
+        if self.proto == Proto::Binary {
+            return binary(message);
+        }
+        let mut line = serde_json::to_string(message)
+            .expect("protocol messages serialize to JSON")
+            .into_bytes();
+        line.push(b'\n');
+        line
+    }
+
+    fn next<T: Deserialize>(
+        &mut self,
+        what: &str,
+        binary: fn(u8, &[u8]) -> Result<T, WireError>,
+    ) -> Option<Result<T, WireError>> {
+        if self.proto == Proto::Auto {
+            let &first = self.buf.get(self.start)?;
+            self.proto = if first == MAGIC {
+                Proto::Binary
+            } else {
+                Proto::Ndjson
+            };
+        }
+        let message = if self.proto == Proto::Binary {
+            self.next_frame(binary)
+        } else {
+            self.next_line(what)
+        };
+        if let Some(Err(WireError::Fatal(_))) = message {
+            self.buf.clear();
+            self.start = 0;
+            self.scanned = 0;
+        }
+        message
+    }
+
+    fn next_frame<T>(
+        &mut self,
+        decode: fn(u8, &[u8]) -> Result<T, WireError>,
+    ) -> Option<Result<T, WireError>> {
+        let unparsed = &self.buf[self.start..];
+        match try_frame(unparsed) {
+            Ok(FrameHead::Incomplete) => None,
+            Ok(FrameHead::Complete { code, size }) => {
+                let message = decode(code, &unparsed[HEADER_LEN..size]);
+                self.start += size;
+                Some(message)
+            }
+            Err(fatal) => Some(Err(fatal)),
+        }
+    }
+
+    fn next_line<T: Deserialize>(&mut self, what: &str) -> Option<Result<T, WireError>> {
+        loop {
+            let from = self.start + self.scanned;
+            let Some(offset) = self.buf[from..].iter().position(|&b| b == b'\n') else {
+                self.scanned = self.buffered();
+                return (self.buffered() > MAX_FRAME).then(|| {
+                    Err(WireError::Fatal(format!(
+                        "{what} line exceeds the {MAX_FRAME}-byte cap"
+                    )))
+                });
+            };
+            let end = from + offset;
+            let line = &self.buf[self.start..end];
+            self.start = end + 1;
+            self.scanned = 0;
+            let Ok(text) = std::str::from_utf8(line) else {
+                return Some(Err(WireError::Frame(format!("{what} line is not UTF-8"))));
+            };
+            if !text.trim().is_empty() {
+                return Some(
+                    serde_json::from_str(text).map_err(|e| WireError::Frame(e.to_string())),
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -493,6 +690,39 @@ mod tests {
         ]
     }
 
+    /// Decodes `bytes` through a fresh framer speaking `proto`, fed in
+    /// one push and then one byte per push. Each way must yield
+    /// exactly one message, on the last byte, and leave nothing
+    /// buffered; returns both messages as JSON lines.
+    fn reframe<T: Serialize>(
+        proto: Proto,
+        bytes: &[u8],
+        next: fn(&mut Framer) -> Option<Result<T, WireError>>,
+    ) -> [String; 2] {
+        let json = |message: Option<Result<T, WireError>>| {
+            serde_json::to_string(&message.expect("a whole message").unwrap()).unwrap()
+        };
+        let mut whole = Framer::new(proto);
+        whole.push(bytes);
+        let at_once = json(next(&mut whole));
+        assert!(next(&mut whole).is_none());
+        assert_eq!(whole.buffered(), 0);
+
+        let mut bytewise = Framer::new(proto);
+        let (last, head) = bytes.split_last().unwrap();
+        for byte in head {
+            bytewise.push(std::slice::from_ref(byte));
+            assert!(
+                next(&mut bytewise).is_none(),
+                "message before its last byte"
+            );
+        }
+        bytewise.push(std::slice::from_ref(last));
+        let by_byte = json(next(&mut bytewise));
+        assert_eq!(bytewise.buffered(), 0);
+        [at_once, by_byte]
+    }
+
     #[test]
     fn requests_round_trip_binary_and_match_ndjson() {
         for request in sample_requests() {
@@ -505,10 +735,18 @@ mod tests {
             let back = decode_request(code, &frame[HEADER_LEN..size]).unwrap();
             // Same wire form as the NDJSON path: the decoded request
             // re-serializes to the identical JSON line.
-            assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(&request).unwrap(),
-            );
+            let line = serde_json::to_string(&request).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), line);
+            // Every framer, pinned or detecting, decodes either
+            // encoding to that line however the bytes arrive.
+            for proto in [Proto::Binary, Proto::Ndjson] {
+                let bytes = Framer::new(proto).encode_request(&request);
+                for decoder in [proto, Proto::Auto] {
+                    for got in reframe(decoder, &bytes, Framer::next_request) {
+                        assert_eq!(got, line, "{proto:?} decoded by {decoder:?}");
+                    }
+                }
+            }
         }
     }
 
@@ -586,11 +824,89 @@ mod tests {
                 panic!("whole frame must parse")
             };
             let back = decode_response(code, &frame[HEADER_LEN..size]).unwrap();
-            assert_eq!(
-                serde_json::to_string(&back).unwrap(),
-                serde_json::to_string(&response).unwrap(),
-            );
+            let line = serde_json::to_string(&response).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), line);
+            for proto in [Proto::Binary, Proto::Ndjson] {
+                let bytes = Framer::new(proto).encode_response(&response);
+                for decoder in [proto, Proto::Auto] {
+                    for got in reframe(decoder, &bytes, Framer::next_response) {
+                        assert_eq!(got, line, "{proto:?} decoded by {decoder:?}");
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn ndjson_framer_skips_blank_lines_and_survives_a_non_utf8_line() {
+        let mut framer = Framer::new(Proto::Auto);
+        framer.push(b"\n  \r\n\xFF\xFE\n{\"op\":\"ping\"}\n\n");
+        let Some(Err(WireError::Frame(message))) = framer.next_request() else {
+            panic!("a non-UTF-8 line is one malformed message")
+        };
+        assert!(message.contains("UTF-8"), "{message}");
+        assert!(matches!(framer.next_request(), Some(Ok(Request::Ping))));
+        assert!(framer.next_request().is_none());
+        assert_eq!(framer.buffered(), 0);
+    }
+
+    #[test]
+    fn newline_free_line_is_fatal_once_it_crosses_the_cap() {
+        let piece = vec![b'a'; 16 * 1024];
+        let mut framer = Framer::new(Proto::Ndjson);
+        let mut pushed = 0;
+        let mut fatal_at = Vec::new();
+        while pushed <= MAX_FRAME {
+            framer.push(&piece);
+            pushed += piece.len();
+            if let Some(message) = framer.next_request() {
+                let Err(WireError::Fatal(text)) = message else {
+                    panic!("only a fatal error can come out of one unterminated line")
+                };
+                assert!(text.contains("cap"), "{text}");
+                fatal_at.push(pushed);
+                assert!(framer.next_request().is_none(), "one fatal error only");
+            }
+        }
+        assert_eq!(fatal_at, vec![MAX_FRAME + piece.len()]);
+        assert_eq!(framer.buffered(), 0, "a fatal error drops the buffer");
+    }
+
+    #[test]
+    fn pinned_framers_reject_the_other_encoding() {
+        let mut binary = Framer::new(Proto::Binary);
+        binary.push(b"{\"op\":\"ping\"}\n");
+        let Some(Err(WireError::Fatal(message))) = binary.next_request() else {
+            panic!("JSON text to a binary framer is a bad magic")
+        };
+        assert!(message.contains("magic"), "{message}");
+        assert_eq!(binary.buffered(), 0);
+
+        let mut ndjson = Framer::new(Proto::Ndjson);
+        let mut line = encode_request(&Request::Ping);
+        line.push(b'\n');
+        ndjson.push(&line);
+        assert!(matches!(
+            ndjson.next_request(),
+            Some(Err(WireError::Frame(_)))
+        ));
+        assert!(ndjson.next_request().is_none());
+        assert_eq!(ndjson.buffered(), 0);
+    }
+
+    #[test]
+    fn framers_encode_ndjson_until_binary_is_detected() {
+        let mut framer = Framer::new(Proto::Auto);
+        assert_eq!(
+            framer.encode_response(&Response::Pong),
+            b"{\"ok\":\"pong\"}\n"
+        );
+        framer.push(&encode_request(&Request::Ping));
+        assert!(matches!(framer.next_request(), Some(Ok(Request::Ping))));
+        assert_eq!(
+            framer.encode_response(&Response::Pong),
+            encode_response(&Response::Pong)
+        );
     }
 
     #[test]
