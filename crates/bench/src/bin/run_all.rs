@@ -1,9 +1,9 @@
-//! Runs the complete experiment suite (F1–F7, T1–T4, S2, S4–S6, S8,
-//! A1–A3) in sequence, as recorded in EXPERIMENTS.md. S7 has no binary
-//! of its own: S2 measures its throughput sweep and the perf-gate case
-//! `dyn-hedge-zipf-b1000-none` carries its counters. Set
-//! `RDBP_FULL=1` for publication-size sweeps (the nightly CI
-//! `full-sweep` job does).
+//! Runs the complete experiment suite (F1–F7, T1, T2, T4, S6, S8,
+//! A1–A3) in sequence, as recorded in EXPERIMENTS.md. The throughput
+//! experiments (T3, S1, S2, S4, S5, S7) have no binary: their CSVs
+//! under `bench_results/` are the record, and perfbench's `--trace 1`
+//! ladder re-measures those layers. Set `RDBP_FULL=1` for
+//! publication-size sweeps (the nightly CI `full-sweep` job does).
 
 use std::process::Command;
 
@@ -22,10 +22,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp_strictness",
     "exp_ratio_sweep",
     "exp_adversary_search",
-    "exp_throughput",
-    "exp_serve_throughput",
-    "exp_serve_scaling",
-    "exp_cluster_scaling",
     "exp_well_behaved",
 ];
 

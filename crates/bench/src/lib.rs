@@ -27,10 +27,9 @@ pub use rdbp_engine::{mean, parallel_map, stddev};
 
 pub use perfgate::{compare, Comparison, DiffRow, GateConfig};
 pub use suite::{
-    pinned_cases, pinned_cluster_cases, pinned_oracle_cases, pinned_serve_cases, run_cases,
-    run_cluster_cases, run_oracle_cases, run_serve_cases, run_suite, BenchCase, BenchReport,
-    CaseResult, ClusterCase, OracleCase, ServeCase, BENCH_SCHEMA_VERSION, DEFAULT_REPEATS,
-    MAIN_SUITE,
+    pinned_cases, pinned_oracle_cases, pinned_wire_cases, run_cases, run_oracle_cases, run_suite,
+    run_wire_cases, BenchCase, BenchReport, CaseResult, OracleCase, WireCase, WireTarget,
+    BENCH_SCHEMA_VERSION, DEFAULT_REPEATS, MAIN_SUITE,
 };
 
 /// Where CSV outputs land (created on demand).

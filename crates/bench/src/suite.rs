@@ -4,15 +4,15 @@
 //! serving shape — chosen to span the registries: every `dynamic` MTS
 //! policy (`hedge`, `wfa`, `smin`, `marking`), the baselines, oblivious
 //! and adaptive workloads, trace replay, per-step (`batch = 1`) and
-//! large-batch driving, and both audit levels — plus the serve-layer
-//! [`ServeCase`]s, which drive the same deterministic sessions over
-//! real TCP through the reactor under both wire protocols, and the
-//! cluster-layer [`ClusterCase`]s, which route that fleet through an
-//! `rdbp-router` over several backends and live-migrate every session
-//! mid-run. Running a suite yields a
-//! [`BenchReport`]: per case the exact [`WorkCounters`] (the *gated*
-//! signal — deterministic for a pinned scenario + seed) and wall-clock
-//! (the *informational* signal — never gated; see DESIGN.md §10).
+//! large-batch driving, and both audit levels — plus the
+//! [`WireCase`]s, which drive one deterministic session fleet over
+//! real TCP under both wire protocols, either straight into one
+//! reactor or through an `rdbp-router` over several backends that
+//! live-migrates every session mid-run, and the [`OracleCase`]s.
+//! Running a suite yields a [`BenchReport`]: per case the exact
+//! [`WorkCounters`] (the *gated* signal — deterministic for a pinned
+//! scenario + seed) and the wall-clock of its measured phase (the
+//! *informational* signal — never gated; see DESIGN.md §10).
 //!
 //! Reports serialize as versioned `BENCH_<suite>.json` files under
 //! `bench_results/`; `bench_results/BENCH_main.json` is the committed
@@ -21,7 +21,7 @@
 use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -106,8 +106,10 @@ pub struct CaseResult {
     /// Exact work counters — identical across repeats and machines for
     /// a pinned case; this is what the gate diffs.
     pub counters: WorkCounters,
-    /// Minimum wall-clock over the repeats, nanoseconds
-    /// (informational only).
+    /// Minimum wall-clock of the measured phase over the repeats,
+    /// nanoseconds (informational only): the algorithm run for an
+    /// in-process case, the client drive for a wire case, and the
+    /// whole evaluation for an oracle case.
     pub wall_ns: u64,
     /// `steps / wall` requests per second (informational only).
     pub throughput: f64,
@@ -340,20 +342,47 @@ pub fn pinned_cases() -> Vec<BenchCase> {
     cases
 }
 
-/// One pinned serve-layer benchmark: a fleet of pinned sessions driven
-/// over real TCP through the nonblocking reactor, with many
-/// connections multiplexed onto a fixed worker pool.
+/// Where a [`WireCase`] serves its session fleet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireTarget {
+    /// One bare `rdbp-serve` reactor: no router, no migration.
+    Direct,
+    /// An `rdbp-router` frontend over in-process `rdbp-serve` reactors.
+    ///
+    /// The cluster runs quiescent ([`ClusterConfig::quiescent`] — no
+    /// background pings, snapshots or rebalance moves land between
+    /// measured ops) and entirely in-process (each backend is an
+    /// ordinary reactor on a loopback listener the router attaches
+    /// to), so the merged counters are exactly as deterministic as a
+    /// direct case's.
+    Routed {
+        /// Reactors the router fronts.
+        backends: usize,
+        /// Before this batch round every connection live-migrates all
+        /// of its sessions to the least-loaded other backend (requires
+        /// `backends >= 2`); `None` drives without migrations.
+        migrate_after: Option<u64>,
+    },
+}
+
+/// One pinned wire-layer benchmark: a fleet of pinned sessions driven
+/// over real TCP into a [`WireTarget`], with many connections
+/// multiplexed onto fixed worker pools.
 ///
 /// Counters are the merged per-session [`WorkCounters`] fetched over
 /// the wire (`query`) before closing — deterministic for pinned
-/// scenarios regardless of connection interleaving or worker
-/// sharding, so they gate exactly like the in-process cases. The
-/// binary and NDJSON twins of a case must produce *identical*
-/// counters: the wire protocol is an encoding, not a behavior.
+/// scenarios regardless of connection interleaving, worker sharding,
+/// routing or migration, so they gate exactly like the in-process
+/// cases. Cases with the same fleet shape must produce *identical*
+/// counters whatever their encoding or target: the wire protocol is an
+/// encoding, and routing and live migration are placement, not
+/// behavior.
 #[derive(Debug, Clone)]
-pub struct ServeCase {
+pub struct WireCase {
     /// Stable case id (report key).
     pub id: String,
+    /// A bare reactor, or a router over several.
+    pub target: WireTarget,
     /// Concurrent TCP connections (one client thread each).
     pub connections: u64,
     /// Sessions multiplexed on each connection.
@@ -362,48 +391,75 @@ pub struct ServeCase {
     pub batches: u64,
     /// Requests per batch.
     pub batch: u64,
-    /// Server worker threads (pinned — the thread count is part of the
-    /// benchmark shape, not taken from the machine).
+    /// Worker threads per reactor (pinned — the thread count is part
+    /// of the benchmark shape, not taken from the machine).
     pub workers: usize,
     /// Drive the NDJSON debug protocol instead of binary frames.
     pub ndjson: bool,
 }
 
-impl ServeCase {
+impl WireCase {
     /// Total requests the case serves.
     #[must_use]
     pub fn steps(&self) -> u64 {
         self.connections * self.sessions_per_connection * self.batches * self.batch
     }
 
-    /// Boots a server, drives every connection to completion, and
-    /// returns the merged session counters.
-    fn run_once(&self) -> WorkCounters {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind bench listener");
-        let addr = listener.local_addr().expect("listener address");
-        let manager = SessionManager::new(self.workers, Registries::builtin());
-        let server = std::thread::spawn(move || serve(listener, manager));
-        let merged = drive_wire_sessions(
-            addr,
-            self.ndjson,
-            self.connections,
-            self.sessions_per_connection,
-            self.batches,
-            self.batch,
-            None,
-        );
-        wire_shutdown(addr);
-        server
-            .join()
-            .expect("server thread")
-            .expect("server exited with an error");
-        merged
+    /// Boots the target, drives the fleet through it, and tears
+    /// everything down in order. Returns the merged session counters
+    /// and the wall-clock of the drive phase alone.
+    fn run_once(&self) -> (WorkCounters, Duration) {
+        let (backends, migrate_after) = match self.target {
+            WireTarget::Direct => (1, None),
+            WireTarget::Routed {
+                backends,
+                migrate_after,
+            } => (backends, migrate_after),
+        };
+        let servers: Vec<_> = (0..backends)
+            .map(|_| {
+                let listener = TcpListener::bind("127.0.0.1:0").expect("bind server listener");
+                let addr = listener.local_addr().expect("server address");
+                let manager = SessionManager::new(self.workers, Registries::builtin());
+                (addr, std::thread::spawn(move || serve(listener, manager)))
+            })
+            .collect();
+        let router = (self.target != WireTarget::Direct).then(|| {
+            let mut config = ClusterConfig::quiescent();
+            config.attach = servers.iter().map(|&(addr, _)| addr).collect();
+            let cluster = Cluster::start(&config).expect("cluster start");
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind router listener");
+            let addr = listener.local_addr().expect("router address");
+            let handle = {
+                let cluster = Arc::clone(&cluster);
+                std::thread::spawn(move || serve_router(listener, &cluster, Proto::Auto))
+            };
+            (addr, handle, cluster)
+        });
+        let addr = router.as_ref().map_or(servers[0].0, |&(addr, ..)| addr);
+        let (merged, drive) = timed(|| drive_wire_sessions(self, addr, migrate_after));
+        if let Some((addr, handle, cluster)) = router {
+            wire_shutdown(addr);
+            handle
+                .join()
+                .expect("router thread")
+                .expect("router exited with an error");
+            cluster.shutdown();
+        }
+        for (addr, handle) in servers {
+            wire_shutdown(addr);
+            handle
+                .join()
+                .expect("server thread")
+                .expect("server exited with an error");
+        }
+        (merged, drive)
     }
 }
 
 /// The pinned scenario of the wire-driven session with global index
-/// `index`, shared by the serve- and cluster-layer cases so their
-/// fleets are interchangeable: dynamic×hedge on zipf, ℓ=8 k=32, full
+/// `index`, shared by every [`WireCase`] so their fleets are
+/// interchangeable: dynamic×hedge on zipf, ℓ=8 k=32, full
 /// audit, seed `0xC0DE + index`.
 fn wire_session_scenario(index: u64) -> Scenario {
     let mut algorithm = AlgorithmSpec::named("dynamic");
@@ -419,24 +475,28 @@ fn wire_session_scenario(index: u64) -> Scenario {
     scenario
 }
 
-/// Drives `connections × sessions_per_connection` pinned sessions over
-/// TCP against `addr` (one client thread per connection, sessions
-/// advancing batch-by-batch interleaved on their shared connection —
-/// the multiplexing shape the reactor exists for) and returns the
-/// merged over-the-wire counters queried before closing. With
-/// `migrate_after = Some(n)` each connection additionally asks the
-/// server to live-migrate every one of its sessions right before its
-/// `n`-th batch round — meaningful against a router frontend only (a
-/// plain `rdbp-serve` rejects the op).
+/// Drives `case`'s fleet of `connections × sessions_per_connection`
+/// pinned sessions over TCP against `addr` (one client thread per
+/// connection, sessions advancing batch-by-batch interleaved on their
+/// shared connection — the multiplexing shape the reactor exists for)
+/// and returns the merged over-the-wire counters queried before
+/// closing. With `migrate_after = Some(n)` each connection additionally
+/// asks the server to live-migrate every one of its sessions right
+/// before its `n`-th batch round — meaningful against a router
+/// frontend only (a plain `rdbp-serve` rejects the op).
 fn drive_wire_sessions(
+    case: &WireCase,
     addr: SocketAddr,
-    ndjson: bool,
-    connections: u64,
-    sessions_per_connection: u64,
-    batches: u64,
-    batch: u64,
     migrate_after: Option<u64>,
 ) -> WorkCounters {
+    let &WireCase {
+        connections,
+        sessions_per_connection,
+        batches,
+        batch,
+        ndjson,
+        ..
+    } = case;
     let mut merged = WorkCounters::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..connections)
@@ -514,141 +574,35 @@ fn wire_shutdown(addr: SocketAddr) {
     }
 }
 
-/// One pinned cluster-layer benchmark: the same multiplexed session
-/// fleet as [`ServeCase`] driven through an `rdbp-router` frontend
-/// over several in-process backends instead of a single server, with
-/// a forced mid-run live migration of every session.
-///
-/// The cluster runs quiescent ([`ClusterConfig::quiescent`] — no
-/// background pings, snapshots or rebalance moves land between
-/// measured ops) and entirely in-process (each backend is an ordinary
-/// reactor on a loopback listener the router attaches to), so the
-/// merged counters are exactly as deterministic as the single-server
-/// cases'. For the same fleet shape they must be *identical* to the
-/// [`ServeCase`] twins: routing and live migration are placement,
-/// not behavior, and the committed baseline pins that.
-#[derive(Debug, Clone)]
-pub struct ClusterCase {
-    /// Stable case id (report key).
-    pub id: String,
-    /// In-process `rdbp-serve` reactors the router fronts.
-    pub backends: usize,
-    /// Concurrent client TCP connections (one thread each).
-    pub connections: u64,
-    /// Sessions multiplexed on each connection.
-    pub sessions_per_connection: u64,
-    /// Submitted batches per session.
-    pub batches: u64,
-    /// Requests per batch.
-    pub batch: u64,
-    /// Worker threads per backend (pinned, like [`ServeCase::workers`]).
-    pub workers_per_backend: usize,
-    /// Before this batch round every connection live-migrates all of
-    /// its sessions to the least-loaded other backend (requires
-    /// `backends >= 2`); `None` drives without migrations.
-    pub migrate_after: Option<u64>,
-    /// Drive the NDJSON debug protocol instead of binary frames.
-    pub ndjson: bool,
-}
-
-impl ClusterCase {
-    /// Total requests the case serves.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.connections * self.sessions_per_connection * self.batches * self.batch
-    }
-
-    /// Boots the backends and the router, drives the fleet through the
-    /// router, and tears everything down in order.
-    fn run_once(&self) -> WorkCounters {
-        let mut config = ClusterConfig::quiescent();
-        let mut backends = Vec::with_capacity(self.backends);
-        for _ in 0..self.backends {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind backend listener");
-            config
-                .attach
-                .push(listener.local_addr().expect("backend address"));
-            let manager = SessionManager::new(self.workers_per_backend, Registries::builtin());
-            backends.push(std::thread::spawn(move || serve(listener, manager)));
-        }
-        let cluster = Cluster::start(&config).expect("cluster start");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind router listener");
-        let addr = listener.local_addr().expect("router address");
-        let router = {
-            let cluster = Arc::clone(&cluster);
-            std::thread::spawn(move || serve_router(listener, &cluster, Proto::Auto))
-        };
-        let merged = drive_wire_sessions(
-            addr,
-            self.ndjson,
-            self.connections,
-            self.sessions_per_connection,
-            self.batches,
-            self.batch,
-            self.migrate_after,
-        );
-        wire_shutdown(addr);
-        router
-            .join()
-            .expect("router thread")
-            .expect("router exited with an error");
-        cluster.shutdown();
-        for (&backend_addr, handle) in config.attach.iter().zip(backends) {
-            wire_shutdown(backend_addr);
-            handle
-                .join()
-                .expect("backend thread")
-                .expect("backend exited with an error");
-        }
-        merged
-    }
-}
-
-/// The pinned serve-layer cases of the `main` suite: one
-/// multi-connection shape, once per wire protocol. The two cases are
-/// intentionally identical apart from the encoding — the committed
-/// baseline therefore *pins* that binary and NDJSON serving perform
-/// the same deterministic work.
+/// The pinned wire-layer cases of the `main` suite: one fleet shape,
+/// served directly by one reactor and routed through a 3-backend
+/// cluster with a forced mid-run live migration of all 32 sessions,
+/// each once per wire protocol. The four cases carry one pinned
+/// session fleet (same scenarios, same batch shape), so the committed
+/// baseline *pins* that binary and NDJSON serving perform the same
+/// deterministic work and that routing and migration leave every work
+/// counter untouched: all four rows carry *identical* counters.
 #[must_use]
-pub fn pinned_serve_cases() -> Vec<ServeCase> {
-    let shape = |id: &str, ndjson: bool| ServeCase {
+pub fn pinned_wire_cases() -> Vec<WireCase> {
+    let shape = |id: &str, target, workers, ndjson| WireCase {
         id: id.to_string(),
+        target,
         connections: 16,
         sessions_per_connection: 2,
         batches: 4,
         batch: 250,
-        workers: 4,
+        workers,
         ndjson,
     };
-    vec![
-        shape("serve-16conn-binary", false),
-        shape("serve-16conn-ndjson", true),
-    ]
-}
-
-/// The pinned cluster-layer cases of the `main` suite: the exact
-/// session fleet of [`pinned_serve_cases`] (same pinned scenarios,
-/// same batch shape) routed through a 3-backend cluster with a forced
-/// mid-run live migration of all 32 sessions, once per wire protocol.
-/// Beyond protocol equivalence, the committed baseline therefore pins
-/// that routing and migration leave every work counter untouched: the
-/// serve and cluster rows of a shape carry *identical* counters.
-#[must_use]
-pub fn pinned_cluster_cases() -> Vec<ClusterCase> {
-    let shape = |id: &str, ndjson: bool| ClusterCase {
-        id: id.to_string(),
+    let routed = WireTarget::Routed {
         backends: 3,
-        connections: 16,
-        sessions_per_connection: 2,
-        batches: 4,
-        batch: 250,
-        workers_per_backend: 2,
         migrate_after: Some(2),
-        ndjson,
     };
     vec![
-        shape("cluster-3x16conn-binary", false),
-        shape("cluster-3x16conn-ndjson", true),
+        shape("serve-16conn-binary", WireTarget::Direct, 4, false),
+        shape("serve-16conn-ndjson", WireTarget::Direct, 4, true),
+        shape("cluster-3x16conn-binary", routed, 2, false),
+        shape("cluster-3x16conn-ndjson", routed, 2, true),
     ]
 }
 
@@ -760,17 +714,29 @@ pub fn pinned_oracle_cases() -> Vec<OracleCase> {
     ]
 }
 
-/// One warm-up pass plus `repeats` timed runs of `run`: counters are
+/// Runs `f`, returning its result and how long it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// One warm-up pass plus `repeats` runs of `run`, which returns its
+/// counters and the wall-clock of its measured phase: counters are
 /// asserted bit-identical across repetitions and to have served
 /// exactly `steps` requests; wall-clock takes the minimum.
-fn measure_case(id: &str, steps: u64, repeats: u32, run: impl Fn() -> WorkCounters) -> CaseResult {
+fn measure_case(
+    id: &str,
+    steps: u64,
+    repeats: u32,
+    run: impl Fn() -> (WorkCounters, Duration),
+) -> CaseResult {
     let _ = run(); // warm-up (thread-pool and page-in)
     let mut counters: Option<WorkCounters> = None;
     let mut best_ns = u64::MAX;
     for rep in 0..repeats {
-        let start = Instant::now();
-        let c = run();
-        let elapsed = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        let (c, wall) = run();
+        let elapsed = wall.as_nanos().min(u128::from(u64::MAX)) as u64;
         match &counters {
             None => counters = Some(c),
             Some(first) => assert_eq!(
@@ -791,16 +757,19 @@ fn measure_case(id: &str, steps: u64, repeats: u32, run: impl Fn() -> WorkCounte
     }
 }
 
-/// Runs serve-layer cases with one warm-up pass and `repeats` timed
+/// Runs wire-layer cases with one warm-up pass and `repeats` timed
 /// repetitions each, mirroring [`run_cases`]: merged counters are
-/// asserted bit-identical across repetitions, wall-clock takes the
-/// minimum.
+/// asserted bit-identical across repetitions (which, for a migrating
+/// case, is the determinism claim of the whole migration design:
+/// placement changes may never show up in the counters), and
+/// wall-clock takes the minimum drive phase — boot and teardown are
+/// not timed.
 ///
 /// # Panics
-/// Panics if `repeats == 0`, on any server/protocol error, or if
-/// counters drift between repetitions.
+/// Panics if `repeats == 0`, on any server/cluster/protocol error, or
+/// if counters drift between repetitions.
 #[must_use]
-pub fn run_serve_cases(cases: &[ServeCase], repeats: u32) -> Vec<CaseResult> {
+pub fn run_wire_cases(cases: &[WireCase], repeats: u32) -> Vec<CaseResult> {
     assert!(repeats > 0, "need at least one repetition");
     cases
         .iter()
@@ -826,27 +795,9 @@ pub fn run_oracle_cases(cases: &[OracleCase], repeats: u32) -> Vec<CaseResult> {
         .map(|case| {
             let trace = record_scenario_trace(&case.id, &case.scenario, &registries);
             measure_case(&case.id, case.scenario.steps, repeats, || {
-                case.run_once(&trace)
+                timed(|| case.run_once(&trace))
             })
         })
-        .collect()
-}
-
-/// Runs cluster-layer cases exactly like [`run_serve_cases`] runs
-/// serve-layer ones: warm-up, `repeats` timed repetitions, counters
-/// asserted bit-identical across repetitions (which, for a migrating
-/// case, is the determinism claim of the whole migration design:
-/// placement changes may never show up in the counters).
-///
-/// # Panics
-/// Panics if `repeats == 0`, on any cluster/protocol error, or if
-/// counters drift between repetitions.
-#[must_use]
-pub fn run_cluster_cases(cases: &[ClusterCase], repeats: u32) -> Vec<CaseResult> {
-    assert!(repeats > 0, "need at least one repetition");
-    cases
-        .iter()
-        .map(|case| measure_case(&case.id, case.steps(), repeats, || case.run_once()))
         .collect()
 }
 
@@ -886,7 +837,8 @@ fn record_trace(case: &BenchCase, registries: &Registries) -> Vec<Edge> {
 /// Counters come from the first timed repetition and are asserted
 /// bit-identical across all of them — a drift here means the scenario
 /// is not actually deterministic, which the perf gate is built on.
-/// Wall-clock takes the minimum over the repetitions.
+/// Wall-clock times [`rdbp_engine::PreparedScenario::run`] alone (not
+/// `resolve`) and takes the minimum over the repetitions.
 ///
 /// # Panics
 /// Panics if `repeats == 0`, a case fails to resolve, or counters
@@ -904,9 +856,9 @@ pub fn run_cases(suite: &str, cases: &[BenchCase], repeats: u32) -> BenchReport 
                     .scenario
                     .resolve(&registries)
                     .unwrap_or_else(|e| panic!("case {}: {e}", case.id));
-                prepared
-                    .run(trace.as_deref(), case.batch, &mut NoopObserver)
-                    .1
+                let ((_, counters), wall) =
+                    timed(|| prepared.run(trace.as_deref(), case.batch, &mut NoopObserver));
+                (counters, wall)
             })
         })
         .collect();
@@ -919,23 +871,19 @@ pub fn run_cases(suite: &str, cases: &[BenchCase], repeats: u32) -> BenchReport 
 
 /// Runs a named suite ([`MAIN_SUITE`] is the only built-in one): the
 /// in-process [`pinned_cases`], then the over-the-wire
-/// [`pinned_serve_cases`], then the routed-and-migrated
-/// [`pinned_cluster_cases`], then the offline [`pinned_oracle_cases`].
+/// [`pinned_wire_cases`], then the offline [`pinned_oracle_cases`].
 ///
 /// # Panics
 /// Panics on an unknown suite name (callers validate beforehand) and
-/// under the same conditions as [`run_cases`] / [`run_serve_cases`] /
-/// [`run_cluster_cases`].
+/// under the same conditions as [`run_cases`] / [`run_wire_cases`] /
+/// [`run_oracle_cases`].
 #[must_use]
 pub fn run_suite(suite: &str, repeats: u32) -> BenchReport {
     assert_eq!(suite, MAIN_SUITE, "unknown suite `{suite}` (valid: main)");
     let mut report = run_cases(suite, &pinned_cases(), repeats);
     report
         .cases
-        .extend(run_serve_cases(&pinned_serve_cases(), repeats));
-    report
-        .cases
-        .extend(run_cluster_cases(&pinned_cluster_cases(), repeats));
+        .extend(run_wire_cases(&pinned_wire_cases(), repeats));
     report
         .cases
         .extend(run_oracle_cases(&pinned_oracle_cases(), repeats));
@@ -980,7 +928,10 @@ mod tests {
 
     #[test]
     fn pinned_serve_cases_are_protocol_twins() {
-        let cases = pinned_serve_cases();
+        let cases: Vec<WireCase> = pinned_wire_cases()
+            .into_iter()
+            .filter(|c| c.target == WireTarget::Direct)
+            .collect();
         assert_eq!(cases.len(), 2, "one shape, once per wire protocol");
         let ids: Vec<&str> = cases.iter().map(|c| c.id.as_str()).collect();
         assert!(ids.contains(&"serve-16conn-binary"));
@@ -993,8 +944,8 @@ mod tests {
             a.connections > a.workers as u64,
             "more connections than worker threads"
         );
-        // Both twins (and the cluster cases) drive the one shared
-        // pinned per-session scenario — spot-check its pins.
+        // Every wire case drives the one shared pinned per-session
+        // scenario — spot-check its pins.
         let scenario = wire_session_scenario(7);
         assert_eq!(scenario.seed, 0xC0DE + 7, "per-session seeds stay pinned");
         assert_eq!(scenario.audit, AuditSpec::Full);
@@ -1002,7 +953,9 @@ mod tests {
 
     #[test]
     fn pinned_cluster_cases_are_routed_twins_of_the_serve_cases() {
-        let cluster = pinned_cluster_cases();
+        let wire = pinned_wire_cases();
+        let (serve, cluster): (Vec<&WireCase>, Vec<&WireCase>) =
+            wire.iter().partition(|c| c.target == WireTarget::Direct);
         assert_eq!(cluster.len(), 2, "one shape, once per wire protocol");
         let ids: Vec<&str> = cluster.iter().map(|c| c.id.as_str()).collect();
         assert!(ids.contains(&"cluster-3x16conn-binary"));
@@ -1010,15 +963,23 @@ mod tests {
         let [a, b] = &cluster[..] else { unreachable!() };
         assert_ne!(a.ndjson, b.ndjson, "twins differ only in encoding");
         assert_eq!(a.steps(), b.steps());
-        assert!(a.backends >= 2, "migration needs somewhere to go");
-        let round = a.migrate_after.expect("the cluster cases must migrate");
+        assert_eq!(a.target, b.target);
+        let WireTarget::Routed {
+            backends,
+            migrate_after,
+        } = a.target
+        else {
+            unreachable!()
+        };
+        assert!(backends >= 2, "migration needs somewhere to go");
+        let round = migrate_after.expect("the cluster cases must migrate");
         assert!(
             round > 0 && round < a.batches,
             "the forced migration lands mid-run"
         );
         // The fleet is the serve twins' fleet exactly — that is what
         // lets the baseline pin serve and cluster counters as equal.
-        let serve = &pinned_serve_cases()[0];
+        let serve = serve[0];
         assert_eq!(a.steps(), serve.steps());
         assert_eq!(a.connections, serve.connections);
         assert_eq!(a.sessions_per_connection, serve.sessions_per_connection);

@@ -8,9 +8,8 @@
 //! in the CI perf-gate job.
 
 use rdbp_bench::{
-    compare, pinned_cases, pinned_cluster_cases, pinned_oracle_cases, pinned_serve_cases,
-    run_cases, run_cluster_cases, run_oracle_cases, run_serve_cases, BenchCase, BenchReport,
-    ClusterCase, GateConfig, ServeCase, BENCH_SCHEMA_VERSION,
+    compare, pinned_cases, pinned_oracle_cases, pinned_wire_cases, run_cases, run_oracle_cases,
+    run_wire_cases, BenchCase, BenchReport, GateConfig, WireCase, WireTarget, BENCH_SCHEMA_VERSION,
 };
 use rdbp_engine::{AlgorithmSpec, AuditSpec, InstanceSpec, Registries, Scenario, WorkloadSpec};
 use rdbp_model::{NoopObserver, WorkCounters};
@@ -240,34 +239,39 @@ fn gate_passes_on_identical_runs_and_names_injected_regressions() {
     assert!(compare(&base, &slow, &config).passed());
 }
 
-#[test]
-fn serve_counters_are_identical_across_wire_protocols_and_reruns() {
-    // A small twin of the pinned serve cases: same multiplexed shape
-    // (more connections than workers, several sessions per connection),
-    // far less work. The merged over-the-wire counters must be
-    // bit-identical between the binary and NDJSON encodings *and*
-    // across independent server boots — the property the committed
-    // serve-16conn-{binary,ndjson} baseline pair rests on.
-    let shape = |id: &str, ndjson: bool| ServeCase {
+/// A small twin of the pinned wire cases' fleet: the same multiplexed
+/// shape (more connections than workers, several sessions per
+/// connection), far less work.
+fn mini_wire_case(id: &str, target: WireTarget, ndjson: bool) -> WireCase {
+    WireCase {
         id: id.into(),
+        target,
         connections: 4,
         sessions_per_connection: 2,
         batches: 2,
         batch: 50,
         workers: 2,
         ndjson,
-    };
+    }
+}
+
+#[test]
+fn serve_counters_are_identical_across_wire_protocols_and_reruns() {
+    // The merged over-the-wire counters of the direct mini fleet must
+    // be bit-identical between the binary and NDJSON encodings *and*
+    // across independent server boots — the property the committed
+    // serve-16conn-{binary,ndjson} baseline pair rests on.
     let cases = [
-        shape("mini-serve-binary", false),
-        shape("mini-serve-ndjson", true),
+        mini_wire_case("mini-serve-binary", WireTarget::Direct, false),
+        mini_wire_case("mini-serve-ndjson", WireTarget::Direct, true),
     ];
-    let results = run_serve_cases(&cases, 1);
+    let results = run_wire_cases(&cases, 1);
     assert_eq!(results[0].steps, 4 * 2 * 2 * 50);
     assert_eq!(
         results[0].counters, results[1].counters,
         "wire protocols must perform identical deterministic work"
     );
-    let rerun = run_serve_cases(&cases[..1], 1);
+    let rerun = run_wire_cases(&cases[..1], 1);
     assert_eq!(
         results[0].counters, rerun[0].counters,
         "serve counters must reproduce across server boots"
@@ -276,50 +280,38 @@ fn serve_counters_are_identical_across_wire_protocols_and_reruns() {
 
 #[test]
 fn cluster_counters_match_the_single_server_twins() {
-    // A small twin of the pinned cluster cases: the same session fleet
-    // as the mini serve shape above, but routed through a 2-backend
-    // cluster with every session force-migrated mid-run. The merged
-    // counters must be identical (a) between the wire protocols,
-    // (b) across independent cluster boots, and — the property the
-    // whole migration design is built on — (c) to the single-server
-    // fleet's counters: routing and live migration are placement, not
+    // The same mini fleet, but routed through a 2-backend cluster with
+    // every session force-migrated mid-run. The merged counters must
+    // be identical (a) between the wire protocols, (b) across
+    // independent cluster boots, and — the property the whole
+    // migration design is built on — (c) to the single-server fleet's
+    // counters: routing and live migration are placement, not
     // behavior.
-    let shape = |id: &str, ndjson: bool| ClusterCase {
-        id: id.into(),
+    let routed = WireTarget::Routed {
         backends: 2,
-        connections: 4,
-        sessions_per_connection: 2,
-        batches: 2,
-        batch: 50,
-        workers_per_backend: 2,
         migrate_after: Some(1),
-        ndjson,
     };
     let cases = [
-        shape("mini-cluster-binary", false),
-        shape("mini-cluster-ndjson", true),
+        mini_wire_case("mini-cluster-binary", routed, false),
+        mini_wire_case("mini-cluster-ndjson", routed, true),
     ];
-    let results = run_cluster_cases(&cases, 1);
+    let results = run_wire_cases(&cases, 1);
     assert_eq!(results[0].steps, 4 * 2 * 2 * 50);
     assert_eq!(
         results[0].counters, results[1].counters,
         "wire protocols must perform identical deterministic work"
     );
-    let rerun = run_cluster_cases(&cases[..1], 1);
+    let rerun = run_wire_cases(&cases[..1], 1);
     assert_eq!(
         results[0].counters, rerun[0].counters,
         "cluster counters must reproduce across cluster boots"
     );
-    let single = run_serve_cases(
-        &[ServeCase {
-            id: "mini-cluster-reference".into(),
-            connections: 4,
-            sessions_per_connection: 2,
-            batches: 2,
-            batch: 50,
-            workers: 2,
-            ndjson: false,
-        }],
+    let single = run_wire_cases(
+        &[mini_wire_case(
+            "mini-cluster-reference",
+            WireTarget::Direct,
+            false,
+        )],
         1,
     );
     assert_eq!(
@@ -342,8 +334,7 @@ fn committed_baseline_matches_the_pinned_suite_shape() {
     let pinned: Vec<String> = pinned_cases()
         .into_iter()
         .map(|c| c.id)
-        .chain(pinned_serve_cases().into_iter().map(|c| c.id))
-        .chain(pinned_cluster_cases().into_iter().map(|c| c.id))
+        .chain(pinned_wire_cases().into_iter().map(|c| c.id))
         .chain(pinned_oracle_cases().into_iter().map(|c| c.id))
         .collect();
     let committed: Vec<String> = baseline.cases.iter().map(|c| c.id.clone()).collect();

@@ -437,22 +437,8 @@ impl Cluster {
     /// Returns a [`ServeError`] if resolution fails or no backend is
     /// alive.
     pub fn create(&self, scenario: Scenario) -> Result<SessionInfo, ServeError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        for _ in 0..self.backends.len() {
-            let target = self.least_loaded(None)?;
-            let request = Request::Create {
-                scenario: Box::new(scenario.clone()),
-            };
-            match self.backends[target].call(id, &request) {
-                Ok(Response::Created { info }) => {
-                    return self.install_route(id, target, info);
-                }
-                Ok(Response::Error { message }) => return Err(ServeError(message)),
-                Ok(other) => return Err(ServeError(format!("unexpected create reply {other:?}"))),
-                Err(e) => self.report_death(target, &e),
-            }
-        }
-        Err(ServeError("no live backends".into()))
+        let scenario = Box::new(scenario);
+        self.place("create", &Request::Create { scenario })
     }
 
     /// Restores a session from a client-provided snapshot, placing it
@@ -462,18 +448,20 @@ impl Cluster {
     /// Returns a [`ServeError`] on snapshot mismatches or if no backend
     /// is alive.
     pub fn restore(&self, snapshot: Value) -> Result<SessionInfo, ServeError> {
+        self.place("restore", &Request::Restore { snapshot })
+    }
+
+    /// Sends `request` (the `op` that opens a session) to the
+    /// least-loaded backend, retrying past backends that die under the
+    /// call, and installs the new session's route.
+    fn place(&self, op: &str, request: &Request) -> Result<SessionInfo, ServeError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         for _ in 0..self.backends.len() {
             let target = self.least_loaded(None)?;
-            let request = Request::Restore {
-                snapshot: snapshot.clone(),
-            };
-            match self.backends[target].call(id, &request) {
-                Ok(Response::Created { info }) => {
-                    return self.install_route(id, target, info);
-                }
+            match self.backends[target].call(id, request) {
+                Ok(Response::Created { info }) => return self.install_route(id, target, info),
                 Ok(Response::Error { message }) => return Err(ServeError(message)),
-                Ok(other) => return Err(ServeError(format!("unexpected restore reply {other:?}"))),
+                Ok(other) => return Err(ServeError(format!("unexpected {op} reply {other:?}"))),
                 Err(e) => self.report_death(target, &e),
             }
         }

@@ -178,9 +178,11 @@ mod tests {
 
     #[test]
     fn serde_round_trip_preserves_every_metric() {
-        let mut c = WorkCounters::default();
-        c.requests = 42;
-        c.coupling_follows = 99;
+        let c = WorkCounters {
+            requests: 42,
+            coupling_follows: 99,
+            ..WorkCounters::default()
+        };
         let v = c.to_value();
         let back = WorkCounters::from_value(&v).unwrap();
         assert_eq!(back, c);

@@ -760,27 +760,20 @@ mod tests {
         // matter (the property the batched driver's bit-identity
         // relies on).
         let p = placement();
-        let make: Vec<(&str, Box<dyn Fn() -> Box<dyn Workload>>)> = vec![
-            ("allreduce", Box::new(|| Box::new(Sequential::new()))),
-            ("uniform", Box::new(|| Box::new(UniformRandom::new(9)))),
-            (
-                "zipf",
-                Box::new(|| Box::new(Zipf::new(placement().instance(), 1.2, 4))),
-            ),
-            (
-                "sliding",
-                Box::new(|| Box::new(SlidingWindow::new(4, 10, 3))),
-            ),
-            (
-                "hotspot",
-                Box::new(|| Box::new(RotatingHotspot::new(0.8, 3, 20, 6))),
-            ),
-            ("bursty", Box::new(|| Box::new(Bursty::new(0.9, 5)))),
-            ("random-walk", Box::new(|| Box::new(RandomWalk::new(5, 9)))),
-            (
-                "replay",
-                Box::new(|| Box::new(Replay::new(vec![Edge(1), Edge(2), Edge(3)]))),
-            ),
+        type Build = fn() -> Box<dyn Workload>;
+        let make: Vec<(&str, Build)> = vec![
+            ("allreduce", || Box::new(Sequential::new())),
+            ("uniform", || Box::new(UniformRandom::new(9))),
+            ("zipf", || {
+                Box::new(Zipf::new(placement().instance(), 1.2, 4))
+            }),
+            ("sliding", || Box::new(SlidingWindow::new(4, 10, 3))),
+            ("hotspot", || Box::new(RotatingHotspot::new(0.8, 3, 20, 6))),
+            ("bursty", || Box::new(Bursty::new(0.9, 5))),
+            ("random-walk", || Box::new(RandomWalk::new(5, 9))),
+            ("replay", || {
+                Box::new(Replay::new(vec![Edge(1), Edge(2), Edge(3)]))
+            }),
         ];
         for (name, build) in make {
             let mut per_step = build();

@@ -78,8 +78,7 @@ fn main() {
                         let ms: u64 = value
                             .parse()
                             .unwrap_or_else(|_| fail(format!("invalid drain `{value}`")));
-                        config.shutdown_drain = Duration::from_millis(ms);
-                        config.stop_drain = Duration::from_millis(ms);
+                        config.drain = Duration::from_millis(ms);
                     }
                     _ => addr_file = Some(value),
                 }

@@ -73,31 +73,29 @@ const PIPELINE_MAX: usize = 1024;
 
 /// Default grace period for live connections to finish in-flight work
 /// after a `shutdown` request before they are dropped (see
-/// [`ServerConfig::shutdown_drain`]).
+/// [`ServerConfig::drain`]).
 pub const DEFAULT_SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
-/// Tunables for one [`serve_config`] run. The drains used to be buried
-/// magic constants; they are knobs now so tests can exercise the
-/// timeout paths and operators can size them to their workloads.
+/// Tunables for one [`serve_config`] run, so operators can size the
+/// shutdown drain to their workloads (`rdbp-serve --drain-ms`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Which wire protocol(s) to accept.
     pub proto: Proto,
-    /// Grace period for live connections to finish in-flight work and
-    /// flush after a `shutdown` request, before they are dropped.
-    pub shutdown_drain: Duration,
-    /// Deadline handed to [`SessionManager::stop_with_deadline`] when
-    /// the reactor exits: how long to wait for busy workers before
-    /// logging the sessions still live and detaching.
-    pub stop_drain: Duration,
+    /// Shutdown grace period, applied twice: live connections get this
+    /// long after a `shutdown` request to finish in-flight work and
+    /// flush before they are dropped, and the worker pool then gets
+    /// this long ([`SessionManager::stop_with_deadline`]) before
+    /// workers still busy are detached and the sessions they strand
+    /// logged.
+    pub drain: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             proto: Proto::Auto,
-            shutdown_drain: DEFAULT_SHUTDOWN_DRAIN,
-            stop_drain: DEFAULT_SHUTDOWN_DRAIN,
+            drain: DEFAULT_SHUTDOWN_DRAIN,
         }
     }
 }
@@ -349,7 +347,7 @@ pub fn serve_config(
         }
 
         if shutdown_requested && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + config.shutdown_drain);
+            drain_deadline = Some(Instant::now() + config.drain);
             let _ = poll.deregister(&listener);
             // Every connection stops reading; in-flight ops and queued
             // output get the grace period to finish.
@@ -386,7 +384,7 @@ pub fn serve_config(
     // logged (with the sessions it strands) and detached rather than
     // wedging the exit path forever.
     drop(conns);
-    manager.stop_with_deadline(config.stop_drain);
+    manager.stop_with_deadline(config.drain);
     result
 }
 

@@ -4,17 +4,18 @@
 //! the wire, both wire protocols (binary frames and NDJSON, plus their
 //! failure surfaces: oversized/garbage frames, abrupt disconnects),
 //! connection scaling without thread-per-connection, the `rdbp-load`
-//! client binary, and a clean shutdown.
+//! client binary, and a clean shutdown, on time or at the drain
+//! deadline.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command};
-use std::time::Duration;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 use rdbp_engine::{AlgorithmSpec, InstanceSpec, Scenario, WorkloadSpec};
 use rdbp_serve::wire::{self, HEADER_LEN, MAX_FRAME};
-use rdbp_serve::{Client, Request, Response, Work};
+use rdbp_serve::{Client, Request, Response, Work, MAX_SUBMIT};
 
 struct ServerUnderTest {
     child: Child,
@@ -25,11 +26,12 @@ impl ServerUnderTest {
     /// Starts `rdbp-serve` on an ephemeral loopback port and waits for
     /// the address handshake file.
     fn start(tag: &str) -> Self {
-        Self::start_with(tag, &[])
+        Self::start_with(tag, &[], Stdio::inherit())
     }
 
-    /// [`ServerUnderTest::start`] with extra command-line flags.
-    fn start_with(tag: &str, extra: &[&str]) -> Self {
+    /// [`ServerUnderTest::start`] with extra command-line flags and a
+    /// choice of where the server's log goes.
+    fn start_with(tag: &str, extra: &[&str], stderr: Stdio) -> Self {
         let addr_file: PathBuf =
             std::env::temp_dir().join(format!("rdbp-serve-e2e-{}-{tag}.addr", std::process::id()));
         let _ = std::fs::remove_file(&addr_file);
@@ -37,6 +39,7 @@ impl ServerUnderTest {
             .args(["--port", "0", "--workers", "4", "--addr-file"])
             .arg(&addr_file)
             .args(extra)
+            .stderr(stderr)
             .spawn()
             .expect("spawn rdbp-serve");
         let mut addr = None;
@@ -573,7 +576,8 @@ fn thousand_idle_sessions_without_a_thousand_threads() {
 #[test]
 fn pinned_protocol_rejects_the_other_protocol() {
     // A binary-only server treats JSON text as a bad frame magic.
-    let binary_server = ServerUnderTest::start_with("pin-binary", &["--proto", "binary"]);
+    let binary_server =
+        ServerUnderTest::start_with("pin-binary", &["--proto", "binary"], Stdio::inherit());
     let mut stream = TcpStream::connect(binary_server.addr).expect("connect");
     stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
     let (code, payload) = read_frame(&mut stream).expect("binary error frame");
@@ -586,7 +590,8 @@ fn pinned_protocol_rejects_the_other_protocol() {
 
     // An NDJSON-only server answers binary frames with a JSON parse
     // error (newline-terminated so the line ends).
-    let ndjson_server = ServerUnderTest::start_with("pin-ndjson", &["--proto", "ndjson"]);
+    let ndjson_server =
+        ServerUnderTest::start_with("pin-ndjson", &["--proto", "ndjson"], Stdio::inherit());
     let mut stream = TcpStream::connect(ndjson_server.addr).expect("connect");
     let mut hello = wire::encode_request(&Request::Ping);
     hello.push(b'\n');
@@ -596,4 +601,77 @@ fn pinned_protocol_rejects_the_other_protocol() {
     let text = String::from_utf8_lossy(&reply[..n]);
     assert!(text.contains("\"ok\":\"error\""), "got: {text:?}");
     ndjson_server.shutdown_proto(true);
+}
+
+/// A submit still running when the shutdown drain expires: the reactor
+/// drops its connection unanswered, the worker pool gets one more
+/// drain and is then detached, and the server exits cleanly long
+/// before the submit could have finished.
+#[test]
+fn shutdown_drain_deadline_drops_a_busy_connection() {
+    let mut server = ServerUnderTest::start_with("drain", &["--drain-ms", "50"], Stdio::piped());
+    let mut busy = Client::connect(server.addr).expect("connect");
+    // A MAX_SUBMIT-sized submit of online bisection against the
+    // greedy-cut adversary at n = 1024 takes ~12 s in a release build
+    // and ~3 min in a debug one.
+    let slow = Scenario::new(
+        InstanceSpec::packed(2, 512),
+        AlgorithmSpec::named("bisection"),
+        WorkloadSpec::named("greedy-cut"),
+        0,
+    );
+    let Response::Created { info } = busy
+        .call(&Request::Create {
+            scenario: Box::new(slow),
+        })
+        .unwrap()
+    else {
+        panic!("create failed")
+    };
+    busy.send(&Request::Submit {
+        session: info.id,
+        work: Work::Generate(MAX_SUBMIT),
+    })
+    .unwrap();
+    // The reactor starts draining only after it has handled every
+    // ready event of its poll round, so the submit need only reach the
+    // server's socket before the shutdown does; the pause makes sure
+    // of that. The log assertions below fail if it ever did not.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let mut closer = Client::connect(server.addr).expect("connect for shutdown");
+    let asked = Instant::now();
+    assert!(matches!(
+        closer.call(&Request::Shutdown).unwrap(),
+        Response::Bye
+    ));
+    let status = server.child.wait().expect("wait for server");
+    let exited = asked.elapsed();
+    assert!(status.success(), "server exited with {status}");
+    // Two 50 ms drains plus process exit; the submit needs seconds.
+    assert!(
+        exited < Duration::from_secs(3),
+        "shutdown took {exited:?} with a 50 ms drain"
+    );
+    let closed = busy.recv();
+    assert!(
+        closed.is_err(),
+        "the busy connection must close without a reply, got {closed:?}"
+    );
+    let mut log = String::new();
+    server
+        .child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut log)
+        .unwrap();
+    assert!(
+        log.contains("shutdown drain deadline reached; dropping 1 connection(s)"),
+        "{log}"
+    );
+    assert!(
+        log.contains("worker(s) still busy at the 50ms stop deadline"),
+        "{log}"
+    );
 }

@@ -184,8 +184,8 @@ mod tests {
             let c = QuantileCoupling::new(&dist, &mut rng);
             counts[c.state()] += 1;
         }
-        for i in 0..3 {
-            let freq = counts[i] as f64 / trials as f64;
+        for (i, &count) in counts.iter().enumerate() {
+            let freq = count as f64 / trials as f64;
             assert!(
                 (freq - dist.prob(i)).abs() < 0.01,
                 "state {i}: freq {freq} vs prob {}",
@@ -206,8 +206,8 @@ mod tests {
             c.follow(&d1);
             counts[c.state()] += 1;
         }
-        for i in 0..4 {
-            let freq = counts[i] as f64 / trials as f64;
+        for (i, &count) in counts.iter().enumerate() {
+            let freq = count as f64 / trials as f64;
             assert!(
                 (freq - d1.prob(i)).abs() < 0.01,
                 "state {i}: freq {freq} vs prob {}",
