@@ -294,3 +294,67 @@ fn spawn_nonce() -> u64 {
     static NONCE: AtomicU64 = AtomicU64::new(1);
     NONCE.fetch_add(1, Ordering::Relaxed)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    use rdbp_serve::wire::Framer;
+    use rdbp_serve::{Proto, ServerHello};
+
+    /// A loopback stub that accepts one connection, answers its `hello`
+    /// with `hello`, and hangs up.
+    fn stub(hello: ServerHello) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("stub address");
+        let handle = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept the router");
+            let mut framer = Framer::new(Proto::Binary);
+            let mut chunk = [0u8; 1024];
+            let request = loop {
+                if let Some(request) = framer.next_request() {
+                    break request.expect("a well-formed request");
+                }
+                let n = stream.read(&mut chunk).expect("read the request");
+                framer.push(&chunk[..n]);
+            };
+            assert!(matches!(request, Request::Hello), "{request:?}");
+            let reply = framer.encode_response(&Response::Hello { hello });
+            stream.write_all(&reply).expect("answer hello");
+        });
+        (addr, handle)
+    }
+
+    fn attach_error(server: &str, proto: u64) -> String {
+        let (addr, stub) = stub(ServerHello {
+            server: server.into(),
+            version: "0.0.0".into(),
+            proto,
+            workers: 1,
+        });
+        let refused = Backend::attach(3, addr, 1).err();
+        stub.join().expect("stub thread");
+        refused.expect("the backend must be refused").0
+    }
+
+    #[test]
+    fn attach_refuses_another_protocol_version() {
+        let message = attach_error("rdbp-serve", 2);
+        assert!(
+            message.contains("backend 3: protocol version 2 (router speaks 3)"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn attach_refuses_a_peer_that_is_not_rdbp_serve() {
+        let message = attach_error("other", PROTO_VERSION);
+        assert!(
+            message.contains("`other` is not an rdbp-serve backend"),
+            "{message}"
+        );
+    }
+}

@@ -14,6 +14,10 @@
 //!
 //! ## Migration and the counter base
 //!
+//! A migration moves the session's snapshot as the [`SnapshotBlob`] the
+//! source backend sent: the router forwards its bytes to the target and
+//! keeps them as the retained restore point, and never decodes them.
+//!
 //! Work counters are transient on a backend: a restored session's
 //! counters restart at zero. To keep a migrated session's *observable*
 //! counters identical to an unmigrated one (the differential test's
@@ -26,12 +30,12 @@
 //!
 //! ## Failover and the lost-requests contract
 //!
-//! The router retains the latest snapshot of every session (taken at
-//! create/restore/migrate, refreshed by the maintenance loop and by
-//! every client-requested snapshot). When a backend dies — an op hits
-//! an I/O error, or the monitor ping times out — its sessions are
-//! restored from the retained snapshots onto the least-loaded
-//! survivors. Requests acknowledged after the retained snapshot are
+//! The router retains the latest snapshot of every session, as opaque
+//! bytes (taken at create/restore/migrate, refreshed by the
+//! maintenance loop and by every client-requested snapshot). When a
+//! backend dies — an op hits an I/O error, or the monitor ping times
+//! out — its sessions are restored from the retained snapshots onto
+//! the least-loaded survivors. Requests acknowledged after the retained snapshot are
 //! **lost** (the session rewinds to the snapshot); the router counts
 //! them and reports `replayed from snapshot N, lost K` through the
 //! `lineage` op rather than hiding the gap. Sessions whose algorithm
@@ -55,13 +59,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use serde::Value;
 
 use rdbp_engine::Scenario;
 use rdbp_model::{RunReport, WorkCounters};
 use rdbp_serve::{
     BackendSummary, BatchSummary, ManagerStats, Request, Response, ServeError, ServerHello,
-    SessionInfo, SessionLineage, SessionStatus, Work, PROTO_VERSION,
+    SessionInfo, SessionLineage, SessionStatus, SnapshotBlob, Work, PROTO_VERSION,
 };
 
 use crate::backend::Backend;
@@ -126,7 +129,7 @@ impl ClusterConfig {
 
 /// The retained restore point for one session.
 struct Retained {
-    value: Value,
+    snapshot: SnapshotBlob,
     steps: u64,
     /// Total observable counters (base + live) at the snapshot point;
     /// becomes the new `counter_base` after a failover restore.
@@ -351,7 +354,7 @@ impl Cluster {
         for _ in 0..self.backends.len() {
             let target = self.least_loaded(Some(dead))?;
             let request = Request::Restore {
-                snapshot: retained.value.clone(),
+                snapshot: retained.snapshot.clone(),
             };
             match self.backends[target].call(id, &request) {
                 Ok(Response::Created { info }) => {
@@ -404,7 +407,7 @@ impl Cluster {
         &self,
         id: u64,
         state: &mut RouteState,
-    ) -> Result<(SessionStatus, Value), ServeError> {
+    ) -> Result<(SessionStatus, SnapshotBlob), ServeError> {
         let status = match self.roundtrip(id, state, |remote| Request::Query { session: remote })? {
             Response::Status { status } => status,
             Response::Error { message } => return Err(ServeError(message)),
@@ -447,7 +450,7 @@ impl Cluster {
     /// # Errors
     /// Returns a [`ServeError`] on snapshot mismatches or if no backend
     /// is alive.
-    pub fn restore(&self, snapshot: Value) -> Result<SessionInfo, ServeError> {
+    pub fn restore(&self, snapshot: SnapshotBlob) -> Result<SessionInfo, ServeError> {
         self.place("restore", &Request::Restore { snapshot })
     }
 
@@ -493,7 +496,7 @@ impl Cluster {
         // dies); everything else is restorable from step 0.
         if let Ok((status, snapshot)) = self.status_and_snapshot(id, &mut state) {
             state.retained = Some(Retained {
-                value: snapshot,
+                snapshot,
                 steps: status.report.steps,
                 counters_at: Self::total_counters(&state, &status.counters),
             });
@@ -562,12 +565,12 @@ impl Cluster {
     /// # Errors
     /// Returns a [`ServeError`] for unknown/lost sessions or
     /// non-snapshottable algorithms.
-    pub fn snapshot(&self, id: u64) -> Result<Value, ServeError> {
+    pub fn snapshot(&self, id: u64) -> Result<SnapshotBlob, ServeError> {
         let route = self.route_of(id)?;
         let mut state = route.lock();
         let (status, snapshot) = self.status_and_snapshot(id, &mut state)?;
         state.retained = Some(Retained {
-            value: snapshot.clone(),
+            snapshot: snapshot.clone(),
             steps: status.report.steps,
             counters_at: Self::total_counters(&state, &status.counters),
         });
@@ -661,7 +664,7 @@ impl Cluster {
         let old_remote = state.remote;
         state.counter_base = total;
         state.retained = Some(Retained {
-            value: snapshot,
+            snapshot,
             steps: status.report.steps,
             counters_at: total,
         });
@@ -784,7 +787,7 @@ impl Cluster {
             // the previous retained snapshot.
             if let Ok((status, snapshot)) = self.status_and_snapshot(id, &mut state) {
                 state.retained = Some(Retained {
-                    value: snapshot,
+                    snapshot,
                     steps: status.report.steps,
                     counters_at: Self::total_counters(&state, &status.counters),
                 });

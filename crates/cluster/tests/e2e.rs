@@ -2,6 +2,7 @@
 //! (which spawns real `rdbp-serve` backends) over TCP: the migration
 //! differential (a live-migrated session's transcript is
 //! byte-identical to an unmigrated one, over both wire protocols),
+//! snapshots crossing between the protocols through the router,
 //! migrate-under-pipelined-load, SIGKILL failover with the
 //! lost-requests contract, and the router's error surface, hostile
 //! input included.
@@ -13,6 +14,7 @@ use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
 use rdbp_engine::{AlgorithmSpec, InstanceSpec, Scenario, WorkloadSpec};
+use rdbp_model::Edge;
 use rdbp_serve::wire::{self, HEADER_LEN, MAX_FRAME};
 use rdbp_serve::{Client, Request, Response, Work};
 
@@ -111,6 +113,12 @@ fn scenario(seed: u64) -> Scenario {
     s
 }
 
+/// A 256-request replay over the 32 edges of [`scenario`]'s ring —
+/// sent as a typed frame on every binary hop.
+fn replay() -> Work {
+    Work::Replay((0..256u32).map(|i| Edge((i * 5 + 3) % 32)).collect())
+}
+
 fn canonical(response: &Response) -> String {
     serde_json::to_string(response).expect("serialize response")
 }
@@ -148,6 +156,17 @@ fn transcript(client: &mut Client, mid: &mut dyn FnMut(u64)) -> Vec<String> {
             mid(id);
         }
     }
+    let replayed = client
+        .call(&Request::Submit {
+            session: id,
+            work: replay(),
+        })
+        .expect("replay");
+    assert!(
+        matches!(replayed, Response::Submitted { .. }),
+        "replay failed: {replayed:?}"
+    );
+    out.push(canonical(&replayed));
     out.push(canonical(
         &client.call(&Request::Query { session: id }).expect("query"),
     ));
@@ -205,6 +224,91 @@ fn migrated_transcript_is_byte_identical_to_unmigrated() {
         reference.shutdown(ndjson);
         subject.shutdown(false);
     }
+}
+
+/// Serves a generated and a replayed batch on `session`, then queries
+/// and closes it; returns what each reply says about the session,
+/// without its id.
+fn drive(client: &mut Client, session: u64) -> Vec<String> {
+    let mut out = Vec::new();
+    for work in [Work::Generate(200), replay()] {
+        let Response::Submitted { summary, .. } =
+            client.call(&Request::Submit { session, work }).unwrap()
+        else {
+            panic!("submit failed")
+        };
+        out.push(format!("{summary:?}"));
+    }
+    let Response::Status { status } = client.call(&Request::Query { session }).unwrap() else {
+        panic!("query failed")
+    };
+    out.push(format!("{:?} {:?}", status.report, status.counters));
+    let Response::Closed { report, .. } = client.call(&Request::Close { session }).unwrap() else {
+        panic!("close failed")
+    };
+    out.push(format!("{report:?}"));
+    out
+}
+
+/// Through the router, a snapshot taken over NDJSON restores over
+/// binary, and the reverse: the router hands out the same snapshot
+/// bytes over both protocols, and the twins restored across them
+/// continue identically.
+#[test]
+fn snapshots_cross_between_protocols_through_the_router() {
+    let router = RouterUnderTest::start("cross", 2, &["--snapshot-ms", "0", "--rebalance-ms", "0"]);
+    let mut binary = router.connect(false);
+    let mut ndjson = router.connect(true);
+    let Response::Created { info } = binary
+        .call(&Request::Create {
+            scenario: Box::new(scenario(11)),
+        })
+        .unwrap()
+    else {
+        panic!("create failed")
+    };
+    for work in [Work::Generate(300), replay()] {
+        let Response::Submitted { .. } = binary
+            .call(&Request::Submit {
+                session: info.id,
+                work,
+            })
+            .unwrap()
+        else {
+            panic!("submit failed")
+        };
+    }
+    let snapshot = |client: &mut Client| match client
+        .call(&Request::Snapshot { session: info.id })
+        .unwrap()
+    {
+        Response::Snapshot { snapshot, .. } => snapshot,
+        other => panic!("snapshot failed: {other:?}"),
+    };
+    let from_ndjson = snapshot(&mut ndjson);
+    let from_binary = snapshot(&mut binary);
+    assert_eq!(
+        from_ndjson.as_bytes(),
+        from_binary.as_bytes(),
+        "the protocols must carry the same snapshot"
+    );
+    let restore = |client: &mut Client, snapshot| match client
+        .call(&Request::Restore { snapshot })
+        .unwrap()
+    {
+        Response::Created { info } => {
+            assert_eq!(info.steps, 556);
+            info.id
+        }
+        other => panic!("restore failed: {other:?}"),
+    };
+    let over_binary = restore(&mut binary, from_ndjson);
+    let over_ndjson = restore(&mut ndjson, from_binary);
+    let twin = drive(&mut binary, over_binary);
+    assert_eq!(twin, drive(&mut ndjson, over_ndjson));
+    let original = drive(&mut binary, info.id);
+    assert_eq!(original.last(), twin.last(), "the twins left the original");
+    router.shutdown(false);
 }
 
 /// Migration under pipelined load: a batch of submits is in flight on
@@ -686,9 +790,9 @@ fn assert_closed(stream: &mut TcpStream) {
 
 /// The hostile inputs the backend e2e suite sends `rdbp-serve` draw the
 /// same answers from the router: a desynchronizing frame an error and a
-/// close, a malformed but delimited frame an error on a connection
-/// that stays usable, and an NDJSON line over the cap an error and a
-/// close.
+/// close, a malformed but delimited frame (an unknown opcode, a
+/// snapshot nested too deep) an error on a connection that stays
+/// usable, and an NDJSON line over the cap an error and a close.
 #[test]
 fn router_answers_hostile_input_like_a_backend() {
     let router = RouterUnderTest::start("hostile", 1, &["--snapshot-ms", "0"]);
@@ -712,6 +816,28 @@ fn router_answers_hostile_input_like_a_backend() {
         .write_all(&wire::encode_request(&Request::Ping))
         .unwrap();
     error_message(read_response(&mut stream));
+    assert!(matches!(read_response(&mut stream), Response::Pong));
+    // A restore whose snapshot nests past the depth limit (the field
+    // sits at depth 1, so MAX_DEPTH arrays put its null one too
+    // deep): error, then pong.
+    let mut payload = vec![0x08]; // an object…
+    payload.extend_from_slice(&1u32.to_le_bytes()); // …of one field…
+    payload.extend_from_slice(&8u32.to_le_bytes());
+    payload.extend_from_slice(b"snapshot"); // …named `snapshot`
+    for _ in 0..wire::MAX_DEPTH {
+        payload.push(0x07); // an array of one element
+        payload.extend_from_slice(&1u32.to_le_bytes());
+    }
+    payload.push(0x00); // null
+    let mut restore = vec![wire::MAGIC, 0x05];
+    restore.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+    restore.extend_from_slice(&payload);
+    stream.write_all(&restore).unwrap();
+    stream
+        .write_all(&wire::encode_request(&Request::Ping))
+        .unwrap();
+    let message = error_message(read_response(&mut stream));
+    assert!(message.contains("depth"), "{message}");
     assert!(matches!(read_response(&mut stream), Response::Pong));
     // Then a bad magic byte: error, then close.
     stream.write_all(&[0x00]).unwrap();

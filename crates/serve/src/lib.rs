@@ -28,7 +28,9 @@
 //! * [`wire`] — the length-prefixed binary framing of the same model:
 //!   one opcode/kind byte plus a binary value tree, decoding to the
 //!   exact [`serde::Value`]s the NDJSON form produces, so both
-//!   protocols drive identical server behavior; and the
+//!   protocols drive identical server behavior (replay submits take a
+//!   typed `u32` layout that decodes to the same requests); the
+//!   [`SnapshotBlob`] a snapshot travels in as bytes; and the
 //!   [`wire::Framer`] every connection (reactor, router, [`Client`])
 //!   parses and encodes through.
 //! * [`server`] — the nonblocking TCP front end (`rdbp-serve` binary):
@@ -71,7 +73,7 @@ pub use manager::{
 pub use proto::{BackendSummary, Request, Response, ServerHello, SessionLineage, PROTO_VERSION};
 pub use server::{serve, serve_config, Client, ServerConfig};
 pub use session::{BatchSummary, Session, SNAPSHOT_VERSION};
-pub use wire::{Proto, MAX_FRAME};
+pub use wire::{Proto, SnapshotBlob, MAX_FRAME};
 
 /// An error from the serving layer: spec resolution, snapshot
 /// round-trips, routing, or worker failures.
@@ -89,5 +91,11 @@ impl std::error::Error for ServeError {}
 impl From<rdbp_engine::SpecError> for ServeError {
     fn from(e: rdbp_engine::SpecError) -> Self {
         ServeError(e.0)
+    }
+}
+
+impl From<wire::WireError> for ServeError {
+    fn from(e: wire::WireError) -> Self {
+        ServeError(e.message().to_owned())
     }
 }

@@ -20,6 +20,10 @@
 //! them. The **blocking** form (`create`, `submit`, …) runs the async
 //! one and waits for its callback on a channel — what library users
 //! and the in-process bench paths drive, from any number of threads.
+//!
+//! Snapshots enter and leave a worker as [`SnapshotBlob`]s: the worker
+//! that owns a session encodes its snapshot tree, and the one that
+//! restores decodes it, so nothing between them handles a tree.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,12 +33,12 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, SendError, Sender};
 use parking_lot::{Mutex, RwLock};
-use serde::Value;
 
 use rdbp_engine::{Registries, Scenario};
 use rdbp_model::{Edge, RunReport, WorkCounters};
 
 use crate::session::{BatchSummary, Session};
+use crate::wire::SnapshotBlob;
 use crate::ServeError;
 
 /// Upper bound on one submission (generated steps or replay length).
@@ -131,7 +135,7 @@ enum Op {
     },
     Restore {
         id: u64,
-        snapshot: Box<Value>,
+        snapshot: SnapshotBlob,
         reply: Reply<SessionInfo>,
     },
     Submit {
@@ -145,7 +149,7 @@ enum Op {
     },
     Snapshot {
         id: u64,
-        reply: Reply<Value>,
+        reply: Reply<SnapshotBlob>,
     },
     Close {
         id: u64,
@@ -242,12 +246,12 @@ impl SessionManager {
         wait(|done| self.create_async(scenario, done))
     }
 
-    /// Restores a session from a [`Session::snapshot`] value under a
-    /// fresh id.
+    /// Restores a session from a [`SessionManager::snapshot`] blob
+    /// under a fresh id.
     ///
     /// # Errors
     /// Returns a [`ServeError`] on any snapshot mismatch.
-    pub fn restore(&self, snapshot: Value) -> Result<SessionInfo, ServeError> {
+    pub fn restore(&self, snapshot: SnapshotBlob) -> Result<SessionInfo, ServeError> {
         wait(|done| self.restore_async(snapshot, done))
     }
 
@@ -268,12 +272,13 @@ impl SessionManager {
         wait(|done| self.query_async(id, done))
     }
 
-    /// Captures a session's snapshot (the session stays live).
+    /// Captures a session's snapshot (the session stays live): the
+    /// binary encoding of [`Session::snapshot`]'s tree.
     ///
     /// # Errors
     /// Returns a [`ServeError`] for unknown sessions or unsupported
     /// algorithms/workloads.
-    pub fn snapshot(&self, id: u64) -> Result<Value, ServeError> {
+    pub fn snapshot(&self, id: u64) -> Result<SnapshotBlob, ServeError> {
         wait(|done| self.snapshot_async(id, done))
     }
 
@@ -307,13 +312,13 @@ impl SessionManager {
     /// Restores a session from a snapshot asynchronously.
     pub fn restore_async(
         &self,
-        snapshot: Value,
+        snapshot: SnapshotBlob,
         done: impl FnOnce(Result<SessionInfo, ServeError>) + Send + 'static,
     ) {
         self.open(
             |id, reply| Op::Restore {
                 id,
-                snapshot: Box::new(snapshot),
+                snapshot,
                 reply,
             },
             done,
@@ -347,7 +352,7 @@ impl SessionManager {
     pub fn snapshot_async(
         &self,
         id: u64,
-        done: impl FnOnce(Result<Value, ServeError>) + Send + 'static,
+        done: impl FnOnce(Result<SnapshotBlob, ServeError>) + Send + 'static,
     ) {
         self.on_session(id, done, |reply| Op::Snapshot { id, reply });
     }
@@ -511,7 +516,7 @@ fn worker_main(
                 snapshot,
                 reply,
             } => {
-                let result = Session::restore(&snapshot, registries).map(|session| {
+                let result = Session::restore(&snapshot.decode(), registries).map(|session| {
                     counters
                         .served
                         .fetch_add(session.report().steps, Ordering::Relaxed);
@@ -558,7 +563,9 @@ fn worker_main(
             Op::Snapshot { id, reply } => {
                 let result = match sessions.get(&id) {
                     None => Err(unknown(id)),
-                    Some(session) => session.snapshot(),
+                    Some(session) => session
+                        .snapshot()
+                        .and_then(|tree| SnapshotBlob::encode(&tree).map_err(ServeError::from)),
                 };
                 reply(result);
             }
@@ -741,7 +748,8 @@ mod tests {
             let _ = reply.send(result);
         });
         assert!(rx.recv().unwrap().is_err());
-        assert!(manager.restore(Value::Null).is_err());
+        let null = SnapshotBlob::encode(&serde::Value::Null).unwrap();
+        assert!(manager.restore(null).is_err());
         let id = manager.create(scenario(1)).unwrap().id;
         manager.close(id).unwrap();
         assert!(manager.shard_of.read().is_empty());

@@ -7,6 +7,10 @@
 //! against the vendored serde value tree — the offline derive stand-in
 //! has no enum support (same approach as `rdbp_engine::spec`).
 //!
+//! A snapshot is a [`SnapshotBlob`] in the model and its tree on an
+//! NDJSON line; the binary encoding ([`crate::wire`]) carries the
+//! blob's bytes as they are.
+//!
 //! ```text
 //! → {"op":"create","scenario":{…}}
 //! ← {"ok":"created","session":1,"algorithm":"dynamic-partitioner",…}
@@ -29,13 +33,15 @@ use rdbp_model::{CostLedger, Edge, RunReport, WorkCounters};
 
 use crate::manager::{ManagerStats, SessionInfo, SessionStatus, Work};
 use crate::session::BatchSummary;
+use crate::wire::SnapshotBlob;
 
 /// Version of the request/response model (NDJSON and binary encodings
 /// alike). Servers report it in their `hello` response; a router
 /// refuses to attach to a backend speaking a different version.
 /// Version 2 added the admin ops: `hello`, `migrate`, `lineage`,
-/// `cluster`.
-pub const PROTO_VERSION: u64 = 2;
+/// `cluster`. Version 3 sends replay submits as typed frames (opcode
+/// 0x0E) and moves snapshots as [`SnapshotBlob`]s.
+pub const PROTO_VERSION: u64 = 3;
 
 /// What a server says about itself in reply to `hello` — the liveness
 /// handshake a router (or `rdbp-load --ping`) health-checks before
@@ -115,8 +121,8 @@ pub enum Request {
     },
     /// Recreate a session from a snapshot under a fresh id.
     Restore {
-        /// A value previously returned by `Snapshot`.
-        snapshot: Value,
+        /// A blob previously returned by `Snapshot`.
+        snapshot: SnapshotBlob,
     },
     /// Close a session and fetch its final report.
     Close {
@@ -171,8 +177,8 @@ pub enum Response {
     Snapshot {
         /// The session it was taken from (still live).
         session: u64,
-        /// The opaque snapshot value (feed back to `Restore`).
-        snapshot: Value,
+        /// The opaque snapshot (feed back to `Restore`).
+        snapshot: SnapshotBlob,
     },
     /// A session was closed.
     Closed {
@@ -257,9 +263,11 @@ impl Serialize for Request {
                 vec![("session".into(), session.to_value())],
                 "op",
             ),
-            Request::Restore { snapshot } => {
-                tag("restore", vec![("snapshot".into(), snapshot.clone())], "op")
-            }
+            Request::Restore { snapshot } => tag(
+                "restore",
+                vec![("snapshot".into(), snapshot.to_value())],
+                "op",
+            ),
             Request::Close { session } => {
                 tag("close", vec![("session".into(), session.to_value())], "op")
             }
@@ -323,7 +331,7 @@ impl Deserialize for Request {
                 session: u64::from_value(v.get_field("session")?)?,
             }),
             "restore" => Ok(Request::Restore {
-                snapshot: v.get_field("snapshot")?.clone(),
+                snapshot: SnapshotBlob::from_value(v.get_field("snapshot")?)?,
             }),
             "close" => Ok(Request::Close {
                 session: u64::from_value(v.get_field("session")?)?,
@@ -389,7 +397,7 @@ impl Serialize for Response {
                 "snapshot",
                 vec![
                     ("session".into(), session.to_value()),
-                    ("snapshot".into(), snapshot.clone()),
+                    ("snapshot".into(), snapshot.to_value()),
                 ],
                 "ok",
             ),
@@ -500,7 +508,7 @@ impl Deserialize for Response {
             }),
             "snapshot" => Ok(Response::Snapshot {
                 session: u64::from_value(v.get_field("session")?)?,
-                snapshot: v.get_field("snapshot")?.clone(),
+                snapshot: SnapshotBlob::from_value(v.get_field("snapshot")?)?,
             }),
             "closed" => Ok(Response::Closed {
                 session: u64::from_value(v.get_field("session")?)?,
@@ -604,7 +612,8 @@ mod tests {
             Request::Query { session: 3 },
             Request::Snapshot { session: 3 },
             Request::Restore {
-                snapshot: Value::Obj(vec![("x".into(), Value::UInt(1))]),
+                snapshot: SnapshotBlob::encode(&Value::Obj(vec![("x".into(), Value::UInt(1))]))
+                    .unwrap(),
             },
             Request::Close { session: 3 },
             Request::Stats,

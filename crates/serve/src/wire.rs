@@ -1,5 +1,6 @@
-//! The wire layer: the length-prefixed binary format, and the
-//! [`Framer`] that splits a connection's bytes into messages.
+//! The wire layer: the length-prefixed binary format, the
+//! [`SnapshotBlob`] snapshots travel in, and the [`Framer`] that splits
+//! a connection's bytes into messages.
 //!
 //! NDJSON (see [`crate::proto`]) is kept as the debug protocol; the
 //! binary format is the production framing the reactor and the
@@ -10,18 +11,31 @@
 //!
 //! ```text
 //! offset 0   u8   MAGIC (0xB5 — never a valid NDJSON first byte)
-//! offset 1   u8   code: request opcode (0x01–0x0D) or
+//! offset 1   u8   code: request opcode (0x01–0x0E) or
 //!                 response status (0x81–0x8C, 0xEF = error)
 //! offset 2   u32  payload length, little-endian (≤ MAX_FRAME)
-//! offset 6   …    payload: the message body, binary-value encoded
+//! offset 6   …    payload: the message body
 //! ```
 //!
-//! The payload is the *same serde [`Value`] tree* the NDJSON protocol
-//! serializes, minus the discriminator field (`"op"` / `"ok"`), which
-//! the code byte replaces. Decoding a binary frame therefore yields
-//! exactly the [`Request`]/[`Response`] an equivalent NDJSON line
-//! would — the differential e2e test pins this, and it is what makes
-//! work counters provably identical across the two protocols.
+//! Every payload but one is the binary value encoding of the *same
+//! serde [`Value`] tree* the NDJSON protocol serializes, minus the
+//! discriminator field (`"op"` / `"ok"`) that the code byte replaces.
+//! Decoding such a frame yields exactly the [`Request`]/[`Response`] an
+//! equivalent NDJSON line would — the differential e2e test pins this,
+//! and it is what makes work counters provably identical across the
+//! two protocols.
+//!
+//! The exception is a replay submit ([`Work::Replay`]), which travels
+//! under opcode 0x0E in a fixed layout that decodes straight into its
+//! edges, 4 bytes per request, with no value tree in between. It
+//! decodes to a [`Request`] equal to the NDJSON line's (a 0x02 frame
+//! carrying a `requests` array still decodes as well):
+//!
+//! ```text
+//! offset 0   u64  session
+//! offset 8   u32  count
+//! offset 12  …    count × u32 edge ids (nothing after the last)
+//! ```
 //!
 //! Value encoding (tag byte, then payload; integers little-endian):
 //!
@@ -33,6 +47,16 @@
 //! 0x08 obj   (u32 count + (u32 key len + key bytes + value)*)
 //! ```
 //!
+//! Snapshots leave the worker that owns a session as bytes: the
+//! `snapshot` field of a `restore` request and of a `snapshot` response
+//! is a [`SnapshotBlob`], the value encoding of
+//! [`crate::Session::snapshot`]'s tree. Encoding splices the blob in
+//! where the tree's encoding would go, so those frames are
+//! byte-identical to encoding the tree. Decoding cuts it back out after
+//! a skip walk that checks it under the value decoder's rules, so a
+//! router stores and forwards snapshots without ever building one; only
+//! NDJSON renders the tree.
+//!
 //! Robustness rules (enforced on both encodings): frames and NDJSON
 //! lines larger than [`MAX_FRAME`] are rejected with a protocol error
 //! instead of growing buffers without bound; nesting deeper than
@@ -40,8 +64,13 @@
 //! overflow the decoder's stack); declared lengths are validated
 //! against the bytes actually present before any allocation.
 
-use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
+use serde::{DeError, Deserialize, Serialize, Value};
+
+use rdbp_model::Edge;
+
+use crate::manager::Work;
 use crate::proto::{Request, Response};
 
 /// First byte of every binary frame. Chosen to be invalid as the first
@@ -110,6 +139,10 @@ const REQUEST_OPS: [(u8, &str); 13] = [
     (0x0D, "cluster"),
 ];
 
+/// The opcode of a typed replay submit: a `submit` whose payload is the
+/// fixed layout in the module docs rather than a value tree.
+const OP_REPLAY: u8 = 0x0E;
+
 /// Response status codes, mirroring the NDJSON `"ok"` strings 1:1.
 /// The high bit distinguishes responses from requests on the wire.
 const RESPONSE_KINDS: [(u8, &str); 13] = [
@@ -152,13 +185,33 @@ const TAG_STR: u8 = 0x06;
 const TAG_ARR: u8 = 0x07;
 const TAG_OBJ: u8 = 0x08;
 
+/// The field of a `restore` request and a `snapshot` response that
+/// holds a [`SnapshotBlob`].
+const SNAPSHOT_FIELD: &str = "snapshot";
+
+/// Nesting depth of a field of a frame body (the body object is at 0).
+const FIELD_DEPTH: u32 = 1;
+
 fn put_len(out: &mut Vec<u8>, len: usize) {
     let len = u32::try_from(len).expect("value longer than u32::MAX entries");
     out.extend_from_slice(&len.to_le_bytes());
 }
 
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_len(out, s.len());
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// Appends the binary encoding of `value` to `out`.
 pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
+    encode_at(value, 0, out);
+}
+
+/// [`encode_value`] for a value nested `depth` levels deep in its
+/// frame. Returns whether the decoder accepts it there: whether none of
+/// its nodes sits deeper than [`MAX_DEPTH`].
+fn encode_at(value: &Value, depth: u32, out: &mut Vec<u8>) -> bool {
+    let mut fits = depth <= MAX_DEPTH;
     match value {
         Value::Null => out.push(TAG_NULL),
         Value::Bool(false) => out.push(TAG_FALSE),
@@ -177,26 +230,29 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
         }
         Value::Str(s) => {
             out.push(TAG_STR);
-            put_len(out, s.len());
-            out.extend_from_slice(s.as_bytes());
+            put_str(out, s);
         }
         Value::Arr(items) => {
             out.push(TAG_ARR);
             put_len(out, items.len());
             for item in items {
-                encode_value(item, out);
+                fits &= encode_at(item, depth + 1, out);
             }
         }
         Value::Obj(pairs) => {
             out.push(TAG_OBJ);
             put_len(out, pairs.len());
             for (key, val) in pairs {
-                put_len(out, key.len());
-                out.extend_from_slice(key.as_bytes());
-                encode_value(val, out);
+                put_str(out, key);
+                fits &= encode_at(val, depth + 1, out);
             }
         }
     }
+    fits
+}
+
+fn too_deep() -> WireError {
+    WireError::Frame(format!("value nesting exceeds the depth limit {MAX_DEPTH}"))
 }
 
 struct Cursor<'a> {
@@ -205,6 +261,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Self { buf, pos: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self
             .pos
@@ -238,10 +298,9 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
+        std::str::from_utf8(self.take(len)?)
             .map_err(|_| WireError::Frame("string payload is not UTF-8".into()))
     }
 
@@ -254,9 +313,7 @@ impl<'a> Cursor<'a> {
 
     fn value(&mut self, depth: u32) -> Result<Value, WireError> {
         if depth > MAX_DEPTH {
-            return Err(WireError::Frame(format!(
-                "value nesting exceeds the depth limit {MAX_DEPTH}"
-            )));
+            return Err(too_deep());
         }
         match self.byte()? {
             TAG_NULL => Ok(Value::Null),
@@ -265,7 +322,7 @@ impl<'a> Cursor<'a> {
             TAG_UINT => Ok(Value::UInt(self.u64()?)),
             TAG_INT => Ok(Value::Int(self.u64()? as i64)),
             TAG_FLOAT => Ok(Value::Float(f64::from_bits(self.u64()?))),
-            TAG_STR => Ok(Value::Str(self.string()?)),
+            TAG_STR => Ok(Value::Str(self.str()?.to_owned())),
             TAG_ARR => {
                 let count = self.u32()? as usize;
                 let mut items = Vec::with_capacity(self.bounded(count));
@@ -278,14 +335,59 @@ impl<'a> Cursor<'a> {
                 let count = self.u32()? as usize;
                 let mut pairs = Vec::with_capacity(self.bounded(count));
                 for _ in 0..count {
-                    let key = self.string()?;
+                    let key = self.str()?.to_owned();
                     pairs.push((key, self.value(depth + 1)?));
                 }
                 Ok(Value::Obj(pairs))
             }
-            other => Err(WireError::Frame(format!("unknown value tag 0x{other:02X}"))),
+            other => Err(unknown_tag(other)),
         }
     }
+
+    /// Walks past one value under exactly the rules of
+    /// [`Cursor::value`] — depth, tags, lengths, UTF-8 — without
+    /// building it.
+    fn skip(&mut self, depth: u32) -> Result<(), WireError> {
+        if depth > MAX_DEPTH {
+            return Err(too_deep());
+        }
+        match self.byte()? {
+            TAG_NULL | TAG_FALSE | TAG_TRUE => {}
+            TAG_UINT | TAG_INT | TAG_FLOAT => {
+                self.take(8)?;
+            }
+            TAG_STR => {
+                self.str()?;
+            }
+            TAG_ARR => {
+                for _ in 0..self.u32()? {
+                    self.skip(depth + 1)?;
+                }
+            }
+            TAG_OBJ => {
+                for _ in 0..self.u32()? {
+                    self.str()?;
+                    self.skip(depth + 1)?;
+                }
+            }
+            other => return Err(unknown_tag(other)),
+        }
+        Ok(())
+    }
+
+    /// Fails unless the whole buffer was consumed.
+    fn finish(&self) -> Result<(), WireError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            extra => Err(WireError::Frame(format!(
+                "{extra} trailing bytes after the value"
+            ))),
+        }
+    }
+}
+
+fn unknown_tag(tag: u8) -> WireError {
+    WireError::Frame(format!("unknown value tag 0x{tag:02X}"))
 }
 
 /// Decodes one binary value occupying all of `payload`.
@@ -294,18 +396,72 @@ impl<'a> Cursor<'a> {
 /// Returns a [`WireError::Frame`] on truncation, bad tags, non-UTF-8
 /// strings, excessive nesting, or trailing bytes.
 pub fn decode_value(payload: &[u8]) -> Result<Value, WireError> {
-    let mut cursor = Cursor {
-        buf: payload,
-        pos: 0,
-    };
+    let mut cursor = Cursor::new(payload);
     let value = cursor.value(0)?;
-    if cursor.pos != payload.len() {
-        return Err(WireError::Frame(format!(
-            "{} trailing bytes after the value",
-            payload.len() - cursor.pos
-        )));
-    }
+    cursor.finish()?;
     Ok(value)
+}
+
+// --- snapshot blobs ------------------------------------------------------
+
+/// A session snapshot as the bytes of its binary value encoding:
+/// [`encode_value`] of the tree [`crate::Session::snapshot`] returns.
+///
+/// Snapshots cross the system in this form. The worker that owns a
+/// session encodes its snapshot once; frames splice the bytes in and
+/// cut them out; a router stores and forwards them without decoding;
+/// the worker that restores decodes them once. Clones share the bytes.
+///
+/// Every blob holds exactly one value that the frame decoder accepts as
+/// a field of a frame body — depth, tags, lengths and UTF-8 are checked
+/// by whichever constructor made it — so [`SnapshotBlob::decode`]
+/// cannot fail. Its NDJSON form is the tree.
+#[derive(Clone)]
+pub struct SnapshotBlob(Arc<[u8]>);
+
+impl SnapshotBlob {
+    /// Encodes a snapshot tree.
+    ///
+    /// # Errors
+    /// Returns a [`WireError::Frame`] if the tree nests deeper than a
+    /// frame field may ([`MAX_DEPTH`]).
+    pub fn encode(value: &Value) -> Result<Self, WireError> {
+        let mut bytes = Vec::new();
+        if !encode_at(value, FIELD_DEPTH, &mut bytes) {
+            return Err(too_deep());
+        }
+        Ok(Self(bytes.into()))
+    }
+
+    /// The snapshot's tree, as [`crate::Session::restore`] takes it.
+    #[must_use]
+    pub fn decode(&self) -> Value {
+        decode_value(&self.0).expect("a snapshot blob holds one valid value")
+    }
+
+    /// The encoded bytes.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl core::fmt::Debug for SnapshotBlob {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "SnapshotBlob({} bytes)", self.0.len())
+    }
+}
+
+impl Serialize for SnapshotBlob {
+    fn to_value(&self) -> Value {
+        self.decode()
+    }
+}
+
+impl Deserialize for SnapshotBlob {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Self::encode(v).map_err(|e| DeError(e.message().to_owned()))
+    }
 }
 
 // --- framing -------------------------------------------------------------
@@ -327,29 +483,79 @@ fn untag(value: Value, key: &str) -> (String, Value) {
     (name, Value::Obj(pairs))
 }
 
-fn frame(code: u8, body: &Value) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+/// A frame with code byte `code` whose payload `write` appends;
+/// `capacity` sizes the buffer for it up front.
+fn frame(code: u8, capacity: usize, write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + capacity);
     out.push(MAGIC);
     out.push(code);
     out.extend_from_slice(&[0; 4]); // length back-patched below
-    encode_value(body, &mut out);
+    write(&mut out);
     let len = u32::try_from(out.len() - HEADER_LEN).expect("frame payload fits u32");
     out[2..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     out
 }
 
+/// The frame of a message serialized the NDJSON way, its discriminator
+/// `key` moved into the code byte.
+fn value_frame(message: &impl Serialize, key: &str, table: &[(u8, &str)]) -> Vec<u8> {
+    let (name, body) = untag(message.to_value(), key);
+    frame(code_of(table, &name), 64, |out| encode_value(&body, out))
+}
+
+/// The frame of a body object made of `fields` followed by the
+/// `snapshot` field: the blob's bytes go where its tree's encoding
+/// would.
+fn snapshot_frame(code: u8, fields: &[(&str, Value)], snapshot: &SnapshotBlob) -> Vec<u8> {
+    frame(code, 64 + snapshot.0.len(), |out| {
+        out.push(TAG_OBJ);
+        put_len(out, fields.len() + 1);
+        for (key, value) in fields {
+            put_str(out, key);
+            encode_value(value, out);
+        }
+        put_str(out, SNAPSHOT_FIELD);
+        out.extend_from_slice(&snapshot.0);
+    })
+}
+
+/// The typed frame of a replay submit (layout in the module docs).
+fn replay_frame(session: u64, edges: &[Edge]) -> Vec<u8> {
+    frame(OP_REPLAY, 12 + 4 * edges.len(), |out| {
+        out.extend_from_slice(&session.to_le_bytes());
+        put_len(out, edges.len());
+        for edge in edges {
+            out.extend_from_slice(&edge.0.to_le_bytes());
+        }
+    })
+}
+
 /// Encodes a request as one binary frame.
 #[must_use]
 pub fn encode_request(request: &Request) -> Vec<u8> {
-    let (op, body) = untag(request.to_value(), "op");
-    frame(code_of(&REQUEST_OPS, &op), &body)
+    match request {
+        Request::Submit {
+            session,
+            work: Work::Replay(edges),
+        } => replay_frame(*session, edges),
+        Request::Restore { snapshot } => {
+            snapshot_frame(code_of(&REQUEST_OPS, "restore"), &[], snapshot)
+        }
+        _ => value_frame(request, "op", &REQUEST_OPS),
+    }
 }
 
 /// Encodes a response as one binary frame.
 #[must_use]
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let (kind, body) = untag(response.to_value(), "ok");
-    frame(code_of(&RESPONSE_KINDS, &kind), &body)
+    match response {
+        Response::Snapshot { session, snapshot } => snapshot_frame(
+            code_of(&RESPONSE_KINDS, "snapshot"),
+            &[("session", session.to_value())],
+            snapshot,
+        ),
+        _ => value_frame(response, "ok", &RESPONSE_KINDS),
+    }
 }
 
 /// Reassembles the tagged [`Value`] an equivalent NDJSON line would
@@ -366,14 +572,71 @@ fn retag(name: &str, body: Value, key: &str) -> Result<Value, WireError> {
     Ok(Value::Obj(tagged))
 }
 
+/// Decodes the body of a frame that carries a snapshot. The first
+/// `snapshot` field becomes a blob of its bytes once a skip walk has
+/// checked them; every other field decodes as usual, into the returned
+/// object.
+fn snapshot_body(payload: &[u8]) -> Result<(Value, SnapshotBlob), WireError> {
+    let mut cursor = Cursor::new(payload);
+    let tag = cursor.byte()?;
+    if tag != TAG_OBJ {
+        return Err(WireError::Frame(format!(
+            "frame body must be an object, got value tag 0x{tag:02X}"
+        )));
+    }
+    let mut fields = Vec::new();
+    let mut snapshot = None;
+    for _ in 0..cursor.u32()? {
+        let key = cursor.str()?;
+        if key == SNAPSHOT_FIELD && snapshot.is_none() {
+            let start = cursor.pos;
+            cursor.skip(FIELD_DEPTH)?;
+            snapshot = Some(start..cursor.pos);
+        } else {
+            fields.push((key.to_owned(), cursor.value(FIELD_DEPTH)?));
+        }
+    }
+    cursor.finish()?;
+    let range =
+        snapshot.ok_or_else(|| WireError::Frame(format!("missing field `{SNAPSHOT_FIELD}`")))?;
+    Ok((Value::Obj(fields), SnapshotBlob(payload[range].into())))
+}
+
+/// Decodes a typed replay submit (layout in the module docs).
+fn decode_replay(payload: &[u8]) -> Result<Request, WireError> {
+    let mut cursor = Cursor::new(payload);
+    let session = cursor.u64()?;
+    let count = cursor.u32()?;
+    let len = count.checked_mul(4).ok_or_else(|| {
+        WireError::Frame(format!("replay submit of {count} edges overflows a frame"))
+    })?;
+    let ids = cursor.take(len as usize)?;
+    cursor.finish()?;
+    let edges = ids
+        .chunks_exact(4)
+        .map(|id| Edge(u32::from_le_bytes([id[0], id[1], id[2], id[3]])))
+        .collect();
+    Ok(Request::Submit {
+        session,
+        work: Work::Replay(edges),
+    })
+}
+
 /// Decodes a request from a frame's code byte and payload.
 ///
 /// # Errors
 /// Returns a [`WireError::Frame`] for unknown opcodes or payloads that
-/// fail the value codec or the request shape.
+/// fail the value codec, the typed submit layout or the request shape.
 pub fn decode_request(code: u8, payload: &[u8]) -> Result<Request, WireError> {
+    if code == OP_REPLAY {
+        return decode_replay(payload);
+    }
     let op = name_of(&REQUEST_OPS, code)
         .ok_or_else(|| WireError::Frame(format!("unknown request opcode 0x{code:02X}")))?;
+    if op == "restore" {
+        let (_, snapshot) = snapshot_body(payload)?;
+        return Ok(Request::Restore { snapshot });
+    }
     let tagged = retag(op, decode_value(payload)?, "op")?;
     serde::Deserialize::from_value(&tagged).map_err(|e| WireError::Frame(e.0))
 }
@@ -386,6 +649,14 @@ pub fn decode_request(code: u8, payload: &[u8]) -> Result<Request, WireError> {
 pub fn decode_response(code: u8, payload: &[u8]) -> Result<Response, WireError> {
     let kind = name_of(&RESPONSE_KINDS, code)
         .ok_or_else(|| WireError::Frame(format!("unknown response status 0x{code:02X}")))?;
+    if kind == "snapshot" {
+        let (fields, snapshot) = snapshot_body(payload)?;
+        let session = fields
+            .get_field("session")
+            .and_then(u64::from_value)
+            .map_err(|e| WireError::Frame(e.0))?;
+        return Ok(Response::Snapshot { session, snapshot });
+    }
     let tagged = retag(kind, decode_value(payload)?, "ok")?;
     serde::Deserialize::from_value(&tagged).map_err(|e| WireError::Frame(e.0))
 }
@@ -635,10 +906,10 @@ impl Framer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manager::{SessionInfo, Work};
-    use crate::session::BatchSummary;
-    use rdbp_engine::{AlgorithmSpec, InstanceSpec, Scenario, WorkloadSpec};
-    use rdbp_model::{CostLedger, Edge};
+    use crate::manager::SessionInfo;
+    use crate::session::{BatchSummary, Session};
+    use rdbp_engine::{AlgorithmSpec, InstanceSpec, Registries, Scenario, WorkloadSpec};
+    use rdbp_model::CostLedger;
 
     fn sample_requests() -> Vec<Request> {
         let scenario = Scenario::new(
@@ -659,10 +930,26 @@ mod tests {
                 session: 7,
                 work: Work::Replay(vec![Edge(1), Edge(2)]),
             },
+            Request::Submit {
+                session: 8,
+                work: Work::Replay(Vec::new()),
+            },
+            Request::Submit {
+                session: 9,
+                work: Work::Replay(vec![Edge(5)]),
+            },
+            Request::Submit {
+                session: 10,
+                work: Work::Replay((0..4096).map(|i| Edge(i * 7 % 64)).collect()),
+            },
+            Request::Submit {
+                session: u64::MAX,
+                work: Work::Replay(vec![Edge(u32::MAX), Edge(0), Edge(u32::MAX)]),
+            },
             Request::Query { session: 3 },
             Request::Snapshot { session: 3 },
             Request::Restore {
-                snapshot: Value::Obj(vec![
+                snapshot: SnapshotBlob::encode(&Value::Obj(vec![
                     ("x".into(), Value::UInt(1)),
                     ("f".into(), Value::Float(0.25)),
                     ("neg".into(), Value::Int(-4)),
@@ -670,7 +957,8 @@ mod tests {
                         "arr".into(),
                         Value::Arr(vec![Value::Null, Value::Bool(true)]),
                     ),
-                ]),
+                ]))
+                .unwrap(),
             },
             Request::Close { session: 3 },
             Request::Stats,
@@ -728,6 +1016,15 @@ mod tests {
         for request in sample_requests() {
             let frame = encode_request(&request);
             assert_eq!(frame[0], MAGIC);
+            if let Request::Submit {
+                work: Work::Replay(edges),
+                ..
+            } = &request
+            {
+                // Typed: 4 bytes per edge after session and count.
+                assert_eq!(frame[1], OP_REPLAY);
+                assert_eq!(frame.len(), HEADER_LEN + 12 + 4 * edges.len());
+            }
             let FrameHead::Complete { code, size } = try_frame(&frame).unwrap() else {
                 panic!("whole frame must parse")
             };
@@ -778,7 +1075,11 @@ mod tests {
             },
             Response::Snapshot {
                 session: 2,
-                snapshot: Value::Obj(vec![("state".into(), Value::Arr(vec![Value::UInt(9)]))]),
+                snapshot: SnapshotBlob::encode(&Value::Obj(vec![(
+                    "state".into(),
+                    Value::Arr(vec![Value::UInt(9)]),
+                )]))
+                .unwrap(),
             },
             Response::Pong,
             Response::Hello {
@@ -969,5 +1270,192 @@ mod tests {
         bytes.push(TAG_NULL);
         let err = decode_value(&bytes).expect_err("must hit the depth limit");
         assert!(err.message().contains("depth"), "{err}");
+    }
+
+    /// A frame around `payload`, built by hand.
+    fn raw_frame(code: u8, payload: &[u8]) -> Vec<u8> {
+        let mut out = vec![MAGIC, code];
+        out.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    fn encoded(value: &Value) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_value(value, &mut out);
+        out
+    }
+
+    #[test]
+    fn real_snapshots_cross_frames_as_the_unchanged_blob() {
+        let registries = Registries::builtin();
+        let mut algorithm = AlgorithmSpec::named("dynamic");
+        algorithm.policy = Some("hedge".into());
+        let spec = Scenario::new(
+            InstanceSpec::packed(16, 64),
+            algorithm,
+            WorkloadSpec::named("zipf"),
+            0,
+        );
+        let mut session = Session::new(spec, &registries).unwrap();
+        session.submit(300);
+        let tree = session.snapshot().unwrap();
+        let blob = SnapshotBlob::encode(&tree).unwrap();
+        assert_eq!(
+            blob.as_bytes(),
+            encoded(&tree),
+            "a blob is the tree's encoding"
+        );
+        assert_eq!(blob.decode(), tree);
+
+        // Each frame is the one the value encoder alone builds — how
+        // every frame was encoded before snapshots got their own path.
+        let frame = encode_response(&Response::Snapshot {
+            session: 5,
+            snapshot: blob.clone(),
+        });
+        let body = Value::Obj(vec![
+            ("session".into(), Value::UInt(5)),
+            ("snapshot".into(), tree.clone()),
+        ]);
+        assert_eq!(frame, raw_frame(0x84, &encoded(&body)));
+        let Ok(Response::Snapshot {
+            session: 5,
+            snapshot,
+        }) = decode_response(frame[1], &frame[HEADER_LEN..])
+        else {
+            panic!("snapshot response did not decode")
+        };
+        assert_eq!(snapshot.as_bytes(), blob.as_bytes());
+
+        let frame = encode_request(&Request::Restore { snapshot: blob });
+        let body = Value::Obj(vec![("snapshot".into(), tree)]);
+        assert_eq!(frame, raw_frame(0x05, &encoded(&body)));
+        let Ok(Request::Restore { snapshot: restored }) =
+            decode_request(frame[1], &frame[HEADER_LEN..])
+        else {
+            panic!("restore request did not decode")
+        };
+        assert_eq!(restored.as_bytes(), snapshot.as_bytes());
+
+        let mut restored = Session::restore(&restored.decode(), &registries).unwrap();
+        restored.submit(200);
+        session.submit(200);
+        assert_eq!(restored.report(), session.report());
+    }
+
+    /// `[[[…null…]]]` with `levels` arrays around the null.
+    fn nested(levels: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        for _ in 0..levels {
+            out.push(TAG_ARR);
+            put_len(&mut out, 1);
+        }
+        out.push(TAG_NULL);
+        out
+    }
+
+    #[test]
+    fn snapshot_fields_obey_the_value_decoders_rules() {
+        let mut not_utf8 = vec![TAG_STR];
+        put_len(&mut not_utf8, 2);
+        not_utf8.extend_from_slice(&[0xFF, 0xFE]);
+        let mut truncated = vec![TAG_STR];
+        put_len(&mut truncated, 16);
+        truncated.extend_from_slice(b"hi");
+        // The snapshot field sits at depth 1, so MAX_DEPTH arrays
+        // around a null put the null one level past the limit.
+        let bad = [
+            ("nested past MAX_DEPTH", nested(MAX_DEPTH)),
+            ("an unknown tag", vec![0xFF]),
+            ("a non-UTF-8 string", not_utf8),
+            ("a truncated length", truncated),
+        ];
+        for (what, raw) in bad {
+            // A blob no constructor would make, spliced into both
+            // frames that carry one.
+            let hostile = SnapshotBlob(raw.into());
+            let restore = snapshot_frame(0x05, &[], &hostile);
+            let snapshot = snapshot_frame(0x84, &[("session", Value::UInt(5))], &hostile);
+            for frame in [&restore, &snapshot] {
+                // The tree decoder refuses the same bodies.
+                assert!(decode_value(&frame[HEADER_LEN..]).is_err(), "{what}");
+            }
+            for proto in [Proto::Binary, Proto::Auto] {
+                let mut framer = Framer::new(proto);
+                framer.push(&restore);
+                framer.push(&encode_request(&Request::Ping));
+                assert!(
+                    matches!(framer.next_request(), Some(Err(WireError::Frame(_)))),
+                    "restore with {what}"
+                );
+                assert!(matches!(framer.next_request(), Some(Ok(Request::Ping))));
+
+                let mut framer = Framer::new(proto);
+                framer.push(&snapshot);
+                framer.push(&encode_response(&Response::Pong));
+                assert!(
+                    matches!(framer.next_response(), Some(Err(WireError::Frame(_)))),
+                    "snapshot with {what}"
+                );
+                assert!(matches!(framer.next_response(), Some(Ok(Response::Pong))));
+            }
+        }
+        // One level shallower is accepted, by both decoders alike.
+        let deepest = nested(MAX_DEPTH - 1);
+        let frame = snapshot_frame(0x05, &[], &SnapshotBlob(deepest.as_slice().into()));
+        assert!(decode_value(&frame[HEADER_LEN..]).is_ok());
+        let Ok(Request::Restore { snapshot }) = decode_request(0x05, &frame[HEADER_LEN..]) else {
+            panic!("a snapshot at the depth limit must decode")
+        };
+        assert_eq!(snapshot.as_bytes(), deepest);
+        // A tree too deep for a frame field is refused up front.
+        assert!(SnapshotBlob::encode(&decode_value(&nested(MAX_DEPTH)).unwrap()).is_err());
+        // A restore without its snapshot field is one bad frame.
+        let Err(WireError::Frame(message)) = decode_request(0x05, &[TAG_OBJ, 0, 0, 0, 0]) else {
+            panic!("a restore needs its snapshot")
+        };
+        assert!(message.contains("snapshot"), "{message}");
+    }
+
+    #[test]
+    fn malformed_typed_submits_are_frame_errors() {
+        let typed = |count: u32, ids: &[u32], extra: &[u8]| {
+            let mut out = 7u64.to_le_bytes().to_vec();
+            out.extend_from_slice(&count.to_le_bytes());
+            for id in ids {
+                out.extend_from_slice(&id.to_le_bytes());
+            }
+            out.extend_from_slice(extra);
+            raw_frame(OP_REPLAY, &out)
+        };
+        let bad = [
+            ("a count beyond the payload", typed(5, &[1, 2, 3], &[])),
+            (
+                "a count whose byte length overflows",
+                typed(u32::MAX, &[1], &[]),
+            ),
+            ("trailing bytes", typed(1, &[1], &[0])),
+            ("no count", raw_frame(OP_REPLAY, &7u64.to_le_bytes())),
+        ];
+        for (what, frame) in &bad {
+            for proto in [Proto::Binary, Proto::Auto] {
+                let mut framer = Framer::new(proto);
+                framer.push(frame);
+                framer.push(&typed(2, &[4, u32::MAX], &[]));
+                assert!(
+                    matches!(framer.next_request(), Some(Err(WireError::Frame(_)))),
+                    "{what}"
+                );
+                let Some(Ok(Request::Submit {
+                    session: 7,
+                    work: Work::Replay(edges),
+                })) = framer.next_request()
+                else {
+                    panic!("the frame after one with {what} must decode")
+                };
+                assert_eq!(edges, [Edge(4), Edge(u32::MAX)]);
+            }
+        }
     }
 }

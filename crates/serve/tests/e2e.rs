@@ -2,7 +2,8 @@
 //! the same path the CI smoke job exercises: ephemeral port via
 //! `--addr-file`, full protocol flow including snapshot/restore over
 //! the wire, both wire protocols (binary frames and NDJSON, plus their
-//! failure surfaces: oversized/garbage frames, abrupt disconnects),
+//! failure surfaces: oversized/garbage frames, abrupt disconnects, and
+//! snapshots crossing from one to the other),
 //! connection scaling without thread-per-connection, the `rdbp-load`
 //! client binary, and a clean shutdown, on time or at the drain
 //! deadline.
@@ -14,6 +15,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use rdbp_engine::{AlgorithmSpec, InstanceSpec, Scenario, WorkloadSpec};
+use rdbp_model::Edge;
 use rdbp_serve::wire::{self, HEADER_LEN, MAX_FRAME};
 use rdbp_serve::{Client, Request, Response, Work, MAX_SUBMIT};
 
@@ -101,6 +103,12 @@ fn scenario(seed: u64) -> Scenario {
     );
     s.seed = seed;
     s
+}
+
+/// A 256-request replay over the 32 edges of [`scenario`]'s ring —
+/// sent as a typed frame by binary clients.
+fn replay() -> Work {
+    Work::Replay((0..256u32).map(|i| Edge((i * 5 + 3) % 32)).collect())
 }
 
 #[test]
@@ -287,6 +295,14 @@ fn transcript(client: &mut Client) -> Vec<String> {
             })
             .unwrap(),
     );
+    push(
+        &client
+            .call(&Request::Submit {
+                session: info.id,
+                work: replay(),
+            })
+            .unwrap(),
+    );
     push(&client.call(&Request::Query { session: info.id }).unwrap());
     let snapshot_response = client
         .call(&Request::Snapshot { session: info.id })
@@ -323,6 +339,90 @@ fn binary_and_ndjson_transcripts_are_identical() {
     );
     ndjson_server.shutdown_proto(true);
     binary_server.shutdown();
+}
+
+/// Serves a generated and a replayed batch on `session`, then queries
+/// and closes it; returns what each reply says about the session,
+/// without its id.
+fn drive(client: &mut Client, session: u64) -> Vec<String> {
+    let mut out = Vec::new();
+    for work in [Work::Generate(200), replay()] {
+        let Response::Submitted { summary, .. } =
+            client.call(&Request::Submit { session, work }).unwrap()
+        else {
+            panic!("submit failed")
+        };
+        out.push(format!("{summary:?}"));
+    }
+    let Response::Status { status } = client.call(&Request::Query { session }).unwrap() else {
+        panic!("query failed")
+    };
+    out.push(format!("{:?} {:?}", status.report, status.counters));
+    let Response::Closed { report, .. } = client.call(&Request::Close { session }).unwrap() else {
+        panic!("close failed")
+    };
+    out.push(format!("{report:?}"));
+    out
+}
+
+/// A snapshot taken over NDJSON restores over binary, and the reverse:
+/// both protocols hand out the same snapshot bytes, and the twins
+/// restored across them continue identically.
+#[test]
+fn snapshots_cross_between_protocols() {
+    let server = ServerUnderTest::start("cross");
+    let mut binary = Client::connect(server.addr).expect("connect binary");
+    let mut ndjson = Client::connect_ndjson(server.addr).expect("connect ndjson");
+    let Response::Created { info } = binary
+        .call(&Request::Create {
+            scenario: Box::new(scenario(11)),
+        })
+        .unwrap()
+    else {
+        panic!("create failed")
+    };
+    for work in [Work::Generate(300), replay()] {
+        let Response::Submitted { .. } = binary
+            .call(&Request::Submit {
+                session: info.id,
+                work,
+            })
+            .unwrap()
+        else {
+            panic!("submit failed")
+        };
+    }
+    let snapshot = |client: &mut Client| match client
+        .call(&Request::Snapshot { session: info.id })
+        .unwrap()
+    {
+        Response::Snapshot { snapshot, .. } => snapshot,
+        other => panic!("snapshot failed: {other:?}"),
+    };
+    let from_ndjson = snapshot(&mut ndjson);
+    let from_binary = snapshot(&mut binary);
+    assert_eq!(
+        from_ndjson.as_bytes(),
+        from_binary.as_bytes(),
+        "the protocols must carry the same snapshot"
+    );
+    let restore = |client: &mut Client, snapshot| match client
+        .call(&Request::Restore { snapshot })
+        .unwrap()
+    {
+        Response::Created { info } => {
+            assert_eq!(info.steps, 556);
+            info.id
+        }
+        other => panic!("restore failed: {other:?}"),
+    };
+    let over_binary = restore(&mut binary, from_ndjson);
+    let over_ndjson = restore(&mut ndjson, from_binary);
+    let twin = drive(&mut binary, over_binary);
+    assert_eq!(twin, drive(&mut ndjson, over_ndjson));
+    let original = drive(&mut binary, info.id);
+    assert_eq!(original.last(), twin.last(), "the twins left the original");
+    server.shutdown();
 }
 
 /// Pipelining: many requests sent before any response is read still
