@@ -1,4 +1,5 @@
-//! Criterion: MTS policy step latency as a function of the state count.
+//! Criterion: MTS policy step latency as a function of the state count,
+//! through the cost-vector `serve` and the point `serve_hit` paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -27,6 +28,29 @@ fn bench_policies(c: &mut Criterion) {
                         let s = policy.serve(&task);
                         task[hot] = 0.0;
                         black_box(s)
+                    });
+                },
+            );
+        }
+    }
+    // The point fast path every partitioner calls: one unit task per
+    // request, at the three benchmark workloads' interval sizes k′.
+    for &states in &[48usize, 96, 384] {
+        for kind in [
+            PolicyKind::WorkFunction,
+            PolicyKind::SminGradient,
+            PolicyKind::HstHedge,
+        ] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("{}/serve_hit", kind.label()), states),
+                &states,
+                |b, &states| {
+                    let mut policy = kind.build(states, states / 2, 42);
+                    let mut t = 0usize;
+                    b.iter(|| {
+                        let hot = (t * 7) % states;
+                        t += 1;
+                        black_box(policy.serve_hit(hot))
                     });
                 },
             );

@@ -128,15 +128,12 @@ impl DynamicPartitioner {
         // Every interval starts with its cut edge at the middle state;
         // the initial choice only affects the additive constant.
         let initial_state = k_prime / 2;
-        let policies: Vec<Box<dyn MtsPolicy>> = (0..ell_prime)
-            .map(|i| {
-                config.policy.build(
-                    k_prime as usize,
-                    initial_state as usize,
-                    config.seed.wrapping_add(u64::from(i) + 1),
-                )
-            })
-            .collect();
+        let policies = config.policy.build_many(
+            ell_prime as usize,
+            k_prime as usize,
+            initial_state as usize,
+            |i| config.seed.wrapping_add(i as u64 + 1),
+        );
         let cut_state = vec![initial_state; ell_prime as usize];
 
         let assignment = assignment_from_cuts(n, k_prime, ell_prime, shift, &cut_state);
@@ -242,6 +239,8 @@ impl DynamicPartitioner {
 
     /// Moves interval `i`'s cut to `new_state`, migrating the processes
     /// between the old and new (clamped) boundary. Returns migrations.
+    /// The work is the window between the old and new cut: fewer than
+    /// `k′` positions, for interval 0 too.
     fn set_cut(&mut self, i: usize, new_state: u32) -> u64 {
         debug_assert!(new_state < self.k_prime);
         let old_u = self.unwrapped(i);
@@ -251,44 +250,67 @@ impl DynamicPartitioner {
         if self.ell_prime == 1 {
             return 0; // single slice: every boundary move is a no-op
         }
-        let mut moved = 0;
         if i == 0 {
-            // Boundary 0 and the clamp cap `ū₀+n` are the same ring
-            // edge mod n, so a per-boundary transfer decomposition
-            // aliases (a position q ≥ cap re-enters as q−n and may
-            // already belong to another server). Recompute ownership
-            // wholesale and diff-migrate; the diff is at most the cut's
-            // move distance (see module docs), so Observation 3.2 is
-            // preserved. Cost is O(n), but only on interval-0 moves —
-            // amortized O(k′) per request, same order as the MTS step.
-            let want = assignment_from_cuts(
-                self.instance.n(),
-                self.k_prime,
-                self.ell_prime,
-                self.shift,
-                &self.cut_state,
-            );
-            let diffs: Vec<(u32, u32)> = self
-                .placement
-                .assignment()
-                .iter()
-                .zip(&want)
-                .enumerate()
-                .filter(|(_, (cur, tgt))| cur != tgt)
-                .map(|(p, (_, &tgt))| (p as u32, tgt))
-                .collect();
-            for (p, s) in diffs {
-                if self.placement.migrate(rdbp_model::Process(p), Server(s)) {
-                    moved += 1;
-                }
+            return self.move_cut_zero(old_u, new_u);
+        }
+        let cap = old_u0 + u64::from(self.instance.n());
+        self.move_boundary(i, old_u.min(cap), new_u.min(cap))
+    }
+
+    /// Moves cut 0 from unwrapped position `from` to `to` (both below
+    /// `k′`); the cut states already hold `to`. Returns migrations.
+    ///
+    /// Boundary 0 and the clamp cap `ū₀+n` are the same ring edge mod
+    /// n, so moving cut 0 moves the cap with it and a per-boundary
+    /// transfer would alias (a position past the cap re-enters the ring
+    /// start). But only the `|to − from| < k′` ring positions between
+    /// the old and new cut change owner: every other position keeps its
+    /// unwrapped coordinate, and a boundary `vⱼ` lies below it under
+    /// either cap exactly when `ūⱼ` does. So the window's processes are
+    /// re-derived from the new cuts ([`Self::server_at`]) and migrated
+    /// in ascending process order — the order, and hence the journal
+    /// and load-histogram updates, of a full diff against
+    /// [`assignment_from_cuts`]. `O(k′)`; Observation 3.2 holds because
+    /// at most the cut's move distance changes owner.
+    fn move_cut_zero(&mut self, from: u64, to: u64) -> u64 {
+        let n = u64::from(self.instance.n());
+        let (lo, hi) = (from.min(to), from.max(to));
+        // Window positions lo+1..=hi hold processes first, first+1, …
+        // (mod n); those past process n−1 wrap to 0 and come first in
+        // ascending order.
+        let first = (u64::from(self.shift) + lo + 1) % n;
+        let before_wrap = (hi - lo).min(n - first);
+        let mut moved = 0;
+        for x in (lo + 1 + before_wrap..=hi).chain(lo + 1..=lo + before_wrap) {
+            // In the new frame `(to, to+n]`, ring offset x sits at x
+            // itself past the new cut, else one lap later.
+            let pos = if x > to { x } else { x + n };
+            let target = self.server_at(pos);
+            let p = self.instance.process(u64::from(self.shift) + x);
+            if self.placement.migrate(p, target) {
+                moved += 1;
             }
-        } else {
-            let cap = old_u0 + u64::from(self.instance.n());
-            let old_v = old_u.min(cap);
-            let new_v = new_u.min(cap);
-            moved += self.move_boundary(i, old_v, new_v);
         }
         moved
+    }
+
+    /// The server hosting unwrapped position `pos ∈ (ū₀, ū₀+n]` under
+    /// the current cuts: the last `j` whose clamped boundary
+    /// `min(ūⱼ, ū₀+n)` lies below `pos` — equivalently, as `pos` never
+    /// exceeds the cap, the last `j` with `ūⱼ < pos`. Since
+    /// `ūⱼ ∈ [j·k′, (j+1)·k′)`, only interval `⌊pos/k′⌋` can straddle
+    /// `pos`.
+    fn server_at(&self, pos: u64) -> Server {
+        let q = pos / u64::from(self.k_prime);
+        if q >= u64::from(self.ell_prime) {
+            return Server(self.ell_prime - 1);
+        }
+        let j = q as u32;
+        if self.unwrapped(j as usize) < pos {
+            Server(j)
+        } else {
+            Server(j - 1)
+        }
     }
 
     /// Serves one request along its pre-computed interval route —
@@ -598,17 +620,34 @@ mod tests {
     #[test]
     fn incremental_mapping_matches_reference() {
         // Drive random cut moves through set_cut and compare against the
-        // from-scratch assignment after every move.
+        // from-scratch assignment after every move. Besides the small
+        // shapes, packed(7,5), packed(6,7) and packed(16,64) (n = 1024)
+        // all have ℓ′k′ > n, so the clamp is active. An interval-0 move
+        // must also journal exactly the reference diff's records, in
+        // ascending process order, with the same load-histogram updates.
         let mut rng = StdRng::seed_from_u64(42);
-        for trial in 0..30 {
-            let (servers, k) = (2 + trial % 4, 3 + (trial % 5));
+        let mut shapes: Vec<(u32, u32)> = (0..30).map(|t| (2 + t % 4, 3 + t % 5)).collect();
+        shapes.extend([(7, 5), (6, 7), (16, 64)]);
+        for (trial, &(servers, k)) in shapes.iter().enumerate() {
             let inst = RingInstance::packed(servers, k);
             let mut alg =
-                DynamicPartitioner::new(&inst, cfg(PolicyKind::WorkFunction, u64::from(trial)));
+                DynamicPartitioner::new(&inst, cfg(PolicyKind::WorkFunction, trial as u64));
+            if trial >= 30 {
+                assert!(
+                    alg.ell_prime * alg.k_prime > inst.n(),
+                    "packed({servers},{k}) leaves the clamp inactive"
+                );
+            }
+            alg.placement.set_journaling(true);
             for step in 0..60 {
-                let i = rng.random_range(0..alg.ell_prime) as usize;
+                let i = if rng.random_range(0..2u32) == 0 {
+                    0
+                } else {
+                    rng.random_range(0..alg.ell_prime) as usize
+                };
                 let s = rng.random_range(0..alg.k_prime);
                 let before = alg.cut_state.clone();
+                let mut reference = alg.placement.clone();
                 alg.set_cut(i, s);
                 let want = assignment_from_cuts(
                     inst.n(),
@@ -617,15 +656,32 @@ mod tests {
                     alg.shift,
                     &alg.cut_state,
                 );
-                assert_eq!(
-                    alg.placement.assignment(),
-                    &want[..],
+                let context = format!(
                     "trial {trial} step {step}: set_cut({i},{s}) from cuts {before:?} \
                      (n={}, k'={}, l'={}, shift={})",
                     inst.n(),
                     alg.k_prime,
                     alg.ell_prime,
                     alg.shift
+                );
+                assert_eq!(alg.placement.assignment(), &want[..], "{context}");
+                let journal = alg.placement.drain_journal();
+                if i != 0 {
+                    continue;
+                }
+                // The reference: today's O(n) diff, applied in process
+                // order.
+                let old = reference.assignment().to_vec();
+                for (p, (&from, &to)) in old.iter().zip(&want).enumerate() {
+                    if from != to {
+                        reference.migrate(rdbp_model::Process(p as u32), Server(to));
+                    }
+                }
+                assert_eq!(journal, reference.drain_journal(), "{context}");
+                assert_eq!(
+                    alg.placement.max_load_updates(),
+                    reference.max_load_updates(),
+                    "{context}"
                 );
             }
         }

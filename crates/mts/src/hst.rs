@@ -25,11 +25,16 @@
 //!
 //! ## Data-oriented layout (DESIGN.md §14)
 //!
-//! The hierarchy lives in a **flat arena** in BFS order: parallel
-//! `Vec<u32>` topology tables (`lo`/`hi`/`parent`/`child_start`/
-//! `child_count`) built once at construction, and parallel `Vec<f64>`
-//! live state (`log_w`/`phase_cost`) plus the write-through
-//! conditional-probability cache `cond`, all indexed by arena node.
+//! The hierarchy lives in a **flat arena** in BFS order. Its topology —
+//! parallel `Vec<u32>` columns `lo`/`hi`/`parent`/`child_start`/
+//! `child_count`/`leaf_of_state`, plus each family's learning rate
+//! `eta` — is immutable and depends only on `N`, so it lives in one
+//! [`HstTree`] that every policy over `N` states shares through an
+//! `Arc` (a partitioner's ℓ′ interval policies hold one copy, not ℓ′).
+//! Each policy owns only its live state:
+//! parallel `Vec<f64>` columns `log_w`/`phase_cost`, the
+//! write-through conditional-probability cache `cond`, and the
+//! softmax's exp cache `ex`/`top`, all indexed by arena node.
 //! BFS order gives two invariants the serve paths lean on: a node's
 //! children occupy the contiguous index range
 //! `child_start..child_start + child_count` (a family's Hedge lanes
@@ -52,12 +57,27 @@
 //! expected realized movement still equals the distribution's
 //! Wasserstein drift.
 //!
+//! ## The incremental softmax
+//!
+//! A family's conditionals are `cond = ex / Σ ex` with
+//! `ex[lane] = exp(log_w[lane] − top)` and `top` the family's largest
+//! lane weight. Both are cached, so a hit walk's one-hot charge — one
+//! lane's weight falls, its siblings' stay — recomputes only that
+//! lane's `exp` when `top` is unchanged, then re-sums and re-divides
+//! the family's lanes in lane order. A changed `top`, a phase reset,
+//! the cost-vector path and [`MtsPolicy::restore_state`] recompute the
+//! whole family. A lane at the max gets exactly `1.0` (`exp(+0)`)
+//! without an `exp` call. Every path therefore produces the bits the
+//! full per-family softmax produces (pinned by
+//! `incremental_softmax_matches_full_refresh`).
+//!
 //! The explicit leaf distribution survives only as a
 //! generation-stamped cache for [`HstHedge::leaf_distribution`]
 //! (tests, ablations): `gen` advances whenever any weight changes and
 //! the cached array is recomputed only when its stamp is stale.
 
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -71,20 +91,22 @@ use crate::policy::{
 };
 
 /// Maximum children per family (the near-equal split uses
-/// `min(MAX_ARITY, width)` lanes). Four keeps the tree shallow — for
-/// the pinned `k′ = 48` interval size the root→leaf path crosses 3
-/// families instead of the binary tree's 6 — while a family's lane
-/// slice still fits one cache line.
+/// `min(MAX_ARITY, width)` lanes). Four keeps the tree shallow — a
+/// root→leaf path crosses at most 3 families at `k′ = 48`, 4 at 96 and
+/// 5 at 384 (the three benchmark workloads' interval sizes), where a
+/// binary tree crosses 6, 7 and 9 — while a family's lane slice still
+/// fits one cache line.
 const MAX_ARITY: usize = 4;
 
 /// `parent` sentinel for the root.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Randomized hierarchical-Hedge MTS policy on the line (see module
-/// docs).
+/// The immutable hierarchy over `num_states` line states: the arena
+/// topology columns in BFS order. It depends only on the state count,
+/// so policies over equally many states share one copy
+/// ([`crate::PolicyKind::build_many`]).
 #[derive(Debug)]
-pub struct HstHedge {
-    // --- immutable arena topology (BFS order; built once) ---
+pub(crate) struct HstTree {
     /// Subtree state range `[lo, hi)` per node.
     lo: Vec<u32>,
     hi: Vec<u32>,
@@ -97,23 +119,262 @@ pub struct HstHedge {
     /// `leaf_of_state[s]` = arena index of the width-1 node for state
     /// `s` — the entry point of the `serve_hit` leaf→root walk.
     leaf_of_state: Vec<u32>,
+    /// Per family: the Hedge learning rate `η = 1/Δ` (leaves unused).
+    eta: Vec<f64>,
     /// Tree depth in levels (a root-only tree has 1).
     levels: u32,
-    num_states: usize,
-    // --- live state (parallel arrays, indexed by arena node; an
-    // entry is the node's Hedge lane within its parent family — the
-    // root entries are unused and stay 0.0) ---
+}
+
+impl HstTree {
+    /// Builds the hierarchy over `[0, n)` in BFS order: node 0 is the
+    /// root, every node's children are contiguous, and parents precede
+    /// children. Internal nodes split into `min(MAX_ARITY, width)`
+    /// near-equal parts (the first `width % arity` parts get the extra
+    /// state), so e.g. 48 states level out as 48 → 12 → 3 → 1 with a
+    /// uniform initial leaf distribution.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(n > 0, "need at least one state");
+        let n32 = u32::try_from(n).expect("state count fits u32");
+        let mut lo = vec![0u32];
+        let mut hi = vec![n32];
+        let mut parent = vec![NO_PARENT];
+        let mut depth = vec![0u32];
+        let mut child_start = Vec::new();
+        let mut child_count = Vec::new();
+        let mut leaf_of_state = vec![0u32; n];
+        let mut levels = 1;
+        let mut i = 0;
+        while i < lo.len() {
+            let width = (hi[i] - lo[i]) as usize;
+            if width >= 2 {
+                let arity = width.min(MAX_ARITY);
+                child_start.push(u32::try_from(lo.len()).expect("arena fits u32"));
+                child_count.push(arity as u32);
+                let base = width / arity;
+                let rem = width % arity;
+                let mut cursor = lo[i];
+                for j in 0..arity {
+                    let size = (base + usize::from(j < rem)) as u32;
+                    lo.push(cursor);
+                    hi.push(cursor + size);
+                    parent.push(i as u32);
+                    depth.push(depth[i] + 1);
+                    levels = levels.max(depth[i] + 2);
+                    cursor += size;
+                }
+                debug_assert_eq!(cursor, hi[i], "children must tile the parent");
+            } else {
+                child_start.push(0);
+                child_count.push(0);
+                leaf_of_state[lo[i] as usize] = i as u32;
+            }
+            i += 1;
+        }
+        let eta = lo
+            .iter()
+            .zip(&hi)
+            .map(|(&l, &h)| 1.0 / f64::from(h - l))
+            .collect();
+        Self {
+            lo,
+            hi,
+            parent,
+            child_start,
+            child_count,
+            leaf_of_state,
+            eta,
+            levels,
+        }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.lo.len()
+    }
+
+    fn num_states(&self) -> usize {
+        self.leaf_of_state.len()
+    }
+
+    /// `family`'s lanes: its children's arena index range.
+    fn lanes(&self, family: usize) -> std::ops::Range<usize> {
+        let cs = self.child_start[family] as usize;
+        cs..cs + self.child_count[family] as usize
+    }
+
+    /// `family`'s span `Δ`: its subtree's width in states.
+    fn span(&self, family: usize) -> f64 {
+        f64::from(self.hi[family] - self.lo[family])
+    }
+}
+
+/// A policy's live Hedge state, one entry per arena node: the node's
+/// lane within its parent family (root entries are unused; `cond` of
+/// the root is 1.0).
+#[derive(Debug)]
+struct Lanes {
     /// Log-domain Hedge weights.
     log_w: Vec<f64>,
     /// Per-phase accumulated expected cost.
     phase_cost: Vec<f64>,
-    // --- caches ---
+    /// Exp cache: `ex[i] = exp(log_w[i] − top[parent(i)])`.
+    ex: Vec<f64>,
+    /// Per family (internal nodes only): the largest lane weight, the
+    /// shift `ex` was computed against.
+    top: Vec<f64>,
     /// Write-through conditional-probability cache:
     /// `cond[i] = P(node i | parent(i))`, the softmax of the parent
-    /// family's lane weights (`cond[root] = 1.0`). Updated in place
-    /// whenever a family's weights change, so a serve never rebuilds
-    /// probabilities for untouched families.
+    /// family's lane weights. Updated in place whenever a family's
+    /// weights change, so a serve never rebuilds probabilities for
+    /// untouched families.
     cond: Vec<f64>,
+}
+
+impl Lanes {
+    /// All-zero weights and phase costs, every family's caches fresh.
+    fn new(tree: &HstTree) -> Self {
+        let n_nodes = tree.num_nodes();
+        let mut lanes = Self {
+            log_w: vec![0.0; n_nodes],
+            phase_cost: vec![0.0; n_nodes],
+            ex: vec![0.0; n_nodes],
+            top: vec![0.0; n_nodes],
+            cond: vec![0.0; n_nodes],
+        };
+        lanes.cond[0] = 1.0;
+        lanes.refresh_all(tree);
+        lanes
+    }
+
+    /// Full refresh of every family (construction and restore).
+    fn refresh_all(&mut self, tree: &HstTree) {
+        for family in 0..tree.num_nodes() {
+            if tree.child_count[family] > 0 {
+                self.refresh(family, tree.lanes(family));
+            }
+        }
+    }
+
+    /// Full refresh of one family: `top` from its lane weights, every
+    /// lane's `ex`, then `cond`.
+    fn refresh(&mut self, family: usize, lanes: std::ops::Range<usize>) {
+        let top = self.max_weight(lanes.clone());
+        self.refresh_from(family, lanes, top);
+    }
+
+    /// The largest of `lanes`' weights.
+    fn max_weight(&self, lanes: std::ops::Range<usize>) -> f64 {
+        let mut top = f64::NEG_INFINITY;
+        for &w in &self.log_w[lanes] {
+            top = top.max(w);
+        }
+        top
+    }
+
+    /// [`Self::refresh`] with the family's max `top` already known.
+    fn refresh_from(&mut self, family: usize, lanes: std::ops::Range<usize>, top: f64) {
+        debug_assert!(lanes.len() <= MAX_ARITY);
+        self.top[family] = top;
+        for (e, &w) in self.ex[lanes.clone()]
+            .iter_mut()
+            .zip(&self.log_w[lanes.clone()])
+        {
+            *e = shifted_exp(w, top);
+        }
+        self.normalize(lanes);
+    }
+
+    /// `cond = ex / Σ ex` over one family, summed in lane order.
+    fn normalize(&mut self, lanes: std::ops::Range<usize>) {
+        let ex = &self.ex[lanes.clone()];
+        let mut sum = 0.0;
+        for &e in ex {
+            sum += e;
+        }
+        for (c, &e) in self.cond[lanes].iter_mut().zip(ex) {
+            *c = e / sum;
+        }
+    }
+
+    /// Phase end: every lane has suffered ≥ span — any strategy inside
+    /// this subtree paid Ω(span); forgive the past. Returns whether the
+    /// phase ended.
+    fn end_phase_if_due(&mut self, lanes: std::ops::Range<usize>, span: f64) -> bool {
+        if self.phase_cost[lanes.clone()].iter().all(|&p| p >= span) {
+            self.log_w[lanes.clone()].fill(0.0);
+            self.phase_cost[lanes].fill(0.0);
+            return true;
+        }
+        false
+    }
+
+    /// Charges per-lane costs to `family` (the cost-vector path): Hedge
+    /// weight step with `η = 1/Δ`, phase accounting, phase reset once
+    /// every lane has suffered ≥ Δ, then a full refresh.
+    fn charge(&mut self, tree: &HstTree, family: usize, lane_costs: &[f64]) {
+        let lanes = tree.lanes(family);
+        debug_assert_eq!(lane_costs.len(), lanes.len());
+        let span = tree.span(family);
+        let eta = tree.eta[family];
+        for (lane, &cost) in lanes.clone().zip(lane_costs) {
+            self.log_w[lane] -= eta * cost;
+            self.phase_cost[lane] += cost;
+        }
+        self.end_phase_if_due(lanes.clone(), span);
+        self.refresh(family, lanes);
+    }
+
+    /// [`Self::charge`] for a one-hot lane-cost vector: `cost` on
+    /// `lane`, zero on its siblings — whose `log_w − η·0` and
+    /// `phase_cost + 0` are IEEE no-ops, so only `lane` is written. If
+    /// the family's max survives, only `lane`'s `exp` is recomputed
+    /// (the bits a full refresh would produce: its siblings' weights
+    /// and `top` are unchanged).
+    fn charge_hit(&mut self, tree: &HstTree, family: usize, lane: usize, cost: f64) {
+        let lanes = tree.lanes(family);
+        let span = tree.span(family);
+        self.log_w[lane] -= tree.eta[family] * cost;
+        self.phase_cost[lane] += cost;
+        if self.end_phase_if_due(lanes.clone(), span) {
+            self.refresh(family, lanes);
+            return;
+        }
+        let top = self.max_weight(lanes.clone());
+        if top != self.top[family] {
+            self.refresh_from(family, lanes, top);
+            return;
+        }
+        let w = self.log_w[lane];
+        self.ex[lane] = shifted_exp(w, top);
+        debug_assert_eq!(
+            self.ex[lane].to_bits(),
+            (w - top).exp().to_bits(),
+            "incremental exp of lane {lane} drifted from a fresh one"
+        );
+        self.normalize(lanes);
+    }
+}
+
+/// `exp(w − top)`, with the max lane's `exp(+0) = 1.0` taken without
+/// calling `exp`.
+fn shifted_exp(w: f64, top: f64) -> f64 {
+    if w == top {
+        1.0
+    } else {
+        (w - top).exp()
+    }
+}
+
+/// Randomized hierarchical-Hedge MTS policy on the line (see module
+/// docs).
+#[derive(Debug)]
+pub struct HstHedge {
+    /// The shared immutable hierarchy.
+    tree: Arc<HstTree>,
+    /// Live Hedge state and its caches.
+    lanes: Lanes,
     /// Weight generation: advances whenever any `log_w` changes.
     gen: u64,
     /// Generation-stamped leaf-distribution cache (lazy; only
@@ -123,7 +384,7 @@ pub struct HstHedge {
     /// The `gen` the cached `probs` were computed at.
     probs_gen: Cell<u64>,
     /// Scratch: bottom-up conditional expected costs (aligned with the
-    /// arena; vector-serve path only).
+    /// arena; vector-serve path only, so allocated on its first use).
     val: Vec<f64>,
     coupling: QuantileCoupling,
     rng: StdRng,
@@ -144,35 +405,24 @@ impl HstHedge {
     /// Panics if `num_states == 0` or `initial >= num_states`.
     #[must_use]
     pub fn new(num_states: usize, initial: usize, seed: u64) -> Self {
-        assert!(num_states > 0, "need at least one state");
+        Self::on_tree(Arc::new(HstTree::new(num_states)), initial, seed)
+    }
+
+    /// [`Self::new`] over an already built (shared) hierarchy.
+    ///
+    /// # Panics
+    /// Panics if `initial` is not one of the tree's states.
+    pub(crate) fn on_tree(tree: Arc<HstTree>, initial: usize, seed: u64) -> Self {
+        let num_states = tree.num_states();
         assert!(initial < num_states, "initial state out of range");
-        let arena = build_arena(num_states);
-        let n_nodes = arena.lo.len();
-        let mut cond = vec![0.0; n_nodes];
-        cond[0] = 1.0;
-        let log_w = vec![0.0; n_nodes];
-        for i in 0..n_nodes {
-            let cc = arena.child_count[i] as usize;
-            if cc > 0 {
-                refresh_family_cond(&log_w, &mut cond, arena.child_start[i] as usize, cc);
-            }
-        }
+        let lanes = Lanes::new(&tree);
         let mut policy = Self {
-            lo: arena.lo,
-            hi: arena.hi,
-            parent: arena.parent,
-            child_start: arena.child_start,
-            child_count: arena.child_count,
-            leaf_of_state: arena.leaf_of_state,
-            levels: arena.levels,
-            num_states,
-            log_w,
-            phase_cost: vec![0.0; n_nodes],
-            cond,
+            tree,
+            lanes,
             gen: 1,
             probs: RefCell::new(vec![0.0; num_states]),
             probs_gen: Cell::new(0),
-            val: vec![0.0; n_nodes],
+            val: Vec::new(),
             // Placeholder; replaced right below once the distribution
             // exists.
             coupling: QuantileCoupling::with_u(&Distribution::uniform(num_states.max(1)), 0.5),
@@ -203,7 +453,7 @@ impl HstHedge {
     /// the last call.
     #[must_use]
     pub fn leaf_distribution(&self) -> Distribution {
-        if self.num_states == 1 {
+        if self.tree.num_states() == 1 {
             return Distribution::point(0, 1);
         }
         if self.probs_gen.get() != self.gen {
@@ -217,7 +467,7 @@ impl HstHedge {
     /// `serve_hit` walk touches at most `hst_levels() - 1` families.
     #[must_use]
     pub fn hst_levels(&self) -> u32 {
-        self.levels
+        self.tree.levels
     }
 
     /// Debug accessor: the state ranges `[lo, hi)` of the families a
@@ -230,12 +480,13 @@ impl HstHedge {
     /// Panics if `state >= num_states`.
     #[must_use]
     pub fn hit_path(&self, state: usize) -> Vec<(u32, u32)> {
-        assert!(state < self.num_states, "state out of range");
-        let mut path = Vec::with_capacity(self.levels as usize);
-        let mut node = self.leaf_of_state[state] as usize;
-        while self.parent[node] != NO_PARENT {
-            let family = self.parent[node] as usize;
-            path.push((self.lo[family], self.hi[family]));
+        let tree = &*self.tree;
+        assert!(state < tree.num_states(), "state out of range");
+        let mut path = Vec::with_capacity(tree.levels as usize);
+        let mut node = tree.leaf_of_state[state] as usize;
+        while tree.parent[node] != NO_PARENT {
+            let family = tree.parent[node] as usize;
+            path.push((tree.lo[family], tree.hi[family]));
             node = family;
         }
         path
@@ -245,52 +496,24 @@ impl HstHedge {
     /// product of conditionals, normalized exactly as
     /// [`Distribution::new`] would).
     fn compute_leaf_probs(&self, out: &mut [f64]) {
-        let n_nodes = self.lo.len();
+        let tree = &*self.tree;
+        let n_nodes = tree.num_nodes();
         let mut node_prob = vec![0.0f64; n_nodes];
         for i in 0..n_nodes {
-            let p = if self.parent[i] == NO_PARENT {
+            let p = if tree.parent[i] == NO_PARENT {
                 1.0
             } else {
-                node_prob[self.parent[i] as usize] * self.cond[i]
+                node_prob[tree.parent[i] as usize] * self.lanes.cond[i]
             };
             node_prob[i] = p;
-            if self.child_count[i] == 0 {
-                out[self.lo[i] as usize] = p;
+            if tree.child_count[i] == 0 {
+                out[tree.lo[i] as usize] = p;
             }
         }
         let sum: f64 = out.iter().sum();
         for q in out.iter_mut() {
             *q /= sum;
         }
-    }
-
-    /// Charges the per-lane costs to `family` — the single shared
-    /// update both serve paths funnel through: Hedge weight step with
-    /// `η = 1/Δ`, phase accounting, phase reset once every lane has
-    /// suffered ≥ Δ, and the write-through refresh of the family's
-    /// slice of the conditional-probability cache.
-    ///
-    /// Callers have already established that some lane cost is nonzero
-    /// (zero-cost lanes are IEEE no-ops on the accumulators, so a
-    /// family with all-zero costs is skipped without touching the
-    /// cache).
-    fn update_family(&mut self, family: usize, lane_costs: &[f64]) {
-        let cs = self.child_start[family] as usize;
-        let cc = self.child_count[family] as usize;
-        debug_assert_eq!(lane_costs.len(), cc);
-        let span = f64::from(self.hi[family] - self.lo[family]);
-        let eta = 1.0 / span;
-        for (lane, &cost) in (cs..cs + cc).zip(lane_costs) {
-            self.log_w[lane] -= eta * cost;
-            self.phase_cost[lane] += cost;
-        }
-        // Phase end: every child has suffered ≥ span — any strategy
-        // inside this subtree paid Ω(span); forgive the past.
-        if self.phase_cost[cs..cs + cc].iter().all(|&p| p >= span) {
-            self.log_w[cs..cs + cc].fill(0.0);
-            self.phase_cost[cs..cs + cc].fill(0.0);
-        }
-        refresh_family_cond(&self.log_w, &mut self.cond, cs, cc);
     }
 
     /// The cost-vector serve body: one bottom-up sweep computing the
@@ -301,32 +524,29 @@ impl HstHedge {
     /// `serve_hit` walk's old-cond read reproduces.
     fn serve_vector_body(&mut self, costs: &[f64]) -> usize {
         self.cache_hits += 1;
+        let tree = &*self.tree;
+        let n_nodes = tree.num_nodes();
         let mut val = std::mem::take(&mut self.val);
-        let n_nodes = self.lo.len();
+        val.resize(n_nodes, 0.0);
         for i in (0..n_nodes).rev() {
-            let cc = self.child_count[i] as usize;
-            val[i] = if cc == 0 {
-                costs[self.lo[i] as usize]
+            val[i] = if tree.child_count[i] == 0 {
+                costs[tree.lo[i] as usize]
             } else {
-                let cs = self.child_start[i] as usize;
-                (cs..cs + cc).map(|c| self.cond[c] * val[c]).sum()
+                tree.lanes(i).map(|c| self.lanes.cond[c] * val[c]).sum()
             };
         }
         let mut touched = false;
         for i in (0..n_nodes).rev() {
-            let cc = self.child_count[i] as usize;
-            if cc == 0 {
+            if tree.child_count[i] == 0 {
                 continue;
             }
-            let cs = self.child_start[i] as usize;
-            if val[cs..cs + cc].iter().all(|&c| c == 0.0) {
+            let lane_costs = &val[tree.lanes(i)];
+            if lane_costs.iter().all(|&c| c == 0.0) {
                 continue;
             }
             self.node_visits += 1;
             touched = true;
-            let mut lanes = [0.0f64; MAX_ARITY];
-            lanes[..cc].copy_from_slice(&val[cs..cs + cc]);
-            self.update_family(i, &lanes[..cc]);
+            self.lanes.charge(tree, i, lane_costs);
         }
         if touched {
             self.gen = self.gen.wrapping_add(1);
@@ -350,19 +570,16 @@ impl HstHedge {
     /// arena-walk proptests).
     fn serve_hit_body(&mut self, index: usize) -> usize {
         self.cache_hits += 1;
-        let mut node = self.leaf_of_state[index] as usize;
+        let tree = &*self.tree;
+        let mut node = tree.leaf_of_state[index] as usize;
         let mut val = 1.0f64;
         let mut touched = false;
-        while self.parent[node] != NO_PARENT && val != 0.0 {
-            let family = self.parent[node] as usize;
-            let next_val = self.cond[node] * val;
-            let cs = self.child_start[family] as usize;
-            let cc = self.child_count[family] as usize;
-            let mut lanes = [0.0f64; MAX_ARITY];
-            lanes[node - cs] = val;
+        while tree.parent[node] != NO_PARENT && val != 0.0 {
+            let family = tree.parent[node] as usize;
+            let next_val = self.lanes.cond[node] * val;
             self.node_visits += 1;
             touched = true;
-            self.update_family(family, &lanes[..cc]);
+            self.lanes.charge_hit(tree, family, node, val);
             val = next_val;
             node = family;
         }
@@ -382,16 +599,16 @@ impl HstHedge {
     /// walk is monotone in `u` and the coupling remains an optimal
     /// transport along the leaf order.
     fn descend_and_follow(&mut self) -> usize {
+        let tree = &*self.tree;
         let mut u = self.coupling.u();
         let mut node = 0usize;
-        while self.child_count[node] != 0 {
-            let cs = self.child_start[node] as usize;
-            let cc = self.child_count[node] as usize;
+        while tree.child_count[node] != 0 {
+            let lanes = tree.lanes(node);
             let mut cdf = 0.0f64;
-            let mut last_positive = cs;
+            let mut last_positive = lanes.start;
             let mut chosen = usize::MAX;
-            for c in cs..cs + cc {
-                let p = self.cond[c];
+            for c in lanes {
+                let p = self.lanes.cond[c];
                 if p > 0.0 {
                     last_positive = c;
                 }
@@ -413,103 +630,15 @@ impl HstHedge {
             }
             node = chosen;
         }
-        let state = self.lo[node] as usize;
+        let state = tree.lo[node] as usize;
         self.coupling.follow_to(state);
         state
     }
 }
 
-/// The arena topology tables, in BFS order.
-struct Arena {
-    lo: Vec<u32>,
-    hi: Vec<u32>,
-    parent: Vec<u32>,
-    child_start: Vec<u32>,
-    child_count: Vec<u32>,
-    leaf_of_state: Vec<u32>,
-    levels: u32,
-}
-
-/// Builds the hierarchy over `[0, n)` in BFS order: node 0 is the
-/// root, every node's children are contiguous, and parents precede
-/// children. Internal nodes split into `min(MAX_ARITY, width)`
-/// near-equal parts (the first `width % arity` parts get the extra
-/// state), so e.g. 48 states level out as 48 → 12 → 3 → 1 with a
-/// uniform initial leaf distribution.
-fn build_arena(n: usize) -> Arena {
-    let n32 = u32::try_from(n).expect("state count fits u32");
-    let mut lo = vec![0u32];
-    let mut hi = vec![n32];
-    let mut parent = vec![NO_PARENT];
-    let mut depth = vec![0u32];
-    let mut child_start = Vec::new();
-    let mut child_count = Vec::new();
-    let mut leaf_of_state = vec![0u32; n];
-    let mut levels = 1;
-    let mut i = 0;
-    while i < lo.len() {
-        let width = (hi[i] - lo[i]) as usize;
-        if width >= 2 {
-            let arity = width.min(MAX_ARITY);
-            child_start.push(u32::try_from(lo.len()).expect("arena fits u32"));
-            child_count.push(arity as u32);
-            let base = width / arity;
-            let rem = width % arity;
-            let mut cursor = lo[i];
-            for j in 0..arity {
-                let size = (base + usize::from(j < rem)) as u32;
-                lo.push(cursor);
-                hi.push(cursor + size);
-                parent.push(i as u32);
-                depth.push(depth[i] + 1);
-                levels = levels.max(depth[i] + 2);
-                cursor += size;
-            }
-            debug_assert_eq!(cursor, hi[i], "children must tile the parent");
-        } else {
-            child_start.push(0);
-            child_count.push(0);
-            leaf_of_state[lo[i] as usize] = i as u32;
-        }
-        i += 1;
-    }
-    Arena {
-        lo,
-        hi,
-        parent,
-        child_start,
-        child_count,
-        leaf_of_state,
-        levels,
-    }
-}
-
-/// Recomputes one family's slice of the conditional-probability cache:
-/// `cond[cs..cs+cc] = softmax(log_w[cs..cs+cc])`, max-shifted for
-/// stability. The single softmax shared by construction, both serve
-/// paths and snapshot restore — any two code paths that land on the
-/// same weights produce bit-identical conditionals.
-fn refresh_family_cond(log_w: &[f64], cond: &mut [f64], cs: usize, cc: usize) {
-    debug_assert!(cc <= MAX_ARITY);
-    let lanes = &log_w[cs..cs + cc];
-    let mut top = f64::NEG_INFINITY;
-    for &w in lanes {
-        top = top.max(w);
-    }
-    let mut exp = [0.0f64; MAX_ARITY];
-    let mut sum = 0.0;
-    for (e, &w) in exp[..cc].iter_mut().zip(lanes) {
-        *e = (w - top).exp();
-        sum += *e;
-    }
-    for (c, &e) in cond[cs..cs + cc].iter_mut().zip(&exp[..cc]) {
-        *c = e / sum;
-    }
-}
-
 impl MtsPolicy for HstHedge {
     fn num_states(&self) -> usize {
-        self.num_states
+        self.tree.num_states()
     }
 
     fn state(&self) -> usize {
@@ -517,9 +646,9 @@ impl MtsPolicy for HstHedge {
     }
 
     fn serve(&mut self, costs: &[f64]) -> usize {
-        validate_costs(costs, self.num_states);
+        validate_costs(costs, self.num_states());
         self.serves += 1;
-        if self.num_states == 1 {
+        if self.num_states() == 1 {
             return 0;
         }
         self.serve_vector_body(costs)
@@ -527,12 +656,12 @@ impl MtsPolicy for HstHedge {
 
     fn serve_hit(&mut self, index: usize) -> usize {
         assert!(
-            index < self.num_states,
+            index < self.num_states(),
             "hit index {index} out of range 0..{}",
-            self.num_states
+            self.num_states()
         );
         self.hits += 1;
-        if self.num_states == 1 {
+        if self.num_states() == 1 {
             return 0;
         }
         self.serve_hit_body(index)
@@ -553,8 +682,8 @@ impl MtsPolicy for HstHedge {
     // drift the snapshot round-trip tests pin down.
     fn export_state(&self) -> Option<Value> {
         Some(Value::Obj(vec![
-            ("log_w".into(), self.log_w.to_value()),
-            ("phase_cost".into(), self.phase_cost.to_value()),
+            ("log_w".into(), self.lanes.log_w.to_value()),
+            ("phase_cost".into(), self.lanes.phase_cost.to_value()),
             ("coupling".into(), coupling_to_value(&self.coupling)),
             ("rng".into(), self.rng.to_value()),
             (
@@ -567,7 +696,7 @@ impl MtsPolicy for HstHedge {
     fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
         let log_w = <Vec<f64> as Deserialize>::from_value(state.get_field("log_w")?)?;
         let phase = <Vec<f64> as Deserialize>::from_value(state.get_field("phase_cost")?)?;
-        let n_nodes = self.lo.len();
+        let n_nodes = self.tree.num_nodes();
         if log_w.len() != n_nodes || phase.len() != n_nodes {
             return Err(DeError(format!(
                 "arena length mismatch: snapshot has {}/{} entries, arena has {n_nodes}",
@@ -575,29 +704,35 @@ impl MtsPolicy for HstHedge {
                 phase.len(),
             )));
         }
-        let coupling = coupling_from_value(state.get_field("coupling")?, self.num_states)?;
+        // The binary decoder carries any f64 bit pattern. Serving only
+        // ever produces finite weights and finite, non-negative phase
+        // costs (never -0.0), and the exp cache's max comparisons rely
+        // on it.
+        if let Some((i, w)) = log_w.iter().enumerate().find(|(_, w)| !w.is_finite()) {
+            return Err(DeError(format!("log_w[{i}] = {w} is not finite")));
+        }
+        if let Some((i, c)) = phase
+            .iter()
+            .enumerate()
+            .find(|(_, c)| !(c.is_finite() && c.is_sign_positive()))
+        {
+            return Err(DeError(format!(
+                "phase_cost[{i}] = {c} is not a finite non-negative cost"
+            )));
+        }
+        let coupling = coupling_from_value(state.get_field("coupling")?, self.num_states())?;
         let probs_fresh = bool::from_value(state.get_field("probs_fresh")?)?;
         self.rng = StdRng::from_value(state.get_field("rng")?)?;
         self.coupling = coupling;
-        self.log_w = log_w;
-        self.phase_cost = phase;
-        // Rebuild the write-through conditional cache for the restored
-        // weights (bit-identical: the same shared softmax the serve
-        // paths use), then honor the snapshot's leaf-cache freshness.
-        for i in 0..n_nodes {
-            let cc = self.child_count[i] as usize;
-            if cc > 0 {
-                refresh_family_cond(
-                    &self.log_w,
-                    &mut self.cond,
-                    self.child_start[i] as usize,
-                    cc,
-                );
-            }
-        }
+        self.lanes.log_w = log_w;
+        self.lanes.phase_cost = phase;
+        // Rebuild the exp and conditional caches for the restored
+        // weights (the full refresh the serve paths' caches agree with
+        // bit for bit), then honor the snapshot's leaf-cache freshness.
+        self.lanes.refresh_all(&self.tree);
         self.gen = 1;
         if probs_fresh {
-            if self.num_states > 1 {
+            if self.num_states() > 1 {
                 self.compute_leaf_probs(&mut self.probs.borrow_mut());
             }
             self.probs_gen.set(self.gen);
@@ -621,6 +756,28 @@ impl MtsPolicy for HstHedge {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full per-family softmax every serve path used before the
+    /// exp cache: `cond[cs..cs+cc] = softmax(log_w[cs..cs+cc])`,
+    /// max-shifted, one `exp` per lane. Kept verbatim as the reference
+    /// the incremental cache is diffed against.
+    fn refresh_family_cond(log_w: &[f64], cond: &mut [f64], cs: usize, cc: usize) {
+        debug_assert!(cc <= MAX_ARITY);
+        let lanes = &log_w[cs..cs + cc];
+        let mut top = f64::NEG_INFINITY;
+        for &w in lanes {
+            top = top.max(w);
+        }
+        let mut exp = [0.0f64; MAX_ARITY];
+        let mut sum = 0.0;
+        for (e, &w) in exp[..cc].iter_mut().zip(lanes) {
+            *e = (w - top).exp();
+            sum += *e;
+        }
+        for (c, &e) in cond[cs..cs + cc].iter_mut().zip(&exp[..cc]) {
+            *c = e / sum;
+        }
+    }
 
     fn unit(n: usize, i: usize) -> Vec<f64> {
         let mut v = vec![0.0; n];
@@ -654,7 +811,8 @@ mod tests {
     fn arena_invariants_hold_across_sizes() {
         for n in [1usize, 2, 3, 5, 8, 13, 31, 48, 100] {
             let p = HstHedge::new(n, 0, 7);
-            let nodes = p.lo.len();
+            let p = &*p.tree;
+            let nodes = p.num_nodes();
             assert_eq!(p.lo[0], 0);
             assert_eq!(p.hi[0] as usize, n);
             assert_eq!(p.parent[0], NO_PARENT);
@@ -682,7 +840,7 @@ mod tests {
                 assert_eq!(p.lo[leaf] as usize, s);
                 assert_eq!(p.child_count[leaf], 0);
             }
-            assert!(p.hst_levels() >= 1);
+            assert!(p.levels >= 1);
         }
     }
 
@@ -803,5 +961,133 @@ mod tests {
             total <= budget,
             "hedge paid {total}, opt {opt}, budget {budget}"
         );
+    }
+
+    #[test]
+    fn incremental_softmax_matches_full_refresh() {
+        // Seeded streams of hits — a drifting hot spot plus uniform
+        // noise — with cost-vector and weighted serves mixed in (the
+        // weighted ones sometimes heavy enough to underflow a lane's
+        // exp to 0.0). After every serve, every family's conditionals
+        // must carry exactly the bits the full softmax of its weights
+        // gives, and the run must cross phase resets at every level.
+        for n in [2usize, 3, 5, 23, 48, 96, 384] {
+            let mut p = HstHedge::new(n, n / 2, 11);
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let tree = Arc::clone(&p.tree);
+            let families: Vec<usize> = (0..tree.num_nodes())
+                .filter(|&i| tree.child_count[i] > 0)
+                .collect();
+            let mut depth = vec![0usize; tree.num_nodes()];
+            for i in 1..tree.num_nodes() {
+                depth[i] = depth[tree.parent[i] as usize] + 1;
+            }
+            let mut resets = vec![0u32; tree.levels as usize - 1];
+            let mut want = vec![0.0f64; tree.num_nodes()];
+            for t in 0..8 * n + 400 {
+                let before = p.lanes.phase_cost.clone();
+                match rng.random_range(0..8u32) {
+                    0 | 1 => {
+                        let costs: Vec<f64> = (0..n)
+                            .map(|_| {
+                                if rng.random_range(0..4u32) == 0 {
+                                    0.0
+                                } else {
+                                    rng.random_range(0.0..2.0)
+                                }
+                            })
+                            .collect();
+                        let _ = p.serve(&costs);
+                    }
+                    2 => {
+                        let weight = if rng.random_range(0..10u32) == 0 {
+                            2000.0
+                        } else {
+                            rng.random_range(0.0..3.0)
+                        };
+                        let _ = p.serve_weighted(rng.random_range(0..n), weight);
+                    }
+                    3 => {
+                        let _ = p.serve_hit(rng.random_range(0..n));
+                    }
+                    _ => {
+                        let hot = (t / 40 + rng.random_range(0..3usize)) % n;
+                        let _ = p.serve_hit(hot);
+                    }
+                }
+                for &f in &families {
+                    let lanes = tree.lanes(f);
+                    refresh_family_cond(&p.lanes.log_w, &mut want, lanes.start, lanes.len());
+                    for c in lanes.clone() {
+                        assert_eq!(
+                            p.lanes.cond[c].to_bits(),
+                            want[c].to_bits(),
+                            "n={n} step {t}: family {f} lane {c}: {} vs {}",
+                            p.lanes.cond[c],
+                            want[c]
+                        );
+                    }
+                    let reset = before[lanes.clone()].iter().any(|&c| c > 0.0)
+                        && p.lanes.phase_cost[lanes].iter().all(|&c| c == 0.0);
+                    resets[depth[f]] += u32::from(reset);
+                }
+            }
+            assert!(
+                resets.iter().all(|&r| r > 0),
+                "n={n}: phase resets per level {resets:?}"
+            );
+        }
+    }
+
+    /// A snapshot of a policy that served a few hits, with entry `i` of
+    /// array field `field` replaced by `x`.
+    fn mutated_snapshot(field: &str, i: usize, x: f64) -> Value {
+        let mut p = HstHedge::new(23, 11, 4);
+        for t in 0..60usize {
+            let _ = p.serve_hit(t * 7 % 23);
+        }
+        let mut snap = p.export_state().expect("hedge snapshots");
+        let Value::Obj(fields) = &mut snap else {
+            panic!("snapshot is an object")
+        };
+        let (_, column) = fields
+            .iter_mut()
+            .find(|(k, _)| k == field)
+            .expect("field present");
+        let Value::Arr(items) = column else {
+            panic!("{field} is an array")
+        };
+        items[i] = Value::Float(x);
+        snap
+    }
+
+    #[test]
+    fn restore_rejects_impossible_weights() {
+        // Non-finite weights and non-finite or negative phase costs
+        // fail before anything is mutated; the unmutated snapshot of
+        // the same run restores.
+        for (field, i, x) in [
+            ("log_w", 1, f64::NAN),
+            ("log_w", 2, f64::INFINITY),
+            ("log_w", 2, f64::NEG_INFINITY),
+            ("phase_cost", 3, -5.0),
+            ("phase_cost", 3, -0.0),
+            ("phase_cost", 4, f64::NAN),
+            ("phase_cost", 4, f64::INFINITY),
+        ] {
+            let mut q = HstHedge::new(23, 11, 4);
+            let fresh = q.export_state();
+            let err = q
+                .restore_state(&mutated_snapshot(field, i, x))
+                .expect_err(&format!("{field}[{i}] = {x} must be rejected"));
+            assert!(err.0.contains(field), "{field}: {}", err.0);
+            assert_eq!(q.export_state(), fresh, "{field}: restore mutated state");
+            let _ = q.serve_hit(5);
+            let _ = q.leaf_distribution();
+        }
+        let mut q = HstHedge::new(23, 11, 4);
+        let ok = mutated_snapshot("log_w", 1, -0.25);
+        q.restore_state(&ok).expect("finite weights restore");
+        let _ = q.leaf_distribution();
     }
 }

@@ -1,5 +1,7 @@
 //! The policy interface and the MTS cost model.
 
+use std::sync::Arc;
+
 use serde::{DeError, Value};
 
 /// Deterministic work counters of one MTS policy instance — the
@@ -225,6 +227,37 @@ impl PolicyKind {
         }
     }
 
+    /// Builds `count` policies over the same `num_states` line states,
+    /// all starting at `initial`, policy `i` seeded with `seed_of(i)`:
+    /// each one is what [`Self::build`] returns for those arguments,
+    /// but the [`crate::HstHedge`] policies share one immutable
+    /// hierarchy instead of building a copy each (a partitioner's ℓ′
+    /// intervals all have `k′` states).
+    ///
+    /// # Panics
+    /// Panics if `num_states == 0` or `initial >= num_states`.
+    #[must_use]
+    pub fn build_many(
+        self,
+        count: usize,
+        num_states: usize,
+        initial: usize,
+        seed_of: impl Fn(usize) -> u64,
+    ) -> Vec<Box<dyn MtsPolicy>> {
+        if self != PolicyKind::HstHedge {
+            return (0..count)
+                .map(|i| self.build(num_states, initial, seed_of(i)))
+                .collect();
+        }
+        let tree = Arc::new(crate::hst::HstTree::new(num_states));
+        (0..count)
+            .map(|i| {
+                let policy = crate::HstHedge::on_tree(Arc::clone(&tree), initial, seed_of(i));
+                Box::new(policy) as Box<dyn MtsPolicy>
+            })
+            .collect()
+    }
+
     /// Stable label for file names and reports.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -323,14 +356,16 @@ mod tests {
         assert!((c.total() - 2.5).abs() < 1e-12);
     }
 
+    const ALL_KINDS: [PolicyKind; 4] = [
+        PolicyKind::WorkFunction,
+        PolicyKind::SminGradient,
+        PolicyKind::HstHedge,
+        PolicyKind::Marking,
+    ];
+
     #[test]
     fn policy_kind_builds_each_variant() {
-        for kind in [
-            PolicyKind::WorkFunction,
-            PolicyKind::SminGradient,
-            PolicyKind::HstHedge,
-            PolicyKind::Marking,
-        ] {
+        for kind in ALL_KINDS {
             let p = kind.build(8, 3, 42);
             assert_eq!(p.num_states(), 8);
             assert_eq!(p.state(), 3);
@@ -350,38 +385,58 @@ mod tests {
         // Two identically-seeded twins of each policy: one fed one-hot
         // cost vectors through `serve`, one fed the same hits through
         // `serve_hit`. The realized state sequences must coincide — the
-        // fast path may not change behaviour, only skip the vector.
-        let n = 23;
-        let make: Vec<Box<dyn Fn() -> Box<dyn MtsPolicy>>> = vec![
-            Box::new(|| Box::new(crate::WorkFunction::new(23, 11))),
-            Box::new(|| Box::new(crate::SminGradient::new(23, 11, 42))),
-            Box::new(|| Box::new(crate::HstHedge::new(23, 11, 42))),
-            Box::new(|| Box::new(crate::Marking::new(23, 11, 42))),
-        ];
-        for build in make {
-            let mut by_vector = build();
-            let mut by_hit = build();
-            let name = by_hit.name();
-            let mut costs = vec![0.0; n];
-            for t in 0..400usize {
-                let hit = (t * 7 + t * t % 5) % n;
-                costs[hit] = 1.0;
-                let a = by_vector.serve(&costs);
-                costs[hit] = 0.0;
-                let b = by_hit.serve_hit(hit);
-                assert_eq!(a, b, "{name}: diverged at step {t} (hit {hit})");
+        // fast path may not change behaviour, only skip the vector. 384
+        // states is the largest workload's interval size, deep enough
+        // for five-family hit walks.
+        for n in [23usize, 384] {
+            for kind in ALL_KINDS {
+                let mut by_vector = kind.build(n, n / 2, 42);
+                let mut by_hit = kind.build(n, n / 2, 42);
+                let mut costs = vec![0.0; n];
+                for t in 0..400usize {
+                    let hit = (t * 7 + t * t % 5) % n;
+                    costs[hit] = 1.0;
+                    let a = by_vector.serve(&costs);
+                    costs[hit] = 0.0;
+                    let b = by_hit.serve_hit(hit);
+                    assert_eq!(
+                        a,
+                        b,
+                        "{} n={n}: diverged at step {t} (hit {hit})",
+                        kind.label()
+                    );
+                }
+                assert_eq!(by_vector.export_state(), by_hit.export_state());
+            }
+        }
+    }
+
+    #[test]
+    fn build_many_matches_build_for_every_policy() {
+        for kind in ALL_KINDS {
+            let seed_of = |i: usize| 100 + i as u64;
+            let mut many = kind.build_many(3, 48, 24, seed_of);
+            assert_eq!(many.len(), 3);
+            for (i, policy) in many.iter_mut().enumerate() {
+                let mut single = kind.build(48, 24, seed_of(i));
+                for t in 0..200usize {
+                    let hit = (t * 11 + i) % 48;
+                    assert_eq!(
+                        policy.serve_hit(hit),
+                        single.serve_hit(hit),
+                        "{} policy {i}: diverged at step {t}",
+                        kind.label()
+                    );
+                }
+                assert_eq!(policy.export_state(), single.export_state());
+                assert_eq!(policy.work_counters(), single.work_counters());
             }
         }
     }
 
     #[test]
     fn work_counters_track_serve_shapes_per_policy() {
-        for kind in [
-            PolicyKind::WorkFunction,
-            PolicyKind::SminGradient,
-            PolicyKind::HstHedge,
-            PolicyKind::Marking,
-        ] {
+        for kind in ALL_KINDS {
             let mut p = kind.build(16, 8, 7);
             assert_eq!(p.work_counters(), PolicyCounters::default());
             let mut costs = vec![0.0; 16];

@@ -139,3 +139,46 @@ fn snapshots_are_reusable_values() {
         assert_eq!(restored.finish(), want);
     }
 }
+
+/// Entry `lane` of the `log_w` column of interval `interval`'s Hedge
+/// policy inside a `dynamic`×`hedge` session snapshot.
+fn hedge_weight(snapshot: &mut Value, interval: usize, lane: usize) -> &mut Value {
+    fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+        let Value::Obj(pairs) = v else {
+            panic!("expected an object holding `{key}`")
+        };
+        &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1
+    }
+    fn item(v: &mut Value, i: usize) -> &mut Value {
+        let Value::Arr(items) = v else {
+            panic!("expected an array")
+        };
+        &mut items[i]
+    }
+    let policies = field(field(snapshot, "algorithm"), "policies");
+    item(field(item(policies, interval), "log_w"), lane)
+}
+
+/// A snapshot carrying a Hedge weight no run can produce — here NaN,
+/// which the binary snapshot encoding carries bit for bit — fails
+/// `Session::restore` with an error instead of restoring a policy whose
+/// leaf distribution later panics. The untouched snapshot restores.
+#[test]
+fn restore_rejects_a_non_finite_hedge_weight() {
+    let registries = Registries::builtin();
+    let spec = scenario_for(0, 4, 8, 7, true);
+    let mut session = Session::new(spec, &registries).unwrap();
+    session.submit(200);
+    let snap = session.snapshot().unwrap();
+    let mut bad = snap.clone();
+    *hedge_weight(&mut bad, 1, 1) = Value::Float(f64::NAN);
+    let decoded = rdbp_serve::SnapshotBlob::encode(&bad).unwrap().decode();
+    let Err(err) = Session::restore(&decoded, &registries) else {
+        panic!("a NaN Hedge weight must not restore")
+    };
+    assert!(err.0.contains("log_w[1]"), "{}", err.0);
+    let mut restored = Session::restore(&snap, &registries).unwrap();
+    restored.submit(100);
+    session.submit(100);
+    assert_eq!(restored.finish(), session.finish());
+}
