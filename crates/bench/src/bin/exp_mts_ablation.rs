@@ -4,8 +4,9 @@
 
 use rdbp_bench::{f3, full_profile, mean, parallel_map, Table};
 use rdbp_core::{DynamicConfig, DynamicPartitioner};
-use rdbp_model::workload::{self, record, Workload};
-use rdbp_model::{run_trace, AuditLevel, Placement, RingInstance};
+use rdbp_engine::{WorkloadRegistry, WorkloadSpec};
+use rdbp_model::workload::record;
+use rdbp_model::{run_trace, AuditLevel, OnlineAlgorithm, Placement, RingInstance};
 use rdbp_mts::PolicyKind;
 use rdbp_offline::{interval_opt, IntervalLayout};
 
@@ -24,6 +25,8 @@ fn main() {
         PolicyKind::HstHedge,
     ];
 
+    let workloads = WorkloadRegistry::builtin();
+
     let mut table = Table::new(
         "A1 — MTS policy ablation inside the dynamic algorithm (cost/OPT_R)",
         &["k", "workload", "wfa", "smin", "hst-hedge"],
@@ -33,6 +36,13 @@ fn main() {
         let rows = parallel_map(ks.clone(), |&k| {
             let inst = RingInstance::packed(servers, k);
             let steps = 30 * u64::from(k);
+            // A narrower, faster window than the registry's sliding
+            // default; the other workloads ignore both fields.
+            let spec = WorkloadSpec {
+                width: Some(k / 2 + 1),
+                period: Some(6),
+                ..WorkloadSpec::named(wname)
+            };
             let mut per_policy = [Vec::new(), Vec::new(), Vec::new()];
             for seed in 0..3u64 {
                 for (slot, &policy) in policies.iter().enumerate() {
@@ -47,19 +57,16 @@ fn main() {
                     );
                     // Adaptive workloads must see the algorithm's own
                     // placement, so generate per (policy, seed).
-                    let mut src: Box<dyn Workload> = match wname {
-                        "uniform" => Box::new(workload::UniformRandom::new(seed)),
-                        "sliding" => Box::new(workload::SlidingWindow::new(k / 2 + 1, 6, seed)),
-                        "cut-chaser" => Box::new(workload::CutChaser::new()),
-                        _ => unreachable!(),
-                    };
-                    let trace = if wname == "cut-chaser" {
+                    let mut src = workloads
+                        .resolve(&spec, &inst, seed)
+                        .expect("built-in workload");
+                    let trace = if src.is_adaptive() {
                         // Drive adaptively, recording what was asked.
                         let mut t = Vec::with_capacity(steps as usize);
                         for _ in 0..steps {
-                            let e = src.next_request(rdbp_model::OnlineAlgorithm::placement(&alg));
+                            let e = src.next_request(alg.placement());
                             t.push(e);
-                            rdbp_model::OnlineAlgorithm::serve(&mut alg, e);
+                            alg.serve(e);
                         }
                         t
                     } else {

@@ -8,11 +8,15 @@
 //! * [`Scenario`] and its parts ([`InstanceSpec`], [`AlgorithmSpec`],
 //!   [`WorkloadSpec`], [`AuditSpec`]) — a JSON-serializable spec of one
 //!   run ([`Scenario::load`] / [`Scenario::save`] / [`Scenario::run`]);
-//! * [`AlgorithmRegistry`] / [`WorkloadRegistry`] — string-keyed,
-//!   extensible registries resolving specs into boxed
-//!   [`rdbp_model::OnlineAlgorithm`] / [`rdbp_model::Workload`] trait
+//! * [`AlgorithmRegistry`] / [`WorkloadRegistry`] / [`OracleRegistry`]
+//!   — one string-keyed, extensible [`Registry`] type resolving specs
+//!   into boxed [`rdbp_model::OnlineAlgorithm`] /
+//!   [`rdbp_model::Workload`] / [`rdbp_offline::OfflineOracle`] trait
 //!   objects, with one consistent unknown-key error listing the valid
-//!   keys;
+//!   keys. Adversaries are the adaptive workloads, so the workload
+//!   registry lists and resolves them too;
+//! * [`adversary_search`] — the seeded hill climb over adversary
+//!   schedules behind S8;
 //! * [`ScenarioGrid`] — the batched multi-run executor: sweep
 //!   capacities/ε/policies/seeds, fan out via [`parallel_map`],
 //!   aggregate with [`summarize`];
@@ -47,8 +51,7 @@ pub mod spec;
 pub use exec::{mean, parallel_map, stddev};
 pub use grid::{summarize, GridRun, GridSummary, ScenarioGrid};
 pub use registry::{
-    parse_policy, AdversaryBuilder, AdversaryRegistry, AlgorithmBuilder, AlgorithmRegistry,
-    BuiltAlgorithm, OracleBuilder, OracleRegistry, Registries, WorkloadBuilder, WorkloadRegistry,
+    AlgorithmRegistry, BuiltAlgorithm, OracleRegistry, Registries, Registry, WorkloadRegistry,
 };
 pub use runner::{workload_seed, PreparedScenario};
 pub use search::{adversary_search, SearchConfig, SearchOutcome};

@@ -1,26 +1,30 @@
 //! String-keyed registries resolving specs into live trait objects.
 //!
 //! The registries are the single construction path from a declarative
-//! [`AlgorithmSpec`] / [`WorkloadSpec`] to a boxed
-//! [`OnlineAlgorithm`] / [`Workload`]: the CLI, the `exp_*` binaries,
-//! examples and tests all resolve through here instead of privately
-//! matching on names. Unknown keys produce one consistent error that
-//! lists the valid keys. Both registries are extensible via
-//! [`AlgorithmRegistry::register`] / [`WorkloadRegistry::register`], so
-//! downstream crates can plug in their own strategies and run them
-//! through the same scenario machinery.
+//! [`AlgorithmSpec`] / [`WorkloadSpec`] / [`OracleSpec`] to a boxed
+//! [`OnlineAlgorithm`] / [`Workload`] / [`OfflineOracle`]: the CLI, the
+//! `exp_*` binaries, examples and tests all resolve through here
+//! instead of privately matching on names. All three are one
+//! [`Registry`] type, so registration, aliases, key listing and the
+//! unknown-key error (which lists the valid keys) exist once. Every
+//! registry is extensible via [`Registry::register`], so downstream
+//! crates can plug in their own strategies and run them through the
+//! same scenario machinery.
+//!
+//! Adversaries have no registry of their own: they are the workloads
+//! that see the placement ([`Workload::is_adaptive`]), listed by
+//! [`WorkloadRegistry::adversary_keys`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rdbp_baselines::{
     learning_weights, BisectionSwap, ComponentSweep, GreedySwap, LearningCollocator, NeverMove,
 };
 use rdbp_core::{DynamicConfig, DynamicPartitioner, StaticConfig, StaticPartitioner};
 use rdbp_model::{
-    workload, AdaptiveAdversary, AdversaryWorkload, GreedyCutMaximizer, OnlineAlgorithm,
-    RingInstance, SeparationChaser, Workload,
+    workload, GreedyCutMaximizer, OnlineAlgorithm, RingInstance, SeparationChaser, Workload,
 };
-use rdbp_mts::PolicyKind;
 use rdbp_offline::{ExactDynamicOracle, IntervalOracle, OfflineOracle};
 use rdbp_ringload::RingloadOracle;
 
@@ -35,46 +39,37 @@ pub struct BuiltAlgorithm {
     pub load_bound: u32,
 }
 
-/// Constructor signature for registered algorithms.
-pub type AlgorithmBuilder = Box<
-    dyn Fn(&RingInstance, &AlgorithmSpec, u64) -> Result<BuiltAlgorithm, SpecError> + Send + Sync,
->;
+/// The constructor every registry stores: instance, spec and seed in.
+type Builder<S, T> = dyn Fn(&RingInstance, &S, u64) -> Result<T, SpecError> + Send + Sync;
 
-/// Constructor signature for registered workloads.
-pub type WorkloadBuilder = Box<
-    dyn Fn(&RingInstance, &WorkloadSpec, u64) -> Result<Box<dyn Workload>, SpecError> + Send + Sync,
->;
+/// A string-keyed table of constructors turning an `S` spec into a `T`
+/// (aliases share one constructor).
+pub struct Registry<S, T> {
+    entries: BTreeMap<String, Arc<Builder<S, T>>>,
+}
 
-fn unknown_key(kind: &str, name: &str, keys: impl Iterator<Item = String>) -> SpecError {
-    let valid: Vec<String> = keys.collect();
+/// Registry of online algorithms, keyed by name.
+pub type AlgorithmRegistry = Registry<AlgorithmSpec, BuiltAlgorithm>;
+
+/// Registry of request sources, keyed by name (aliases included, e.g.
+/// `chaser` / `cut-chaser`); the adaptive ones are the adversaries.
+pub type WorkloadRegistry = Registry<WorkloadSpec, Box<dyn Workload>>;
+
+/// Registry of offline oracles ([`rdbp_offline::OfflineOracle`]),
+/// keyed by name — the construction path behind `rdbp-sim
+/// --opt-oracle` and the ratio experiments.
+pub type OracleRegistry = Registry<OracleSpec, Box<dyn OfflineOracle>>;
+
+/// The error for `key` missing from a registry of `kind`s.
+fn unknown_key<'a>(kind: &str, key: &str, valid: impl IntoIterator<Item = &'a str>) -> SpecError {
+    let valid: Vec<&str> = valid.into_iter().collect();
     SpecError(format!(
-        "unknown {kind} `{name}` (valid: {})",
+        "unknown {kind} `{key}` (valid: {})",
         valid.join(", ")
     ))
 }
 
-/// Parses an MTS policy name (used by the `dynamic` builder).
-///
-/// # Errors
-/// Returns a [`SpecError`] listing the valid policy names.
-pub fn parse_policy(name: &str) -> Result<PolicyKind, SpecError> {
-    match name {
-        "wfa" | "work-function" => Ok(PolicyKind::WorkFunction),
-        "smin" | "smin-gradient" => Ok(PolicyKind::SminGradient),
-        "hedge" | "hst-hedge" => Ok(PolicyKind::HstHedge),
-        "marking" => Ok(PolicyKind::Marking),
-        other => Err(SpecError(format!(
-            "unknown policy `{other}` (valid: wfa, smin, hedge, marking)"
-        ))),
-    }
-}
-
-/// Registry of online algorithms, keyed by name.
-pub struct AlgorithmRegistry {
-    entries: BTreeMap<String, AlgorithmBuilder>,
-}
-
-impl AlgorithmRegistry {
+impl<S, T> Registry<S, T> {
     /// An empty registry.
     #[must_use]
     pub fn empty() -> Self {
@@ -83,6 +78,42 @@ impl AlgorithmRegistry {
         }
     }
 
+    /// Registers (or replaces) a constructor under `name`.
+    pub fn register<F>(&mut self, name: impl Into<String>, builder: F)
+    where
+        F: Fn(&RingInstance, &S, u64) -> Result<T, SpecError> + Send + Sync + 'static,
+    {
+        self.entries.insert(name.into(), Arc::new(builder));
+    }
+
+    /// Registers one constructor under several keys.
+    fn register_alias<F>(&mut self, names: &[&str], builder: F)
+    where
+        F: Fn(&RingInstance, &S, u64) -> Result<T, SpecError> + Send + Sync + 'static,
+    {
+        let shared: Arc<Builder<S, T>> = Arc::new(builder);
+        for name in names {
+            self.entries
+                .insert((*name).to_string(), Arc::clone(&shared));
+        }
+    }
+
+    /// The registered keys, sorted (aliases included).
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.entries.keys().map(String::as_str)
+    }
+
+    /// The constructor under `key`, or the unknown-`kind` error listing
+    /// every key.
+    fn lookup(&self, kind: &str, key: &str) -> Result<&Builder<S, T>, SpecError> {
+        self.entries
+            .get(key)
+            .map(|builder| &**builder)
+            .ok_or_else(|| unknown_key(kind, key, self.keys()))
+    }
+}
+
+impl AlgorithmRegistry {
     /// The registry of built-in algorithms: `dynamic` (Theorem 2.1),
     /// `static` (Theorem 2.2), the `greedy` / `component` /
     /// `never-move` baselines, and the related-work family algorithms
@@ -97,7 +128,12 @@ impl AlgorithmRegistry {
                 inst,
                 DynamicConfig {
                     epsilon: spec.epsilon.unwrap_or(0.5),
-                    policy: parse_policy(spec.policy.as_deref().unwrap_or("hedge"))?,
+                    policy: spec
+                        .policy
+                        .as_deref()
+                        .unwrap_or("hedge")
+                        .parse()
+                        .map_err(SpecError)?,
                     seed,
                     shift: spec.shift,
                 },
@@ -170,22 +206,6 @@ impl AlgorithmRegistry {
         reg
     }
 
-    /// Registers (or replaces) an algorithm under `name`.
-    pub fn register<F>(&mut self, name: impl Into<String>, builder: F)
-    where
-        F: Fn(&RingInstance, &AlgorithmSpec, u64) -> Result<BuiltAlgorithm, SpecError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.entries.insert(name.into(), Box::new(builder));
-    }
-
-    /// The registered keys, sorted.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
-    }
-
     /// Resolves `spec` into a live algorithm for `instance`.
     ///
     /// # Errors
@@ -197,38 +217,16 @@ impl AlgorithmRegistry {
         instance: &RingInstance,
         seed: u64,
     ) -> Result<BuiltAlgorithm, SpecError> {
-        let builder = self.entries.get(&spec.name).ok_or_else(|| {
-            unknown_key(
-                "algorithm",
-                &spec.name,
-                self.entries.keys().map(Clone::clone),
-            )
-        })?;
-        builder(instance, spec, seed)
+        self.lookup("algorithm", &spec.name)?(instance, spec, seed)
     }
-}
-
-/// Registry of request sources, keyed by name (aliases included, e.g.
-/// `chaser` / `cut-chaser`).
-pub struct WorkloadRegistry {
-    entries: BTreeMap<String, WorkloadBuilder>,
 }
 
 impl WorkloadRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            entries: BTreeMap::new(),
-        }
-    }
-
     /// The registry of built-in workloads: `uniform`, `zipf`,
     /// `sliding`(-window), `allreduce`/`sequential`, `bursty`,
     /// `random-walk`, `hotspot`/`rotating-hotspot` and the adaptive
     /// adversaries `chaser`/`cut-chaser`, `greedy-cut` and
-    /// `separation`(-chaser) — every [`AdversaryRegistry`] strategy is
-    /// mirrored here so scenarios can name adversaries directly.
+    /// `separation`(-chaser).
     #[must_use]
     pub fn builtin() -> Self {
         let mut reg = Self::empty();
@@ -242,21 +240,19 @@ impl WorkloadRegistry {
             }
             Ok(Box::new(workload::Zipf::new(inst, s, seed)))
         });
-        let sliding: WorkloadBuilder =
-            Box::new(|inst: &RingInstance, spec: &WorkloadSpec, seed| {
-                let width = spec.width.unwrap_or_else(|| inst.capacity());
-                let period = spec.period.unwrap_or(8);
-                if width == 0 || period == 0 {
-                    return Err(SpecError(
-                        "sliding window width and period must be positive".into(),
-                    ));
-                }
-                Ok(Box::new(workload::SlidingWindow::new(width, period, seed)))
-            });
-        reg.register_alias(["sliding", "sliding-window"], sliding);
-        let allreduce: WorkloadBuilder =
-            Box::new(|_inst, _spec, _seed| Ok(Box::new(workload::Sequential::new()) as _));
-        reg.register_alias(["allreduce", "sequential"], allreduce);
+        reg.register_alias(&["sliding", "sliding-window"], |inst, spec, seed| {
+            let width = spec.width.unwrap_or_else(|| inst.capacity());
+            let period = spec.period.unwrap_or(8);
+            if width == 0 || period == 0 {
+                return Err(SpecError(
+                    "sliding window width and period must be positive".into(),
+                ));
+            }
+            Ok(Box::new(workload::SlidingWindow::new(width, period, seed)))
+        });
+        reg.register_alias(&["allreduce", "sequential"], |_inst, _spec, _seed| {
+            Ok(Box::new(workload::Sequential::new()))
+        });
         reg.register("bursty", |_inst, spec, seed| {
             let p = spec.p_continue.unwrap_or(0.9);
             if !(0.0..1.0).contains(&p) {
@@ -267,63 +263,33 @@ impl WorkloadRegistry {
         reg.register("random-walk", |_inst, spec, seed| {
             Ok(Box::new(workload::RandomWalk::new(spec.start.unwrap_or(0), seed)) as _)
         });
-        let hotspot: WorkloadBuilder =
-            Box::new(|_inst: &RingInstance, spec: &WorkloadSpec, seed| {
-                let p_hot = spec.p_hot.unwrap_or(0.8);
-                let dwell = spec.dwell.unwrap_or(200);
-                if !(0.0..=1.0).contains(&p_hot) {
-                    return Err(SpecError(format!("p_hot must be in [0,1], got {p_hot}")));
-                }
-                if dwell == 0 {
-                    return Err(SpecError("dwell must be positive".into()));
-                }
-                Ok(Box::new(workload::RotatingHotspot::new(
-                    p_hot,
-                    spec.jump.unwrap_or(7),
-                    dwell,
-                    seed,
-                )))
-            });
-        reg.register_alias(["hotspot", "rotating-hotspot"], hotspot);
-        let chaser: WorkloadBuilder =
-            Box::new(|_inst, _spec, _seed| Ok(Box::new(workload::CutChaser::new()) as _));
-        reg.register_alias(["chaser", "cut-chaser"], chaser);
+        reg.register_alias(&["hotspot", "rotating-hotspot"], |_inst, spec, seed| {
+            let p_hot = spec.p_hot.unwrap_or(0.8);
+            let dwell = spec.dwell.unwrap_or(200);
+            if !(0.0..=1.0).contains(&p_hot) {
+                return Err(SpecError(format!("p_hot must be in [0,1], got {p_hot}")));
+            }
+            if dwell == 0 {
+                return Err(SpecError("dwell must be positive".into()));
+            }
+            Ok(Box::new(workload::RotatingHotspot::new(
+                p_hot,
+                spec.jump.unwrap_or(7),
+                dwell,
+                seed,
+            )))
+        });
+        reg.register_alias(&["chaser", "cut-chaser"], |_inst, _spec, _seed| {
+            Ok(Box::new(workload::CutChaser::new()))
+        });
         reg.register("greedy-cut", |_inst, _spec, _seed| {
-            Ok(Box::new(AdversaryWorkload::new(GreedyCutMaximizer::new())) as _)
+            Ok(Box::new(GreedyCutMaximizer::new()))
         });
-        let separation: WorkloadBuilder = Box::new(|_inst, _spec, _seed| {
-            Ok(Box::new(AdversaryWorkload::new(SeparationChaser::new())) as _)
-        });
-        reg.register_alias(["separation", "separation-chaser"], separation);
+        reg.register_alias(
+            &["separation", "separation-chaser"],
+            |_inst, _spec, _seed| Ok(Box::new(SeparationChaser::new())),
+        );
         reg
-    }
-
-    /// Registers (or replaces) a workload under `name`.
-    pub fn register<F>(&mut self, name: impl Into<String>, builder: F)
-    where
-        F: Fn(&RingInstance, &WorkloadSpec, u64) -> Result<Box<dyn Workload>, SpecError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.entries.insert(name.into(), Box::new(builder));
-    }
-
-    /// Registers one boxed builder under several keys.
-    fn register_alias<const N: usize>(&mut self, names: [&str; N], builder: WorkloadBuilder) {
-        let shared = std::sync::Arc::new(builder);
-        for name in names {
-            let b = std::sync::Arc::clone(&shared);
-            self.entries.insert(
-                name.to_string(),
-                Box::new(move |inst, spec, seed| b(inst, spec, seed)),
-            );
-        }
-    }
-
-    /// The registered keys, sorted (aliases included).
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
     }
 
     /// Resolves `spec` into a live workload for `instance`.
@@ -337,155 +303,70 @@ impl WorkloadRegistry {
         instance: &RingInstance,
         seed: u64,
     ) -> Result<Box<dyn Workload>, SpecError> {
-        let builder = self.entries.get(&spec.name).ok_or_else(|| {
-            unknown_key(
-                "workload",
-                &spec.name,
-                self.entries.keys().map(Clone::clone),
-            )
-        })?;
-        builder(instance, spec, seed)
-    }
-}
-
-/// Constructor signature for registered adaptive adversaries.
-pub type AdversaryBuilder =
-    Box<dyn Fn(&RingInstance, u64) -> Result<Box<dyn AdaptiveAdversary>, SpecError> + Send + Sync>;
-
-/// Registry of adaptive adversary strategies
-/// ([`rdbp_model::AdaptiveAdversary`]), keyed by name — the
-/// construction path behind the adversary-search harness
-/// ([`crate::search`]) and `rdbp-sim --adversary`.
-///
-/// Every built-in strategy is also mirrored into the
-/// [`WorkloadRegistry`] (wrapped in
-/// [`rdbp_model::AdversaryWorkload`]), so a scenario can name an
-/// adversary as its workload; this registry exists for callers that
-/// need the strategy *as* an adversary — observing placements directly
-/// inside a search rollout rather than through the driver's workload
-/// plumbing.
-pub struct AdversaryRegistry {
-    entries: BTreeMap<String, AdversaryBuilder>,
-}
-
-impl AdversaryRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            entries: BTreeMap::new(),
-        }
+        self.lookup("workload", &spec.name)?(instance, spec, seed)
     }
 
-    /// The registry of built-in strategies: `chaser`/`cut-chaser`
-    /// (rotate over cut edges), `greedy-cut` (hit the cut edge on the
-    /// most loaded server) and `separation`/`separation-chaser` (hit
-    /// the most recently collocated cut pair).
-    #[must_use]
-    pub fn builtin() -> Self {
-        let mut reg = Self::empty();
-        let chaser: AdversaryBuilder = Box::new(|_inst, _seed| {
-            Ok(Box::new(workload::CutChaser::new()) as Box<dyn AdaptiveAdversary>)
-        });
-        reg.register_alias(["chaser", "cut-chaser"], chaser);
-        reg.register("greedy-cut", |_inst, _seed| {
-            Ok(Box::new(GreedyCutMaximizer::new()) as _)
-        });
-        let separation: AdversaryBuilder =
-            Box::new(|_inst, _seed| Ok(Box::new(SeparationChaser::new()) as _));
-        reg.register_alias(["separation", "separation-chaser"], separation);
-        reg
-    }
-
-    /// Registers (or replaces) a strategy under `name`.
-    pub fn register<F>(&mut self, name: impl Into<String>, builder: F)
-    where
-        F: Fn(&RingInstance, u64) -> Result<Box<dyn AdaptiveAdversary>, SpecError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.entries.insert(name.into(), Box::new(builder));
-    }
-
-    /// Registers one boxed builder under several keys.
-    fn register_alias<const N: usize>(&mut self, names: [&str; N], builder: AdversaryBuilder) {
-        let shared = std::sync::Arc::new(builder);
-        for name in names {
-            let b = std::sync::Arc::clone(&shared);
-            self.entries
-                .insert(name.to_string(), Box::new(move |inst, seed| b(inst, seed)));
-        }
-    }
-
-    /// The registered keys, sorted (aliases included).
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
-    }
-
-    /// The canonical (alias-free) strategy keys a search sweeps by
-    /// default: every registered key whose builder is not an alias of
-    /// an earlier key, i.e. the sorted key list with `chaser` and
-    /// `separation-chaser` folded into their canonical spellings.
-    #[must_use]
-    pub fn canonical_keys(&self) -> Vec<String> {
-        self.entries
-            .keys()
-            .filter(|k| !matches!(k.as_str(), "chaser" | "separation-chaser"))
-            .cloned()
+    /// Every adversary key with its workload's [`Workload::name`],
+    /// sorted by key, aliases included. A key is an adversary when its
+    /// workload is adaptive; adaptivity is a property of the strategy,
+    /// so each key is probed once with default parameters on a small
+    /// packed instance (a key that does not build there is skipped).
+    fn adversaries(&self) -> Vec<(&str, &'static str)> {
+        let probe = RingInstance::packed(2, 2);
+        self.keys()
+            .filter_map(|key| {
+                let w = self.resolve(&WorkloadSpec::named(key), &probe, 0).ok()?;
+                w.is_adaptive().then(|| (key, w.name()))
+            })
             .collect()
     }
 
-    /// Resolves `name` into a live strategy for `instance`.
+    /// The adversary keys — the workloads that see the placement before
+    /// each request — sorted, aliases included.
+    #[must_use]
+    pub fn adversary_keys(&self) -> Vec<&str> {
+        self.adversaries().into_iter().map(|(key, _)| key).collect()
+    }
+
+    /// The canonical adversary keys a search sweeps by default: one per
+    /// strategy, aliases folded into the key that equals the workload's
+    /// [`Workload::name`].
+    #[must_use]
+    pub fn canonical_adversary_keys(&self) -> Vec<String> {
+        self.adversaries()
+            .into_iter()
+            .filter(|(key, name)| key == name)
+            .map(|(key, _)| key.to_string())
+            .collect()
+    }
+
+    /// Checks that `key` names an adversary.
     ///
     /// # Errors
-    /// Returns a [`SpecError`] for unknown keys (listing the valid
-    /// ones).
-    pub fn resolve(
-        &self,
-        name: &str,
-        instance: &RingInstance,
-        seed: u64,
-    ) -> Result<Box<dyn AdaptiveAdversary>, SpecError> {
-        let builder = self
-            .entries
-            .get(name)
-            .ok_or_else(|| unknown_key("adversary", name, self.entries.keys().map(Clone::clone)))?;
-        builder(instance, seed)
+    /// Returns a [`SpecError`] listing the adversary keys if `key` is
+    /// unknown or names an oblivious workload.
+    pub fn check_adversary(&self, key: &str) -> Result<(), SpecError> {
+        let valid = self.adversary_keys();
+        if valid.contains(&key) {
+            Ok(())
+        } else {
+            Err(unknown_key("adversary", key, valid))
+        }
     }
-}
-
-/// Constructor signature for registered offline oracles.
-pub type OracleBuilder = Box<
-    dyn Fn(&RingInstance, &OracleSpec) -> Result<Box<dyn OfflineOracle>, SpecError> + Send + Sync,
->;
-
-/// Registry of offline oracles
-/// ([`rdbp_offline::OfflineOracle`]), keyed by name — the construction
-/// path behind `rdbp-sim --opt-oracle` and the ratio experiments.
-pub struct OracleRegistry {
-    entries: BTreeMap<String, OracleBuilder>,
 }
 
 impl OracleRegistry {
-    /// An empty registry.
-    #[must_use]
-    pub fn empty() -> Self {
-        Self {
-            entries: BTreeMap::new(),
-        }
-    }
-
     /// The registry of built-in oracles: `exact` (brute-force dynamic
     /// OPT, tiny instances only), `interval` (the `OPT_R` comparator)
-    /// and `ringload` (the scalable certified-bound oracle).
+    /// and `ringload` (the scalable certified-bound oracle). Oracles are
+    /// deterministic: their builders ignore the seed.
     #[must_use]
     pub fn builtin() -> Self {
         let mut reg = Self::empty();
-        reg.register("exact", |_inst, _spec| {
+        reg.register("exact", |_inst, _spec, _seed| {
             Ok(Box::new(ExactDynamicOracle) as Box<dyn OfflineOracle>)
         });
-        reg.register("interval", |_inst, spec| {
+        reg.register("interval", |_inst, spec, _seed| {
             let epsilon = spec.epsilon.unwrap_or(0.5);
             if !(epsilon.is_finite() && epsilon > 0.0) {
                 return Err(SpecError(format!(
@@ -497,26 +378,10 @@ impl OracleRegistry {
                 shift: spec.shift.unwrap_or(0),
             }) as _)
         });
-        reg.register("ringload", |_inst, _spec| {
+        reg.register("ringload", |_inst, _spec, _seed| {
             Ok(Box::new(RingloadOracle::new()) as _)
         });
         reg
-    }
-
-    /// Registers (or replaces) an oracle under `name`.
-    pub fn register<F>(&mut self, name: impl Into<String>, builder: F)
-    where
-        F: Fn(&RingInstance, &OracleSpec) -> Result<Box<dyn OfflineOracle>, SpecError>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.entries.insert(name.into(), Box::new(builder));
-    }
-
-    /// The registered keys, sorted.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
     }
 
     /// Resolves `spec` into a live oracle for `instance`.
@@ -529,25 +394,19 @@ impl OracleRegistry {
         spec: &OracleSpec,
         instance: &RingInstance,
     ) -> Result<Box<dyn OfflineOracle>, SpecError> {
-        let builder = self.entries.get(&spec.name).ok_or_else(|| {
-            unknown_key("oracle", &spec.name, self.entries.keys().map(Clone::clone))
-        })?;
-        builder(instance, spec)
+        self.lookup("oracle", &spec.name)?(instance, spec, 0)
     }
 }
 
-/// All four registries bundled — what [`crate::Scenario::run_with`]
+/// All three registries bundled — what [`crate::Scenario::run_with`]
 /// and the grid executor take.
 pub struct Registries {
     /// Algorithm constructors.
     pub algorithms: AlgorithmRegistry,
-    /// Workload constructors.
+    /// Workload constructors (adversaries included).
     pub workloads: WorkloadRegistry,
     /// Offline-oracle constructors.
     pub oracles: OracleRegistry,
-    /// Adaptive-adversary constructors (the search harness's strategy
-    /// pool).
-    pub adversaries: AdversaryRegistry,
 }
 
 impl Registries {
@@ -558,7 +417,6 @@ impl Registries {
             algorithms: AlgorithmRegistry::builtin(),
             workloads: WorkloadRegistry::builtin(),
             oracles: OracleRegistry::builtin(),
-            adversaries: AdversaryRegistry::builtin(),
         }
     }
 }
@@ -647,37 +505,42 @@ mod tests {
 
     #[test]
     fn unknown_adversary_lists_valid_keys() {
-        let reg = AdversaryRegistry::builtin();
-        let inst = InstanceSpec::packed(4, 8).build().unwrap();
+        let reg = WorkloadRegistry::builtin();
+        let valid = "(valid: chaser, cut-chaser, greedy-cut, separation, separation-chaser)";
         let err = reg
-            .resolve("oracle-of-delphi", &inst, 0)
-            .err()
-            .expect("must fail");
-        assert!(
-            err.0.contains("unknown adversary `oracle-of-delphi`"),
-            "{err}"
+            .check_adversary("oracle-of-delphi")
+            .expect_err("must fail");
+        assert_eq!(
+            err.0,
+            format!("unknown adversary `oracle-of-delphi` {valid}")
         );
-        assert!(err.0.contains("cut-chaser"), "{err}");
-        assert!(err.0.contains("greedy-cut"), "{err}");
-        assert!(err.0.contains("separation"), "{err}");
+        // An oblivious workload is a workload key but not an adversary.
+        let err = reg.check_adversary("uniform").expect_err("must fail");
+        assert_eq!(err.0, format!("unknown adversary `uniform` {valid}"));
+        assert!(reg.check_adversary("chaser").is_ok());
     }
 
     #[test]
-    fn builtin_adversaries_resolve_and_are_mirrored_as_workloads() {
-        let reg = Registries::builtin();
+    fn builtin_adversaries_are_the_adaptive_workloads() {
+        let reg = WorkloadRegistry::builtin();
         let inst = InstanceSpec::packed(4, 8).build().unwrap();
         for key in ["cut-chaser", "greedy-cut", "separation"] {
-            let adv = reg.adversaries.resolve(key, &inst, 0).unwrap();
-            assert_eq!(adv.name(), key);
-            let w = reg
-                .workloads
-                .resolve(&WorkloadSpec::named(key), &inst, 0)
-                .unwrap();
+            let w = reg.resolve(&WorkloadSpec::named(key), &inst, 0).unwrap();
             assert!(w.is_adaptive(), "{key} must be adaptive as a workload");
             assert_eq!(w.name(), key);
         }
         assert_eq!(
-            AdversaryRegistry::builtin().canonical_keys(),
+            reg.adversary_keys(),
+            [
+                "chaser",
+                "cut-chaser",
+                "greedy-cut",
+                "separation",
+                "separation-chaser"
+            ]
+        );
+        assert_eq!(
+            reg.canonical_adversary_keys(),
             vec!["cut-chaser", "greedy-cut", "separation"]
         );
     }

@@ -34,12 +34,11 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use rdbp_model::{
-    AdaptiveAdversary, AuditLevel, Driver, Edge, GreedyCutMaximizer, NoopObserver, Placement,
-    RingInstance,
+    AuditLevel, Driver, Edge, GreedyCutMaximizer, NoopObserver, Placement, RingInstance, Workload,
 };
 
 use crate::registry::Registries;
-use crate::spec::{AlgorithmSpec, OracleSpec, SpecError};
+use crate::spec::{AlgorithmSpec, OracleSpec, SpecError, WorkloadSpec};
 
 /// Configuration of one adversary search.
 #[derive(Debug, Clone)]
@@ -141,7 +140,7 @@ pub fn adversary_search(
         return Err(SpecError("adversary search needs budget > 0".into()));
     }
     let keys: Vec<String> = if config.adversaries.is_empty() {
-        registries.adversaries.canonical_keys()
+        registries.workloads.canonical_adversary_keys()
     } else {
         config.adversaries.clone()
     };
@@ -150,10 +149,10 @@ pub fn adversary_search(
             "adversary search needs at least one strategy".into(),
         ));
     }
-    // Fail fast on unknown keys (and on a non-resolving algorithm)
-    // before spending any budget.
+    // Fail fast on unknown or oblivious keys before spending any
+    // budget.
     for key in &keys {
-        let _ = registries.adversaries.resolve(key, instance, config.seed)?;
+        registries.workloads.check_adversary(key)?;
     }
     let mut oracle = registries.oracles.resolve(&config.oracle, instance)?;
     let initial = Placement::contiguous(instance);
@@ -172,7 +171,8 @@ pub fn adversary_search(
             }
             let label = match continuation {
                 Continuation::Strategy(key) => {
-                    let mut adv = registries.adversaries.resolve(key, instance, config.seed)?;
+                    let spec = WorkloadSpec::named(key.as_str());
+                    let mut adv = registries.workloads.resolve(&spec, instance, config.seed)?;
                     while (trace.len() as u64) < config.steps {
                         let e = adv.next_request(alg.placement());
                         driver.step(alg.as_mut(), e, &mut NoopObserver);
@@ -346,6 +346,15 @@ mod tests {
         let err =
             adversary_search(&inst, &config, &registries).expect_err("unknown strategy must fail");
         assert!(err.0.contains("unknown adversary"), "{err}");
+        // An oblivious workload is not an adversary.
+        config.adversaries = vec!["uniform".into()];
+        let err =
+            adversary_search(&inst, &config, &registries).expect_err("oblivious key must fail");
+        assert_eq!(
+            err.0,
+            "unknown adversary `uniform` (valid: chaser, cut-chaser, greedy-cut, separation, \
+             separation-chaser)"
+        );
     }
 
     #[test]

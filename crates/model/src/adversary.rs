@@ -1,15 +1,16 @@
-//! Adaptive adversaries: placement-observing request pickers.
+//! Adaptive adversaries: workloads that watch the placement.
 //!
 //! The lower-bound constructions (Lemma 4.1, Avin et al.'s Ω(k)) grant
 //! the adversary one power: it sees the online algorithm's placement
-//! *before* choosing each request. [`AdaptiveAdversary`] names exactly
-//! that power — an object that maps the live [`Placement`] to the next
-//! requested [`Edge`] — and generalizes the [`CutChaser`] that the
-//! lower-bound experiments hard-coded into the workload zoo.
+//! *before* choosing each request. That is exactly
+//! [`Workload::next_request`] on a workload whose
+//! [`Workload::is_adaptive`] answers `true`, so an adversary is a plain
+//! [`Workload`] and runs wherever workloads do: the simulation
+//! [`Driver`](crate::Driver), the scenario engine and the serve stack.
 //!
 //! Three built-in strategies:
 //!
-//! * [`CutChaser`] (re-used from [`crate::workload`]) — rotate over the
+//! * [`CutChaser`](crate::workload::CutChaser) — rotate over the
 //!   current cut edges, spreading pressure;
 //! * [`GreedyCutMaximizer`] — always hit the cut edge incident to the
 //!   most loaded server, concentrating pressure where migrations are
@@ -23,129 +24,11 @@
 //! randomized *search* over adversary schedules lives in the scenario
 //! engine (`rdbp_engine::search`), not here: strategies are the inner
 //! deterministic moves, search composes them.
-//!
-//! [`AdversaryWorkload`] adapts any strategy into a [`Workload`] whose
-//! [`Workload::is_adaptive`] answers `true`, so adversaries plug into
-//! the driver, the scenario engine and the serve stack unchanged.
 
 use serde::{DeError, Value};
 
-use crate::workload::{obj, CutChaser, Workload};
+use crate::workload::{obj, Workload};
 use crate::{Edge, Placement};
-
-/// An adaptive adversary: observes the algorithm's placement each step
-/// and picks the next request.
-///
-/// Implementations must be deterministic functions of their own state
-/// and the observed placement stream — the adversary-search harness
-/// relies on replaying a found schedule bit-identically.
-pub trait AdaptiveAdversary {
-    /// Picks the next request given the algorithm's current placement.
-    fn next_request(&mut self, placement: &Placement) -> Edge;
-
-    /// Human-readable strategy name (for reports and registries).
-    fn name(&self) -> &'static str;
-
-    /// Exports a serializable snapshot of all mutable state, or `None`
-    /// if the strategy does not support checkpointing. Same contract as
-    /// [`Workload::export_state`].
-    fn export_state(&self) -> Option<Value> {
-        None
-    }
-
-    /// Restores a snapshot produced by [`Self::export_state`] on an
-    /// identically-configured instance.
-    ///
-    /// # Errors
-    /// Returns a [`DeError`] if the strategy does not support
-    /// checkpointing or the snapshot does not fit.
-    fn restore_state(&mut self, _state: &Value) -> Result<(), DeError> {
-        Err(DeError(format!(
-            "adversary `{}` does not support snapshot/restore",
-            self.name()
-        )))
-    }
-}
-
-impl<T: AdaptiveAdversary + ?Sized> AdaptiveAdversary for Box<T> {
-    fn next_request(&mut self, placement: &Placement) -> Edge {
-        (**self).next_request(placement)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn export_state(&self) -> Option<Value> {
-        (**self).export_state()
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        (**self).restore_state(state)
-    }
-}
-
-/// The cut-chaser is the original adaptive adversary; its strategy is
-/// its [`Workload`] behaviour verbatim.
-impl AdaptiveAdversary for CutChaser {
-    fn next_request(&mut self, placement: &Placement) -> Edge {
-        Workload::next_request(self, placement)
-    }
-
-    fn name(&self) -> &'static str {
-        Workload::name(self)
-    }
-
-    fn export_state(&self) -> Option<Value> {
-        Workload::export_state(self)
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        Workload::restore_state(self, state)
-    }
-}
-
-/// Adapts an [`AdaptiveAdversary`] into a [`Workload`] (always
-/// adaptive), so adversaries run everywhere workloads do: driver,
-/// scenario engine, serve stack.
-#[derive(Debug, Clone)]
-pub struct AdversaryWorkload<A: AdaptiveAdversary>(A);
-
-impl<A: AdaptiveAdversary> AdversaryWorkload<A> {
-    /// Wraps a strategy.
-    pub fn new(adversary: A) -> Self {
-        Self(adversary)
-    }
-
-    /// Unwraps the strategy.
-    pub fn into_inner(self) -> A {
-        self.0
-    }
-}
-
-impl<A: AdaptiveAdversary> Workload for AdversaryWorkload<A> {
-    fn next_request(&mut self, placement: &Placement) -> Edge {
-        self.0.next_request(placement)
-    }
-
-    // Adaptive by definition: batched executors must interleave
-    // generation with serving.
-    fn is_adaptive(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    fn export_state(&self) -> Option<Value> {
-        self.0.export_state()
-    }
-
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        self.0.restore_state(state)
-    }
-}
 
 /// **Greedy cut-maximizer**: request the cut edge incident to the most
 /// loaded server (ties: smaller load on the other endpoint, then the
@@ -166,7 +49,7 @@ impl GreedyCutMaximizer {
     }
 }
 
-impl AdaptiveAdversary for GreedyCutMaximizer {
+impl Workload for GreedyCutMaximizer {
     fn next_request(&mut self, placement: &Placement) -> Edge {
         let mut best: Option<(u32, u32, Edge)> = None;
         for e in placement.cut_edges() {
@@ -188,6 +71,10 @@ impl AdaptiveAdversary for GreedyCutMaximizer {
             }
         }
         best.map_or(Edge(0), |(_, _, e)| e)
+    }
+
+    fn is_adaptive(&self) -> bool {
+        true
     }
 
     fn name(&self) -> &'static str {
@@ -227,7 +114,7 @@ impl SeparationChaser {
     }
 }
 
-impl AdaptiveAdversary for SeparationChaser {
+impl Workload for SeparationChaser {
     fn next_request(&mut self, placement: &Placement) -> Edge {
         let n = placement.instance().n() as usize;
         if self.last_collocated.len() != n {
@@ -250,6 +137,10 @@ impl AdaptiveAdversary for SeparationChaser {
             }
         }
         best.map_or(Edge(0), |(_, e)| e)
+    }
+
+    fn is_adaptive(&self) -> bool {
+        true
     }
 
     fn name(&self) -> &'static str {
@@ -275,7 +166,7 @@ impl AdaptiveAdversary for SeparationChaser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::record;
+    use crate::workload::{record, CutChaser};
     use crate::{Placement, Process, RingInstance, Server};
 
     fn placement() -> Placement {
@@ -337,33 +228,44 @@ mod tests {
 
     #[test]
     fn cut_chaser_adversary_matches_its_workload_stream() {
+        // Drawn as an adversary (boxed, the way search holds it), the
+        // cut-chaser replays its concrete workload stream exactly.
         let p = placement();
         let mut as_workload = CutChaser::new();
         let want = record(&mut as_workload, &p, 12);
-        let mut as_adversary = CutChaser::new();
-        let got: Vec<Edge> = (0..12)
-            .map(|_| AdaptiveAdversary::next_request(&mut as_adversary, &p))
-            .collect();
-        assert_eq!(got, want, "the two trait hats must share one strategy");
+        let mut as_adversary: Box<dyn Workload> = Box::new(CutChaser::new());
+        let got = record(&mut *as_adversary, &p, 12);
+        assert_eq!(got, want, "one strategy, one stream");
     }
 
     #[test]
     fn adversary_workload_is_adaptive_and_delegates() {
         let p = placement();
-        let mut w = AdversaryWorkload::new(GreedyCutMaximizer::new());
+        let mut w = GreedyCutMaximizer::new();
         assert!(w.is_adaptive());
-        assert_eq!(Workload::name(&w), "greedy-cut");
-        let e = Workload::next_request(&mut w, &p);
+        assert_eq!(w.name(), "greedy-cut");
+        let e = w.next_request(&p);
         assert!(p.is_cut(e));
-        let snap = Workload::export_state(&w).unwrap();
-        assert!(Workload::restore_state(&mut w, &snap).is_ok());
+        let snap = w.export_state().unwrap();
+        assert!(w.restore_state(&snap).is_ok());
     }
 
     #[test]
     fn boxed_adversaries_dispatch() {
+        // Every strategy is a plain workload: named, adaptive, chasing
+        // a cut edge, and checkpointable through `Box<dyn Workload>`.
         let p = placement();
-        let mut boxed: Box<dyn AdaptiveAdversary> = Box::new(SeparationChaser::new());
-        assert_eq!(boxed.name(), "separation");
-        assert!(p.is_cut(boxed.next_request(&p)));
+        let strategies: [(Box<dyn Workload>, &str); 3] = [
+            (Box::new(CutChaser::new()), "cut-chaser"),
+            (Box::new(GreedyCutMaximizer::new()), "greedy-cut"),
+            (Box::new(SeparationChaser::new()), "separation"),
+        ];
+        for (mut boxed, name) in strategies {
+            assert_eq!(boxed.name(), name);
+            assert!(boxed.is_adaptive(), "{name} must be adaptive");
+            assert!(p.is_cut(boxed.next_request(&p)), "{name} must hit a cut");
+            let snap = boxed.export_state().expect("adversaries checkpoint");
+            assert!(boxed.restore_state(&snap).is_ok(), "{name}");
+        }
     }
 }

@@ -18,14 +18,15 @@
 //! * [`Observer`] / [`observers`] — a streaming view of every driver
 //!   step ([`StepEvent`]): cost curves, CSV emission, load head-room and
 //!   trace recording without touching the hot loop's accounting.
-//! * [`workload`] — request generators: the ML ring-allreduce pattern the
-//!   paper's introduction motivates, plus Zipf, sliding windows, bursts,
+//! * [`workload`] — request generators behind the one request-source
+//!   trait, [`Workload`]: the ML ring-allreduce pattern the paper's
+//!   introduction motivates, plus Zipf, sliding windows, bursts,
 //!   rotating hotspots, random walks, and *adaptive adversaries* (the
 //!   cut-chaser used in the Ω(k) lower-bound experiments).
-//! * [`adversary`] — the [`AdaptiveAdversary`] trait (observe the
-//!   placement, pick the next request) with the chaser, greedy
-//!   cut-maximizer and separation-chaser strategies behind the
-//!   adversary-search harness.
+//! * [`adversary`] — the greedy cut-maximizer and separation-chaser
+//!   strategies behind the adversary-search harness: workloads whose
+//!   [`Workload::is_adaptive`] answers `true`, because they see the
+//!   placement before each request.
 //! * [`family`] — related-work cost-model families (online bisection
 //!   with ring demands; the generalized learning model) charged by
 //!   reweighting driver events, no algorithm changes required.
@@ -46,7 +47,7 @@ mod sim;
 pub mod trace;
 pub mod workload;
 
-pub use adversary::{AdaptiveAdversary, AdversaryWorkload, GreedyCutMaximizer, SeparationChaser};
+pub use adversary::{GreedyCutMaximizer, SeparationChaser};
 pub use counters::{WorkCounters, NUM_WORK_METRICS};
 pub use family::{CostModel, FamilyCostObserver};
 pub use instance::{Edge, Process, RingInstance, Segment, Server};

@@ -1,8 +1,8 @@
 //! Request generators: oblivious workloads and adaptive adversaries.
 //!
 //! Oblivious generators ignore the placement argument; adaptive
-//! adversaries (e.g. [`CutChaser`]) inspect the algorithm's current
-//! placement, which is exactly the power the lower-bound proofs
+//! adversaries ([`CutChaser`] here, more in [`crate::adversary`])
+//! inspect the algorithm's current placement, which is exactly the power the lower-bound proofs
 //! (Lemma 4.1, Avin et al.'s Ω(k)) grant the adversary against
 //! deterministic algorithms.
 //!

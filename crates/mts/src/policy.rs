@@ -270,6 +270,25 @@ impl PolicyKind {
     }
 }
 
+impl std::str::FromStr for PolicyKind {
+    type Err = String;
+
+    /// Parses a policy name: `wfa`/`work-function`,
+    /// `smin`/`smin-gradient`, `hedge`/`hst-hedge` or `marking` (so
+    /// every [`PolicyKind::label`] parses back to its policy).
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "wfa" | "work-function" => Ok(PolicyKind::WorkFunction),
+            "smin" | "smin-gradient" => Ok(PolicyKind::SminGradient),
+            "hedge" | "hst-hedge" => Ok(PolicyKind::HstHedge),
+            "marking" => Ok(PolicyKind::Marking),
+            other => Err(format!(
+                "unknown policy `{other}` (valid: wfa, smin, hedge, marking)"
+            )),
+        }
+    }
+}
+
 /// Accumulated MTS costs of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MtsCosts {
@@ -371,6 +390,29 @@ mod tests {
             assert_eq!(p.state(), 3);
             assert!(!kind.label().is_empty());
         }
+    }
+
+    #[test]
+    fn every_policy_spelling_parses_and_labels_round_trip() {
+        let spellings = [
+            ("wfa", PolicyKind::WorkFunction),
+            ("work-function", PolicyKind::WorkFunction),
+            ("smin", PolicyKind::SminGradient),
+            ("smin-gradient", PolicyKind::SminGradient),
+            ("hedge", PolicyKind::HstHedge),
+            ("hst-hedge", PolicyKind::HstHedge),
+            ("marking", PolicyKind::Marking),
+        ];
+        for (name, kind) in spellings {
+            assert_eq!(name.parse::<PolicyKind>(), Ok(kind), "{name}");
+        }
+        for kind in ALL_KINDS {
+            assert_eq!(kind.label().parse::<PolicyKind>(), Ok(kind));
+        }
+        assert_eq!(
+            "quantum".parse::<PolicyKind>(),
+            Err("unknown policy `quantum` (valid: wfa, smin, hedge, marking)".to_string())
+        );
     }
 
     #[test]

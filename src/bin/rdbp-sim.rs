@@ -181,7 +181,7 @@ fn main() {
             }
         }
         if args.flag("list-adversaries") {
-            for key in registries.adversaries.keys() {
+            for key in registries.workloads.adversary_keys() {
                 println!("{key}");
             }
         }
@@ -198,19 +198,14 @@ fn main() {
         scenario.audit = AuditSpec::Full;
     }
 
-    // --adversary drives the run with an adaptive strategy. Every
-    // adversary key is mirrored as a workload key, so outside of search
-    // mode this is just spelling for the workload — validated against
-    // the adversary registry so typos cite the right key list.
+    // --adversary drives the run with an adaptive strategy. Adversaries
+    // are workloads, so outside of search mode it names the workload,
+    // refusing the oblivious ones.
     if let Some(key) = args.0.get("adversary") {
-        let registries = Registries::builtin();
-        if !registries.adversaries.keys().any(|k| k == key) {
-            let valid: Vec<&str> = registries.adversaries.keys().collect();
-            fail(format!(
-                "unknown adversary `{key}` (valid: {})",
-                valid.join(", ")
-            ));
-        }
+        Registries::builtin()
+            .workloads
+            .check_adversary(key)
+            .unwrap_or_else(|e| fail(e.0));
         scenario.workload = WorkloadSpec::named(key.clone());
     }
 

@@ -36,8 +36,9 @@
 //!   ([`BisectionSwap`](rdbp_baselines::BisectionSwap),
 //!   [`LearningCollocator`](rdbp_baselines::LearningCollocator));
 //! * [`engine`] — the scenario engine: serializable
-//!   [`Scenario`](rdbp_engine::Scenario) specs,
-//!   algorithm/workload/adversary registries, the
+//!   [`Scenario`](rdbp_engine::Scenario) specs, one
+//!   [`Registry`](rdbp_engine::Registry) type for the algorithm,
+//!   workload (adversaries included) and oracle tables, the
 //!   [`ScenarioGrid`](rdbp_engine::ScenarioGrid) multi-run executor,
 //!   streaming [`Observer`](rdbp_model::Observer) hooks (DESIGN.md §7),
 //!   and the [`adversary_search`](rdbp_engine::adversary_search)
@@ -89,17 +90,16 @@ pub mod prelude {
     pub use rdbp_core::staticmodel::HittingGame;
     pub use rdbp_core::{DynamicConfig, DynamicPartitioner, StaticConfig, StaticPartitioner};
     pub use rdbp_engine::{
-        adversary_search, summarize, AdversaryRegistry, AlgorithmRegistry, AlgorithmSpec,
-        AuditSpec, InstanceSpec, OracleRegistry, OracleSpec, Registries, Scenario, ScenarioGrid,
-        SearchConfig, SearchOutcome, SpecError, WorkloadRegistry, WorkloadSpec,
+        adversary_search, summarize, AlgorithmRegistry, AlgorithmSpec, AuditSpec, InstanceSpec,
+        OracleRegistry, OracleSpec, Registries, Scenario, ScenarioGrid, SearchConfig,
+        SearchOutcome, SpecError, WorkloadRegistry, WorkloadSpec,
     };
     pub use rdbp_model::observers;
     pub use rdbp_model::workload;
     pub use rdbp_model::{
-        run, run_trace, AdaptiveAdversary, AdversaryWorkload, AuditLevel, BatchEvent, CostLedger,
-        CostModel, Edge, FamilyCostObserver, GreedyCutMaximizer, MigrationRecord, Observer,
-        OnlineAlgorithm, Placement, Process, RingInstance, RunReport, Segment, SeparationChaser,
-        Server, StepEvent,
+        run, run_trace, AuditLevel, BatchEvent, CostLedger, CostModel, Edge, FamilyCostObserver,
+        GreedyCutMaximizer, MigrationRecord, Observer, OnlineAlgorithm, Placement, Process,
+        RingInstance, RunReport, Segment, SeparationChaser, Server, StepEvent, Workload,
     };
     pub use rdbp_mts::PolicyKind;
     pub use rdbp_offline::{

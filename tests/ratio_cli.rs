@@ -1,7 +1,8 @@
 //! `rdbp-sim --ratio` compares a run against an offline oracle from
 //! the CLI; these tests pin the JSON shape of the `oracle` object, the
 //! default oracle choice, and the guard rails (unsupported instances,
-//! `--batch` incompatibility).
+//! `--batch` incompatibility). The adversary flags' key list and
+//! unknown-key error are pinned here too.
 
 use std::process::Command;
 
@@ -150,4 +151,20 @@ fn batch_rejects_ratio() {
     assert!(!output.status.success());
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("--ratio"), "unhelpful error: {err}");
+}
+
+#[test]
+fn adversary_flags_list_and_check_the_adaptive_workloads() {
+    assert_eq!(
+        sim_ok(&["--list-adversaries"]),
+        "chaser\ncut-chaser\ngreedy-cut\nseparation\nseparation-chaser\n"
+    );
+    // An oblivious workload key is not an adversary.
+    let output = sim(&["--adversary", "uniform"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&output.stderr),
+        "unknown adversary `uniform` (valid: chaser, cut-chaser, greedy-cut, separation, \
+         separation-chaser)\n"
+    );
 }

@@ -35,6 +35,8 @@ const WORKLOADS: &[&str] = &[
     "random-walk",
     "hotspot",
     "chaser",
+    "greedy-cut",
+    "separation",
 ];
 
 /// Wrapper pushing a raw snapshot `Value` through the JSON text layer.
