@@ -344,7 +344,9 @@ mod tests {
     fn attach_refuses_another_protocol_version() {
         let message = attach_error("rdbp-serve", 2);
         assert!(
-            message.contains("backend 3: protocol version 2 (router speaks 3)"),
+            message.contains(&format!(
+                "backend 3: protocol version 2 (router speaks {PROTO_VERSION})"
+            )),
             "{message}"
         );
     }

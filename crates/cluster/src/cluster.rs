@@ -12,21 +12,17 @@
 //! transparently continue against the new backend), and a single place
 //! to detect a dead backend and repair the route before retrying.
 //!
-//! ## Migration and the counter base
+//! ## Migration
 //!
 //! A migration moves the session's snapshot as the [`SnapshotBlob`] the
-//! source backend sent: the router forwards its bytes to the target and
-//! keeps them as the retained restore point, and never decodes them.
+//! source backend sent: the router keeps its bytes as the retained
+//! restore point, forwards them to the target, and never decodes them.
 //!
-//! Work counters are transient on a backend: a restored session's
-//! counters restart at zero. To keep a migrated session's *observable*
-//! counters identical to an unmigrated one (the differential test's
-//! contract), each route carries a `counter_base`: the merged counters
-//! accumulated on all previous backends. `query` reports `base +
-//! live`, so a session that migrated five times answers exactly what a
-//! never-migrated twin would. This only works because restore is
-//! work-counter-neutral (snapshot format v2 carries the `hst-hedge`
-//! distribution-cache bit for precisely this reason).
+//! The router keeps routes, not counters. A snapshot carries the
+//! session's work counters, and a restored session reports them plus
+//! its own, so `query` passes the backend's counters through: a session
+//! that migrated five times answers exactly what a never-migrated twin
+//! would.
 //!
 //! ## Failover and the lost-requests contract
 //!
@@ -61,7 +57,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use rdbp_engine::Scenario;
-use rdbp_model::{RunReport, WorkCounters};
+use rdbp_model::RunReport;
 use rdbp_serve::{
     BackendSummary, BatchSummary, ManagerStats, Request, Response, ServeError, ServerHello,
     SessionInfo, SessionLineage, SessionStatus, SnapshotBlob, Work, PROTO_VERSION,
@@ -130,20 +126,19 @@ impl ClusterConfig {
 /// The retained restore point for one session.
 struct Retained {
     snapshot: SnapshotBlob,
+    /// The session's steps when the snapshot was taken.
     steps: u64,
-    /// Total observable counters (base + live) at the snapshot point;
-    /// becomes the new `counter_base` after a failover restore.
-    counters_at: WorkCounters,
 }
 
 /// One session's routing entry. Locked for the duration of every op —
 /// see the module docs for why.
+#[derive(Default)]
 struct RouteState {
     backend: usize,
     remote: u64,
-    counter_base: WorkCounters,
     retained: Option<Retained>,
-    /// `summary.steps` of the last acknowledged submit.
+    /// The session's steps as its backend last reported them: when it
+    /// opened there, and after each acknowledged submit.
     acked_steps: u64,
     /// Cumulative violations at the last acknowledgment (for the
     /// router-level aggregate's delta accounting).
@@ -158,13 +153,21 @@ struct RouteState {
 
 type Route = Arc<Mutex<RouteState>>;
 
-/// The router's shared state: backends, routing table, counters.
+/// What opening a session on one backend came to.
+enum Opened {
+    Created(SessionInfo),
+    /// The backend answered, but not with a session.
+    Refused(String),
+    /// The call failed; the backend is marked dead.
+    Died(std::io::Error),
+}
+
+/// The router's shared state: backends, routing table, aggregate stats.
 pub struct Cluster {
     backends: Vec<Arc<Backend>>,
     routes: RwLock<HashMap<u64, Route>>,
     next_id: AtomicU64,
     created: AtomicU64,
-    closed: AtomicU64,
     served: AtomicU64,
     violations: AtomicU64,
     stopping: AtomicBool,
@@ -209,7 +212,6 @@ impl Cluster {
             routes: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             created: AtomicU64::new(0),
-            closed: AtomicU64::new(0),
             served: AtomicU64::new(0),
             violations: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
@@ -351,13 +353,13 @@ impl Cluster {
         };
         // The snapshot may need several placement attempts if survivors
         // keep dying under us.
+        let request = Request::Restore {
+            snapshot: retained.snapshot.clone(),
+        };
         for _ in 0..self.backends.len() {
             let target = self.least_loaded(Some(dead))?;
-            let request = Request::Restore {
-                snapshot: retained.snapshot.clone(),
-            };
-            match self.backends[target].call(id, &request) {
-                Ok(Response::Created { info }) => {
+            match self.open_on(target, id, &request) {
+                Opened::Created(info) => {
                     let lost = state.acked_steps.saturating_sub(retained.steps);
                     if lost > 0 {
                         eprintln!(
@@ -367,29 +369,37 @@ impl Cluster {
                         );
                     }
                     state.lost_requests += lost;
-                    state.acked_steps = retained.steps;
-                    state.counter_base = retained.counters_at;
+                    state.acked_steps = info.steps;
                     state.failovers += 1;
                     self.move_session_count(dead, target);
                     state.backend = target;
                     state.remote = info.id;
                     return Ok(());
                 }
-                Ok(Response::Error { message }) => {
+                Opened::Refused(message) => {
                     let msg = format!("session {id} lost: failover restore refused: {message}");
                     state.lost = Some(msg.clone());
                     self.backends[dead].sessions.fetch_sub(1, Ordering::Relaxed);
                     return Err(ServeError(msg));
                 }
-                Ok(other) => {
-                    return Err(ServeError(format!(
-                        "failover restore got an unexpected reply {other:?}"
-                    )))
-                }
-                Err(e) => self.report_death(target, &e),
+                Opened::Died(_) => {}
             }
         }
         Err(ServeError("no live backends".into()))
+    }
+
+    /// Sends `request`, which opens a session, to backend `target`.
+    /// Anything but `created` or an I/O error counts as a refusal.
+    fn open_on(&self, target: usize, id: u64, request: &Request) -> Opened {
+        match self.backends[target].call(id, request) {
+            Ok(Response::Created { info }) => Opened::Created(info),
+            Ok(Response::Error { message }) => Opened::Refused(message),
+            Ok(other) => Opened::Refused(format!("unexpected reply {other:?}")),
+            Err(e) => {
+                self.report_death(target, &e);
+                Opened::Died(e)
+            }
+        }
     }
 
     fn route_of(&self, id: u64) -> Result<Route, ServeError> {
@@ -400,34 +410,32 @@ impl Cluster {
             .ok_or_else(|| ServeError(format!("unknown session {id}")))
     }
 
-    /// Reads the session's status and a fresh snapshot in one quiesced
-    /// exchange; both come from the same instant because the route lock
-    /// is held across the two calls.
-    fn status_and_snapshot(
-        &self,
-        id: u64,
-        state: &mut RouteState,
-    ) -> Result<(SessionStatus, SnapshotBlob), ServeError> {
-        let status = match self.roundtrip(id, state, |remote| Request::Query { session: remote })? {
-            Response::Status { status } => status,
-            Response::Error { message } => return Err(ServeError(message)),
-            other => return Err(ServeError(format!("unexpected query reply {other:?}"))),
-        };
+    /// Every route, copied out so no sweep holds the table lock while
+    /// it locks one.
+    fn all_routes(&self) -> Vec<(u64, Route)> {
+        self.routes
+            .read()
+            .iter()
+            .map(|(&id, route)| (id, Arc::clone(route)))
+            .collect()
+    }
+
+    /// Takes a fresh snapshot of the session and retains it as its
+    /// restore point. Under the route lock the session's steps are
+    /// `acked_steps`, so the snapshot is one call. On an error the
+    /// previous restore point stays.
+    fn take_snapshot(&self, id: u64, state: &mut RouteState) -> Result<SnapshotBlob, ServeError> {
         let snapshot =
             match self.roundtrip(id, state, |remote| Request::Snapshot { session: remote })? {
                 Response::Snapshot { snapshot, .. } => snapshot,
                 Response::Error { message } => return Err(ServeError(message)),
                 other => return Err(ServeError(format!("unexpected snapshot reply {other:?}"))),
             };
-        Ok((status, snapshot))
-    }
-
-    /// Total observable counters for a route: accumulated base plus the
-    /// live backend session's transient counters.
-    fn total_counters(state: &RouteState, live: &WorkCounters) -> WorkCounters {
-        let mut total = state.counter_base;
-        total.merge(live);
-        total
+        state.retained = Some(Retained {
+            snapshot: snapshot.clone(),
+            steps: state.acked_steps,
+        });
+        Ok(snapshot)
     }
 
     // --- session API --------------------------------------------------
@@ -441,7 +449,7 @@ impl Cluster {
     /// alive.
     pub fn create(&self, scenario: Scenario) -> Result<SessionInfo, ServeError> {
         let scenario = Box::new(scenario);
-        self.place("create", &Request::Create { scenario })
+        self.place(&Request::Create { scenario })
     }
 
     /// Restores a session from a client-provided snapshot, placing it
@@ -451,21 +459,20 @@ impl Cluster {
     /// Returns a [`ServeError`] on snapshot mismatches or if no backend
     /// is alive.
     pub fn restore(&self, snapshot: SnapshotBlob) -> Result<SessionInfo, ServeError> {
-        self.place("restore", &Request::Restore { snapshot })
+        self.place(&Request::Restore { snapshot })
     }
 
-    /// Sends `request` (the `op` that opens a session) to the
-    /// least-loaded backend, retrying past backends that die under the
-    /// call, and installs the new session's route.
-    fn place(&self, op: &str, request: &Request) -> Result<SessionInfo, ServeError> {
+    /// Sends `request`, which opens a session, to the least-loaded
+    /// backend, retrying past backends that die under the call, and
+    /// installs the new session's route.
+    fn place(&self, request: &Request) -> Result<SessionInfo, ServeError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         for _ in 0..self.backends.len() {
             let target = self.least_loaded(None)?;
-            match self.backends[target].call(id, request) {
-                Ok(Response::Created { info }) => return self.install_route(id, target, info),
-                Ok(Response::Error { message }) => return Err(ServeError(message)),
-                Ok(other) => return Err(ServeError(format!("unexpected {op} reply {other:?}"))),
-                Err(e) => self.report_death(target, &e),
+            match self.open_on(target, id, request) {
+                Opened::Created(info) => return Ok(self.install_route(id, target, info)),
+                Opened::Refused(message) => return Err(ServeError(message)),
+                Opened::Died(_) => {}
             }
         }
         Err(ServeError("no live backends".into()))
@@ -473,41 +480,33 @@ impl Cluster {
 
     /// Registers a fresh route for a just-created/restored remote
     /// session, taking the initial retained snapshot.
-    fn install_route(
-        &self,
-        id: u64,
-        target: usize,
-        info: SessionInfo,
-    ) -> Result<SessionInfo, ServeError> {
+    fn install_route(&self, id: u64, target: usize, info: SessionInfo) -> SessionInfo {
         let mut state = RouteState {
             backend: target,
             remote: info.id,
-            counter_base: WorkCounters::default(),
-            retained: None,
             acked_steps: info.steps,
-            last_violations: 0,
-            migrations: 0,
-            failovers: 0,
-            lost_requests: 0,
-            lost: None,
+            ..RouteState::default()
         };
-        // Best-effort initial snapshot: a `static`-algorithm session
-        // simply stays unprotected (and is reported lost if its backend
-        // dies); everything else is restorable from step 0.
-        if let Ok((status, snapshot)) = self.status_and_snapshot(id, &mut state) {
-            state.retained = Some(Retained {
-                snapshot,
-                steps: status.report.steps,
-                counters_at: Self::total_counters(&state, &status.counters),
-            });
-            state.last_violations = status.report.capacity_violations;
-        }
-        self.backends[state.backend]
+        // Counted before the first call that can fail the session over,
+        // which moves the count.
+        self.backends[target]
             .sessions
             .fetch_add(1, Ordering::Relaxed);
+        // A fresh session has no violations yet; a restored one may.
+        if info.steps > 0 {
+            if let Ok(Response::Status { status }) =
+                self.roundtrip(id, &mut state, |remote| Request::Query { session: remote })
+            {
+                state.last_violations = status.report.capacity_violations;
+            }
+        }
+        // Best-effort initial snapshot: a `static`-algorithm session
+        // simply stays unprotected (and is reported lost if its backend
+        // dies); everything else is restorable from its first step.
+        let _ = self.take_snapshot(id, &mut state);
         self.created.fetch_add(1, Ordering::Relaxed);
         self.routes.write().insert(id, Arc::new(Mutex::new(state)));
-        Ok(SessionInfo { id, ..info })
+        SessionInfo { id, ..info }
     }
 
     /// Submits work to a routed session (quiesced against migration,
@@ -537,8 +536,8 @@ impl Cluster {
         }
     }
 
-    /// Queries a session. Counters are the migration-compensated totals
-    /// (`base + live`), so the answer is independent of how many times
+    /// Queries a session. The backend's counters cover the session's
+    /// whole history, so the answer is independent of how many times
     /// the session moved.
     ///
     /// # Errors
@@ -551,7 +550,6 @@ impl Cluster {
         match response {
             Response::Status { mut status } => {
                 status.id = id;
-                status.counters = Self::total_counters(&state, &status.counters);
                 Ok(status)
             }
             Response::Error { message } => Err(ServeError(message)),
@@ -568,13 +566,7 @@ impl Cluster {
     pub fn snapshot(&self, id: u64) -> Result<SnapshotBlob, ServeError> {
         let route = self.route_of(id)?;
         let mut state = route.lock();
-        let (status, snapshot) = self.status_and_snapshot(id, &mut state)?;
-        state.retained = Some(Retained {
-            snapshot: snapshot.clone(),
-            steps: status.report.steps,
-            counters_at: Self::total_counters(&state, &status.counters),
-        });
-        Ok(snapshot)
+        self.take_snapshot(id, &mut state)
     }
 
     /// Closes a session and removes its route.
@@ -591,7 +583,6 @@ impl Cluster {
                 self.backends[state.backend]
                     .sessions
                     .fetch_sub(1, Ordering::Relaxed);
-                self.closed.fetch_add(1, Ordering::Relaxed);
                 drop(state);
                 self.routes.write().remove(&id);
                 Ok(report)
@@ -601,10 +592,10 @@ impl Cluster {
         }
     }
 
-    /// Live-migrates a session: quiesce (the route lock), pull status +
-    /// snapshot from the source, restore on the target, roll the
-    /// counter base forward, close the source copy. Ops blocked on the
-    /// route lock continue seamlessly against the new backend.
+    /// Live-migrates a session: quiesce (the route lock), snapshot the
+    /// source (which becomes the retained restore point), restore on
+    /// the target, close the source copy. Ops blocked on the route lock
+    /// continue seamlessly against the new backend.
     ///
     /// # Errors
     /// Returns a [`ServeError`] for unknown/lost sessions, bad targets,
@@ -637,38 +628,18 @@ impl Cluster {
         if target == from {
             return Ok((from as u64, from as u64));
         }
-        let (status, snapshot) = self.status_and_snapshot(id, &mut state)?;
-        let response = self.backends[target]
-            .call(
-                id,
-                &Request::Restore {
-                    snapshot: snapshot.clone(),
-                },
-            )
-            .map_err(|e| {
-                self.report_death(target, &e);
-                ServeError(format!("migration target {target} died: {e}"))
-            })?;
-        let info = match response {
-            Response::Created { info } => info,
-            Response::Error { message } => {
+        let snapshot = self.take_snapshot(id, &mut state)?;
+        let info = match self.open_on(target, id, &Request::Restore { snapshot }) {
+            Opened::Created(info) => info,
+            Opened::Refused(message) => {
                 return Err(ServeError(format!("migration restore refused: {message}")))
             }
-            other => {
-                return Err(ServeError(format!(
-                    "unexpected migration restore reply {other:?}"
-                )))
+            Opened::Died(e) => {
+                return Err(ServeError(format!("migration target {target} died: {e}")))
             }
         };
-        let total = Self::total_counters(&state, &status.counters);
         let old_remote = state.remote;
-        state.counter_base = total;
-        state.retained = Some(Retained {
-            snapshot,
-            steps: status.report.steps,
-            counters_at: total,
-        });
-        state.acked_steps = status.report.steps;
+        state.acked_steps = info.steps;
         state.migrations += 1;
         self.move_session_count(from, target);
         state.backend = target;
@@ -752,13 +723,7 @@ impl Cluster {
         if !needs_sweep {
             return;
         }
-        let routes: Vec<(u64, Route)> = self
-            .routes
-            .read()
-            .iter()
-            .map(|(&id, route)| (id, Arc::clone(route)))
-            .collect();
-        for (id, route) in routes {
+        for (id, route) in self.all_routes() {
             let mut state = route.lock();
             if state.lost.is_none() && !self.backends[state.backend].alive() {
                 if let Err(e) = self.failover_locked(id, &mut state) {
@@ -771,13 +736,7 @@ impl Cluster {
     /// Refreshes every session's retained snapshot (the periodic
     /// background checkpoint that bounds the failover replay gap).
     fn snapshot_sweep(&self) {
-        let routes: Vec<(u64, Route)> = self
-            .routes
-            .read()
-            .iter()
-            .map(|(&id, route)| (id, Arc::clone(route)))
-            .collect();
-        for (id, route) in routes {
+        for (id, route) in self.all_routes() {
             let mut state = route.lock();
             if state.lost.is_some() || !self.backends[state.backend].alive() {
                 continue;
@@ -785,13 +744,7 @@ impl Cluster {
             // A snapshot refresh is an optimization, not an obligation:
             // errors (unsupported algorithm, backend mid-crash) keep
             // the previous retained snapshot.
-            if let Ok((status, snapshot)) = self.status_and_snapshot(id, &mut state) {
-                state.retained = Some(Retained {
-                    snapshot,
-                    steps: status.report.steps,
-                    counters_at: Self::total_counters(&state, &status.counters),
-                });
-            }
+            let _ = self.take_snapshot(id, &mut state);
         }
     }
 
@@ -815,15 +768,9 @@ impl Cluster {
         if hot == cold || hot_n.saturating_sub(cold_n) < gap {
             return;
         }
-        let routes: Vec<(u64, Route)> = self
-            .routes
-            .read()
-            .iter()
-            .map(|(&id, route)| (id, Arc::clone(route)))
-            .collect();
-        let candidate = routes.iter().find_map(|(id, route)| {
+        let candidate = self.all_routes().into_iter().find_map(|(id, route)| {
             let state = route.lock();
-            (state.lost.is_none() && state.backend == hot).then_some(*id)
+            (state.lost.is_none() && state.backend == hot).then_some(id)
         });
         if let Some(id) = candidate {
             match self.migrate(id, Some(cold as u64)) {

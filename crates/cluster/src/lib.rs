@@ -13,9 +13,9 @@
 //!   mid-conversation via the snapshot/restore contract
 //!   (quiesce → snapshot → restore → continue), invisible to the
 //!   client: the migrated transcript is byte-identical to an
-//!   unmigrated one, work counters included (the router carries each
-//!   session's accumulated `counter_base` across moves). The snapshot
-//!   crosses the router as opaque bytes
+//!   unmigrated one, work counters included (the snapshot carries the
+//!   session's counters, so the router keeps none of its own). The
+//!   snapshot crosses the router as opaque bytes
 //!   ([`rdbp_serve::SnapshotBlob`]), never decoded there.
 //! * **Rebalancing** — a policy loop watches per-backend session
 //!   counts and migrates sessions from the hottest backend to the

@@ -242,6 +242,8 @@ fn drive(client: &mut Client, session: u64) -> Vec<String> {
     let Response::Status { status } = client.call(&Request::Query { session }).unwrap() else {
         panic!("query failed")
     };
+    // A restored twin's counters cover its whole history too.
+    assert_eq!(status.counters.requests, status.report.steps);
     out.push(format!("{:?} {:?}", status.report, status.counters));
     let Response::Closed { report, .. } = client.call(&Request::Close { session }).unwrap() else {
         panic!("close failed")
@@ -495,6 +497,9 @@ fn sigkill_failover_restores_every_session_with_the_gap_reported() {
             panic!("query failed after failover")
         };
         assert_eq!(status.report.capacity_violations, 0);
+        // The counters rewind with the session: they are the snapshot's
+        // plus whatever the survivor served since.
+        assert_eq!(status.counters.requests, status.report.steps);
         let Response::Lineage { lineage } = client
             .call(&Request::Lineage { session: id })
             .expect("lineage")

@@ -37,10 +37,13 @@ pub const NUM_WORK_METRICS: usize = 12;
 /// A merged snapshot of every deterministic work counter — the unit the
 /// perf gate diffs. See the module docs for who counts what.
 ///
-/// Counters are *transient* instrumentation: they are never part of a
-/// snapshot/restore image and never affect behaviour, equality of
-/// placements, or reports. They serialize (for `BENCH_*.json`) as an
-/// object keyed by the [`WorkCounters::named`] metric names.
+/// Counters are instrumentation: they never affect behaviour, equality
+/// of placements, or reports, and each instance counts only the work it
+/// performed. A serving session (`rdbp_serve::Session`) carries its
+/// merged counters in its snapshot and adds them to a restored
+/// instance's, so a session's counters cover its whole history. They
+/// serialize (for `BENCH_*.json` and snapshots) as an object keyed by
+/// the [`WorkCounters::named`] metric names.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkCounters {
     /// Requests this driver served (all audit levels).

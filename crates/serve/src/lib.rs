@@ -12,14 +12,16 @@
 //! * [`Session`] — one scenario torn open: resolved algorithm +
 //!   workload + the incremental [`rdbp_model::Driver`], fed through
 //!   [`Session::submit`]. Snapshot/restore captures the spec, the
-//!   mid-run report and the algorithm's/workload's full mutable state;
-//!   restore-then-continue is **bit-identical** to an uninterrupted
-//!   run (pinned by property tests).
+//!   mid-run report, the work counters and the algorithm's/workload's
+//!   full mutable state; restore-then-continue is **bit-identical** to
+//!   an uninterrupted run, counters included (pinned by property
+//!   tests).
 //! * [`SessionManager`] — sessions sharded `id % workers` across a
 //!   worker-thread pool (vendored [`crossbeam`] channels +
 //!   [`parking_lot`] routing locks); per-session FIFO ordering,
-//!   cross-session parallelism, aggregate stats. Each op is
-//!   implemented once, asynchronously; the blocking API waits on it.
+//!   cross-session parallelism, aggregate stats. Each op is one
+//!   closure that runs on the worker owning the session's shard; the
+//!   blocking API waits on its async form.
 //! * [`proto`] — the request/response model, thirteen ops (`create`,
 //!   `submit`, `query`, `snapshot`, `restore`, `close`, `stats`,
 //!   `ping`, `hello`, `shutdown`, and the router's `migrate`,
@@ -59,6 +61,8 @@
 //! let mut resumed = Session::restore(&snapshot, &registries).unwrap();
 //! resumed.submit(250);
 //! assert_eq!(resumed.report(), session.report());
+//! // The snapshot carried the work counters, so they agree too.
+//! assert_eq!(resumed.work_counters(), session.work_counters());
 //! ```
 
 pub mod manager;
@@ -68,7 +72,8 @@ pub mod session;
 pub mod wire;
 
 pub use manager::{
-    ManagerStats, SessionInfo, SessionManager, SessionStatus, StopReport, Work, MAX_SUBMIT,
+    ManagerStats, SessionInfo, SessionManager, SessionStatus, StopReport, Work, MAX_PROCESSES,
+    MAX_SUBMIT,
 };
 pub use proto::{BackendSummary, Request, Response, ServerHello, SessionLineage, PROTO_VERSION};
 pub use server::{serve, serve_config, Client, ServerConfig};

@@ -1,7 +1,7 @@
 //! The multi-session manager: sessions sharded across a worker pool.
 //!
 //! A [`SessionManager`] owns `W` worker threads, each with its own FIFO
-//! queue ([`crossbeam::channel`]) and its own map of live sessions.
+//! queue ([`crossbeam::channel`]) and its own shard of live sessions.
 //! Sessions are pinned to `worker = id % W` at creation, so every
 //! operation on one session flows through one queue — **per-session
 //! ordering is guaranteed** while different sessions proceed fully in
@@ -12,14 +12,16 @@
 //! lives inside the workers, so no lock is ever held across a
 //! simulation step.
 //!
-//! Each op has one implementation, its **asynchronous** form
-//! (`create_async`, `submit_async`, …): it hands the worker a typed
-//! completion callback and returns immediately — what the nonblocking
-//! TCP reactor ([`crate::server`]) drives, so one reactor thread can
-//! keep thousands of connections in flight without blocking on any of
-//! them. The **blocking** form (`create`, `submit`, …) runs the async
-//! one and waits for its callback on a channel — what library users
-//! and the in-process bench paths drive, from any number of threads.
+//! An op is one closure that runs on the worker owning the session's
+//! shard, with that shard's sessions, and answers the caller's
+//! completion callback there; if that worker is gone, the sender runs
+//! it without a shard and it answers "session worker terminated". The
+//! **asynchronous** form (`create_async`, `submit_async`, …) sends the
+//! closure and returns at once — what the nonblocking TCP reactor
+//! ([`crate::server`]) drives, so one reactor thread keeps thousands of
+//! connections in flight. The **blocking** form (`create`, `submit`, …)
+//! runs the async one and waits for its callback on a channel — what
+//! library users and the in-process bench paths drive.
 //!
 //! Snapshots enter and leave a worker as [`SnapshotBlob`]s: the worker
 //! that owns a session encodes its snapshot tree, and the one that
@@ -50,6 +52,11 @@ use crate::ServeError;
 /// a few seconds of worker time; clients stream larger runs as
 /// multiple batches (which is also what gives them progress feedback).
 pub const MAX_SUBMIT: u64 = 1_000_000;
+
+/// Upper bound on a session's processes `n` and servers `ℓ`:
+/// [`Session::new`] refuses a larger ring before allocating for it, so
+/// one `create` or `restore` cannot exhaust the server's memory.
+pub const MAX_PROCESSES: u32 = 1 << 20;
 
 /// What a submission carries: a request count to generate from the
 /// session's workload, or an explicit request batch to replay.
@@ -85,8 +92,8 @@ pub struct SessionStatus {
     pub report: RunReport,
     /// The load bound the resolved algorithm guarantees.
     pub load_bound: u32,
-    /// The session's deterministic work counters (work performed since
-    /// creation or restore — see [`crate::Session::work_counters`]).
+    /// The session's deterministic work counters over its whole
+    /// history (see [`crate::Session::work_counters`]).
     pub counters: WorkCounters,
 }
 
@@ -127,46 +134,53 @@ struct Counters {
 /// still queued drops it uncalled.
 type Reply<T> = Box<dyn FnOnce(Result<T, ServeError>) + Send + 'static>;
 
-enum Op {
-    Create {
-        id: u64,
-        scenario: Box<Scenario>,
-        reply: Reply<SessionInfo>,
-    },
-    Restore {
-        id: u64,
-        snapshot: SnapshotBlob,
-        reply: Reply<SessionInfo>,
-    },
-    Submit {
-        id: u64,
-        work: Work,
-        reply: Reply<BatchSummary>,
-    },
-    Query {
-        id: u64,
-        reply: Reply<SessionStatus>,
-    },
-    Snapshot {
-        id: u64,
-        reply: Reply<SnapshotBlob>,
-    },
-    Close {
-        id: u64,
-        reply: Reply<RunReport>,
-    },
-    /// Drains the queue up to this point, then exits the worker.
-    Stop,
+/// One worker's state: its sessions, and what ops on them need.
+struct Shard {
+    sessions: HashMap<u64, Session>,
+    registries: Arc<Registries>,
+    counters: Arc<Counters>,
 }
+
+impl Shard {
+    fn session(&mut self, id: u64) -> Result<&mut Session, ServeError> {
+        self.sessions.get_mut(&id).ok_or_else(|| unknown(id))
+    }
+
+    /// Adds a created or restored session, counting what it served
+    /// before it came here.
+    fn insert(&mut self, id: u64, session: Session) -> SessionInfo {
+        let report = session.report();
+        let counters = &self.counters;
+        counters.created.fetch_add(1, Ordering::Relaxed);
+        counters.served.fetch_add(report.steps, Ordering::Relaxed);
+        counters
+            .violations
+            .fetch_add(report.capacity_violations, Ordering::Relaxed);
+        let info = SessionInfo {
+            id,
+            algorithm: report.algorithm.clone(),
+            workload: report.workload.clone(),
+            load_bound: session.load_bound(),
+            steps: report.steps,
+        };
+        self.sessions.insert(id, session);
+        info
+    }
+}
+
+/// An op: runs on the worker that owns its shard, or with `None` on the
+/// sending thread when that worker is gone. `None` in the queue stops
+/// the worker once everything queued before it has run.
+type Op = Box<dyn FnOnce(Option<&mut Shard>) + Send + 'static>;
 
 /// The concurrent session pool. See the module docs for the sharding
 /// and ordering model.
 pub struct SessionManager {
-    queues: Vec<Sender<Op>>,
+    queues: Vec<Sender<Option<Op>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     next_id: AtomicU64,
-    /// Shared with the callbacks of `create`, `restore` and `close`,
-    /// which update it when their op completes.
+    /// Shared with the ops `create`, `restore` and `close` send, which
+    /// update it when they complete.
     shard_of: Arc<RwLock<HashMap<u64, usize>>>,
     counters: Arc<Counters>,
 }
@@ -185,13 +199,22 @@ impl SessionManager {
         let mut queues = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (tx, rx) = unbounded::<Op>();
+            let (tx, rx) = unbounded::<Option<Op>>();
             let regs = Arc::clone(&registries);
             let stats = Arc::clone(&counters);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("rdbp-worker-{w}"))
-                    .spawn(move || worker_main(&rx, &regs, &stats))
+                    .spawn(move || {
+                        let mut shard = Shard {
+                            sessions: HashMap::new(),
+                            registries: regs,
+                            counters: stats,
+                        };
+                        while let Ok(Some(op)) = rx.recv() {
+                            op(Some(&mut shard));
+                        }
+                    })
                     .expect("spawn worker thread"),
             );
             queues.push(tx);
@@ -222,22 +245,6 @@ impl SessionManager {
         self.queues.len()
     }
 
-    fn route_new(&self, id: u64) -> &Sender<Op> {
-        let shard = (id % self.queues.len() as u64) as usize;
-        self.shard_of.write().insert(id, shard);
-        &self.queues[shard]
-    }
-
-    fn route(&self, id: u64) -> Result<&Sender<Op>, ServeError> {
-        let shard = self
-            .shard_of
-            .read()
-            .get(&id)
-            .copied()
-            .ok_or_else(|| ServeError(format!("unknown session {id}")))?;
-        Ok(&self.queues[shard])
-    }
-
     /// Creates a session from a scenario spec; returns its identity.
     ///
     /// # Errors
@@ -258,8 +265,8 @@ impl SessionManager {
     /// Submits work to a session (FIFO-ordered per session).
     ///
     /// # Errors
-    /// Returns a [`ServeError`] for unknown sessions or submissions
-    /// larger than [`MAX_SUBMIT`].
+    /// Returns a [`ServeError`] for unknown sessions, submissions
+    /// larger than [`MAX_SUBMIT`], or replayed edges outside the ring.
     pub fn submit(&self, id: u64, work: Work) -> Result<BatchSummary, ServeError> {
         wait(|done| self.submit_async(id, work, done))
     }
@@ -290,7 +297,7 @@ impl SessionManager {
         wait(|done| self.close_async(id, done))
     }
 
-    // --- asynchronous API: each op's one implementation --------------
+    // --- asynchronous API: each op's one closure ---------------------
 
     /// Creates a session asynchronously; `done` runs on the worker
     /// thread once the outcome is known.
@@ -299,14 +306,7 @@ impl SessionManager {
         scenario: Scenario,
         done: impl FnOnce(Result<SessionInfo, ServeError>) + Send + 'static,
     ) {
-        self.open(
-            |id, reply| Op::Create {
-                id,
-                scenario: Box::new(scenario),
-                reply,
-            },
-            done,
-        );
+        self.open(done, move |registries| Session::new(scenario, registries));
     }
 
     /// Restores a session from a snapshot asynchronously.
@@ -315,14 +315,9 @@ impl SessionManager {
         snapshot: SnapshotBlob,
         done: impl FnOnce(Result<SessionInfo, ServeError>) + Send + 'static,
     ) {
-        self.open(
-            |id, reply| Op::Restore {
-                id,
-                snapshot,
-                reply,
-            },
-            done,
-        );
+        self.open(done, move |registries| {
+            Session::restore(&snapshot.decode(), registries)
+        });
     }
 
     /// Submits work asynchronously. Size-cap and routing errors
@@ -336,7 +331,23 @@ impl SessionManager {
         if let Err(e) = check_submit_size(&work) {
             return done(Err(e));
         }
-        self.on_session(id, done, |reply| Op::Submit { id, work, reply });
+        self.on_session(id, done, move |shard| {
+            let session = shard.session(id)?;
+            let before_violations = session.report().capacity_violations;
+            let summary = match work {
+                Work::Generate(steps) => session.submit(steps),
+                Work::Replay(requests) => {
+                    check_edges(&requests, session.instance().n())?;
+                    session.submit_trace(&requests)
+                }
+            };
+            let counters = &shard.counters;
+            counters.served.fetch_add(summary.served, Ordering::Relaxed);
+            counters
+                .violations
+                .fetch_add(summary.violations - before_violations, Ordering::Relaxed);
+            Ok(summary)
+        });
     }
 
     /// Queries a session's status asynchronously.
@@ -345,7 +356,15 @@ impl SessionManager {
         id: u64,
         done: impl FnOnce(Result<SessionStatus, ServeError>) + Send + 'static,
     ) {
-        self.on_session(id, done, |reply| Op::Query { id, reply });
+        self.on_session(id, done, move |shard| {
+            let session = shard.session(id)?;
+            Ok(SessionStatus {
+                id,
+                report: session.report().clone(),
+                load_bound: session.load_bound(),
+                counters: session.work_counters(),
+            })
+        });
     }
 
     /// Captures a session snapshot asynchronously.
@@ -354,7 +373,10 @@ impl SessionManager {
         id: u64,
         done: impl FnOnce(Result<SnapshotBlob, ServeError>) + Send + 'static,
     ) {
-        self.on_session(id, done, |reply| Op::Snapshot { id, reply });
+        self.on_session(id, done, move |shard| {
+            let tree = shard.session(id)?.snapshot()?;
+            Ok(SnapshotBlob::encode(&tree)?)
+        });
     }
 
     /// Closes a session asynchronously; a closed session's id is
@@ -365,44 +387,62 @@ impl SessionManager {
         done: impl FnOnce(Result<RunReport, ServeError>) + Send + 'static,
     ) {
         let shard_of = Arc::clone(&self.shard_of);
-        let forget = move |result: Result<RunReport, ServeError>| {
-            if result.is_ok() {
-                shard_of.write().remove(&id);
-            }
-            done(result);
-        };
-        self.on_session(id, forget, |reply| Op::Close { id, reply });
+        self.on_session(id, done, move |shard| {
+            let session = shard.sessions.remove(&id).ok_or_else(|| unknown(id))?;
+            shard_of.write().remove(&id);
+            shard.counters.closed.fetch_add(1, Ordering::Relaxed);
+            Ok(session.finish())
+        });
     }
 
-    /// Routes a fresh id to its shard and sends it the op `make`
-    /// builds. A create or restore that fails forgets the id again.
+    /// Routes a fresh id to its shard, where `make` builds the session.
+    /// A create or restore that fails forgets the id again.
     fn open(
         &self,
-        make: impl FnOnce(u64, Reply<SessionInfo>) -> Op,
         done: impl FnOnce(Result<SessionInfo, ServeError>) + Send + 'static,
+        make: impl FnOnce(&Registries) -> Result<Session, ServeError> + Send + 'static,
     ) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let shard = (id % self.queues.len() as u64) as usize;
+        self.shard_of.write().insert(id, shard);
         let shard_of = Arc::clone(&self.shard_of);
-        let reply: Reply<SessionInfo> = Box::new(move |result| {
-            if result.is_err() {
-                shard_of.write().remove(&id);
-            }
-            done(result);
-        });
-        send(self.route_new(id), make(id, reply));
+        self.send(
+            shard,
+            Box::new(move |shard| {
+                let result = match shard {
+                    Some(shard) => make(&shard.registries).map(|session| shard.insert(id, session)),
+                    None => Err(terminated()),
+                };
+                if result.is_err() {
+                    shard_of.write().remove(&id);
+                }
+                done(result);
+            }),
+        );
     }
 
-    /// Sends the op `make` builds to session `id`'s shard, or fails
-    /// `done` inline if the session is unknown.
+    /// Runs `body` on session `id`'s shard and answers `done` with its
+    /// result, or fails `done` inline if the session is unknown.
     fn on_session<T: 'static>(
         &self,
         id: u64,
         done: impl FnOnce(Result<T, ServeError>) + Send + 'static,
-        make: impl FnOnce(Reply<T>) -> Op,
+        body: impl FnOnce(&mut Shard) -> Result<T, ServeError> + Send + 'static,
     ) {
-        match self.route(id) {
-            Ok(queue) => send(queue, make(Box::new(done))),
-            Err(e) => done(Err(e)),
+        let Some(shard) = self.shard_of.read().get(&id).copied() else {
+            return done(Err(unknown(id)));
+        };
+        self.send(
+            shard,
+            Box::new(move |shard| done(shard.map_or_else(|| Err(terminated()), body))),
+        );
+    }
+
+    /// Queues `op` on `shard`'s worker, or runs it here without a shard
+    /// if that worker is gone.
+    fn send(&self, shard: usize, op: Op) {
+        if let Err(SendError(Some(op))) = self.queues[shard].send(Some(op)) {
+            op(None);
         }
     }
 
@@ -420,14 +460,12 @@ impl SessionManager {
     }
 
     /// Asks every worker to finish its queued ops and exit, then joins
-    /// the pool. Idempotent, and callable through a shared reference —
-    /// which is what lets the server stop the pool while connection
-    /// callbacks may still hold `Arc` clones of the manager (the old
-    /// teardown path required exclusive ownership and panicked
-    /// otherwise).
+    /// the pool. Idempotent, and callable through a shared reference,
+    /// so the server can stop the pool while connection callbacks still
+    /// hold `Arc` clones of the manager.
     pub fn stop(&self) {
         for queue in &self.queues {
-            let _ = queue.send(Op::Stop);
+            let _ = queue.send(None);
         }
         let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
         for handle in handles {
@@ -443,7 +481,7 @@ impl SessionManager {
     /// submission can delay process exit, but never block it silently.
     pub fn stop_with_deadline(&self, deadline: Duration) -> StopReport {
         for queue in &self.queues {
-            let _ = queue.send(Op::Stop);
+            let _ = queue.send(None);
         }
         let mut pending: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
         let cutoff = Instant::now() + deadline;
@@ -490,100 +528,6 @@ impl SessionManager {
     }
 }
 
-fn worker_main(
-    rx: &crossbeam::channel::Receiver<Op>,
-    registries: &Registries,
-    counters: &Counters,
-) {
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    for op in rx.iter() {
-        match op {
-            Op::Create {
-                id,
-                scenario,
-                reply,
-            } => {
-                let result = Session::new(*scenario, registries).map(|session| {
-                    let info = info_of(id, &session);
-                    sessions.insert(id, session);
-                    counters.created.fetch_add(1, Ordering::Relaxed);
-                    info
-                });
-                reply(result);
-            }
-            Op::Restore {
-                id,
-                snapshot,
-                reply,
-            } => {
-                let result = Session::restore(&snapshot.decode(), registries).map(|session| {
-                    counters
-                        .served
-                        .fetch_add(session.report().steps, Ordering::Relaxed);
-                    counters
-                        .violations
-                        .fetch_add(session.report().capacity_violations, Ordering::Relaxed);
-                    let info = info_of(id, &session);
-                    sessions.insert(id, session);
-                    counters.created.fetch_add(1, Ordering::Relaxed);
-                    info
-                });
-                reply(result);
-            }
-            Op::Submit { id, work, reply } => {
-                let result = match sessions.get_mut(&id) {
-                    None => Err(unknown(id)),
-                    Some(session) => {
-                        let before_violations = session.report().capacity_violations;
-                        let summary = match work {
-                            Work::Generate(steps) => session.submit(steps),
-                            Work::Replay(requests) => session.submit_trace(&requests),
-                        };
-                        counters.served.fetch_add(summary.served, Ordering::Relaxed);
-                        counters
-                            .violations
-                            .fetch_add(summary.violations - before_violations, Ordering::Relaxed);
-                        Ok(summary)
-                    }
-                };
-                reply(result);
-            }
-            Op::Query { id, reply } => {
-                let result = match sessions.get(&id) {
-                    None => Err(unknown(id)),
-                    Some(session) => Ok(SessionStatus {
-                        id,
-                        report: session.report().clone(),
-                        load_bound: session.load_bound(),
-                        counters: session.work_counters(),
-                    }),
-                };
-                reply(result);
-            }
-            Op::Snapshot { id, reply } => {
-                let result = match sessions.get(&id) {
-                    None => Err(unknown(id)),
-                    Some(session) => session
-                        .snapshot()
-                        .and_then(|tree| SnapshotBlob::encode(&tree).map_err(ServeError::from)),
-                };
-                reply(result);
-            }
-            Op::Close { id, reply } => {
-                let result = match sessions.remove(&id) {
-                    None => Err(unknown(id)),
-                    Some(session) => {
-                        counters.closed.fetch_add(1, Ordering::Relaxed);
-                        Ok(session.finish())
-                    }
-                };
-                reply(result);
-            }
-            Op::Stop => break,
-        }
-    }
-}
-
 fn check_submit_size(work: &Work) -> Result<(), ServeError> {
     let size = match work {
         Work::Generate(steps) => *steps,
@@ -598,19 +542,15 @@ fn check_submit_size(work: &Work) -> Result<(), ServeError> {
     Ok(())
 }
 
-/// Sends `op` to a worker queue, or fails its reply if the worker is
-/// gone.
-fn send(queue: &Sender<Op>, op: Op) {
-    let Err(SendError(op)) = queue.send(op) else {
-        return;
-    };
-    match op {
-        Op::Create { reply, .. } | Op::Restore { reply, .. } => reply(Err(terminated())),
-        Op::Submit { reply, .. } => reply(Err(terminated())),
-        Op::Query { reply, .. } => reply(Err(terminated())),
-        Op::Snapshot { reply, .. } => reply(Err(terminated())),
-        Op::Close { reply, .. } => reply(Err(terminated())),
-        Op::Stop => {}
+/// Refuses a replay naming an edge the session's ring of `n` edges
+/// does not have, before any of it is served.
+fn check_edges(requests: &[Edge], n: u32) -> Result<(), ServeError> {
+    match requests.iter().find(|edge| edge.0 >= n) {
+        Some(edge) => Err(ServeError(format!(
+            "replay edge {} is outside the ring's {n} edges (0..{n})",
+            edge.0
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -629,17 +569,6 @@ fn terminated() -> ServeError {
 
 fn unknown(id: u64) -> ServeError {
     ServeError(format!("unknown session {id}"))
-}
-
-fn info_of(id: u64, session: &Session) -> SessionInfo {
-    let report = session.report();
-    SessionInfo {
-        id,
-        algorithm: report.algorithm.clone(),
-        workload: report.workload.clone(),
-        load_bound: session.load_bound(),
-        steps: report.steps,
-    }
 }
 
 #[cfg(test)]
@@ -722,6 +651,52 @@ mod tests {
         // The session is untouched and still usable.
         let summary = manager.submit(id, Work::Generate(10)).unwrap();
         assert_eq!(summary.steps, 10);
+    }
+
+    #[test]
+    fn a_replay_edge_outside_the_ring_is_refused_and_the_session_serves_on() {
+        let manager = SessionManager::new(1, Registries::builtin());
+        let id = manager.create(scenario(1)).unwrap().id;
+        let err = manager
+            .submit(id, Work::Replay(vec![Edge(3), Edge(1000)]))
+            .expect_err("packed(4, 8) has edges 0..32");
+        assert!(err.0.contains("replay edge 1000"), "{err}");
+        // Nothing of the refused batch was served, and the worker lives.
+        let summary = manager
+            .submit(id, Work::Replay(vec![Edge(0), Edge(31)]))
+            .unwrap();
+        assert_eq!((summary.served, summary.steps), (2, 2));
+        assert_eq!(manager.query(id).unwrap().report.steps, 2);
+        assert!(manager.create(scenario(2)).is_ok());
+    }
+
+    #[test]
+    fn a_ring_past_the_process_cap_is_refused_and_the_pool_serves_on() {
+        let manager = SessionManager::new(1, Registries::builtin());
+        let mut huge = scenario(1);
+        huge.algorithm = AlgorithmSpec::named("never-move");
+        huge.instance = InstanceSpec::packed(65_536, 65_535);
+        let refused = |err: ServeError| {
+            assert!(err.0.contains("n = 4294901760"), "{err}");
+            assert!(err.0.contains(&MAX_PROCESSES.to_string()), "{err}");
+        };
+        refused(manager.create(huge.clone()).unwrap_err());
+        // A snapshot naming the same ring is refused the same way.
+        let mut session = Session::new(scenario(1), &Registries::builtin()).unwrap();
+        session.submit(10);
+        let serde::Value::Obj(mut fields) = session.snapshot().unwrap() else {
+            panic!("a snapshot is an object")
+        };
+        for (key, value) in &mut fields {
+            if key == "scenario" {
+                *value = serde::Serialize::to_value(&huge);
+            }
+        }
+        let blob = SnapshotBlob::encode(&serde::Value::Obj(fields)).unwrap();
+        refused(manager.restore(blob).unwrap_err());
+        let id = manager.create(scenario(2)).unwrap().id;
+        assert_eq!(manager.submit(id, Work::Generate(10)).unwrap().steps, 10);
+        assert_eq!(manager.stats().open_sessions, 1);
     }
 
     #[test]

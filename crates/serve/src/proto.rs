@@ -40,8 +40,11 @@ use crate::wire::SnapshotBlob;
 /// refuses to attach to a backend speaking a different version.
 /// Version 2 added the admin ops: `hello`, `migrate`, `lineage`,
 /// `cluster`. Version 3 sends replay submits as typed frames (opcode
-/// 0x0E) and moves snapshots as [`SnapshotBlob`]s.
-pub const PROTO_VERSION: u64 = 3;
+/// 0x0E) and moves snapshots as [`SnapshotBlob`]s. Version 4 moves
+/// [`crate::SNAPSHOT_VERSION`] 3 snapshots, which carry the session's
+/// work counters, so a router refuses a backend it could not move
+/// sessions to or from; no message layout changed.
+pub const PROTO_VERSION: u64 = 4;
 
 /// What a server says about itself in reply to `hello` — the liveness
 /// handshake a router (or `rdbp-load --ping`) health-checks before

@@ -11,13 +11,14 @@
 //! ## Snapshot contract
 //!
 //! [`Session::snapshot`] captures the scenario spec, the mid-run
-//! [`RunReport`], and the algorithm's and workload's full mutable state
-//! (via their `export_state` hooks). [`Session::restore`] rebuilds the
-//! session from the spec — same construction path, same seeds — then
-//! overwrites the mutable state. The contract, pinned by the
+//! [`RunReport`], the session's [`WorkCounters`], and the algorithm's
+//! and workload's full mutable state (via their `export_state` hooks).
+//! [`Session::restore`] rebuilds the session from the spec — same
+//! construction path, same seeds — then overwrites the mutable state
+//! and keeps the counters. The contract, pinned by the
 //! `snapshot_restore` property tests: **restore-then-continue is
 //! bit-identical to an uninterrupted run** — same requests, same
-//! ledger, same audits, same final report.
+//! ledger, same audits, same final report, same work counters.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -27,12 +28,14 @@ use rdbp_model::{
     RunReport, WorkCounters, Workload,
 };
 
-use crate::ServeError;
+use crate::{ServeError, MAX_PROCESSES};
 
 /// Snapshot format version; bumped on incompatible layout changes.
 /// Version 2: `hst-hedge` state gained the `probs_fresh` cache bit, so
 /// a restored session performs work-counter-identical serves.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// Version 3: the session's [`WorkCounters`] ride along as `counters`,
+/// so a restored session reports the work of its whole history.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// What one batched submission did (cumulative fields cover the whole
 /// session so far, not just this batch).
@@ -62,6 +65,9 @@ pub struct Session {
     workload: Box<dyn Workload>,
     driver: Driver,
     load_bound: u32,
+    /// Counters of the work done before the snapshot this session was
+    /// restored from (zero for a fresh session).
+    carried: WorkCounters,
 }
 
 impl Session {
@@ -71,8 +77,16 @@ impl Session {
     /// applies exactly as in a batch run.
     ///
     /// # Errors
-    /// Returns a [`ServeError`] if the spec fails to resolve.
+    /// Returns a [`ServeError`] if the spec fails to resolve, or if its
+    /// ring has more than [`MAX_PROCESSES`] processes or servers.
     pub fn new(scenario: Scenario, registries: &Registries) -> Result<Self, ServeError> {
+        let instance = scenario.instance.build()?;
+        let (n, servers) = (instance.n(), instance.servers());
+        if n.max(servers) > MAX_PROCESSES {
+            return Err(ServeError(format!(
+                "instance n = {n} on {servers} servers exceeds the session cap {MAX_PROCESSES}"
+            )));
+        }
         let prepared = scenario.resolve(registries)?;
         let (instance, algorithm, workload, _steps, audit, load_bound) = prepared.into_parts();
         let driver = Driver::new(algorithm.name(), workload.name(), audit);
@@ -83,6 +97,7 @@ impl Session {
             workload,
             driver,
             load_bound,
+            carried: WorkCounters::default(),
         })
     }
 
@@ -117,12 +132,14 @@ impl Session {
     }
 
     /// The session's merged deterministic work counters (driver +
-    /// algorithm + policies). For a restored session these cover only
-    /// the work performed since the restore — counters are transient
-    /// instrumentation and are not part of a snapshot.
+    /// algorithm + policies) over its whole history: a restored session
+    /// adds the counters its snapshot carried to the live ones, so it
+    /// reports what the session it was taken from would.
     #[must_use]
     pub fn work_counters(&self) -> WorkCounters {
-        self.driver.work_counters(self.algorithm.as_ref())
+        let mut counters = self.carried;
+        counters.merge(&self.driver.work_counters(self.algorithm.as_ref()));
+        counters
     }
 
     /// Serves `steps` workload-generated requests as one driver batch:
@@ -199,6 +216,7 @@ impl Session {
             ("version".into(), SNAPSHOT_VERSION.to_value()),
             ("scenario".into(), self.scenario.to_value()),
             ("report".into(), self.driver.report().to_value()),
+            ("counters".into(), self.work_counters().to_value()),
             ("algorithm".into(), algorithm),
             ("workload".into(), workload),
         ]))
@@ -220,6 +238,7 @@ impl Session {
         }
         let scenario = Scenario::from_value(snapshot.get_field("scenario")?)?;
         let report = RunReport::from_value(snapshot.get_field("report")?)?;
+        let carried = WorkCounters::from_value(snapshot.get_field("counters")?)?;
         let mut session = Self::new(scenario, registries)?;
         if report.algorithm != session.algorithm.name()
             || report.workload != session.workload.name()
@@ -241,6 +260,7 @@ impl Session {
             .restore_state(snapshot.get_field("workload")?)
             .map_err(|e| ServeError(format!("workload state: {}", e.0)))?;
         session.driver = Driver::resume(report, session.driver.audit());
+        session.carried = carried;
         Ok(session)
     }
 }
@@ -293,6 +313,7 @@ mod tests {
 
         let mut uninterrupted = Session::new(spec.clone(), &registries).unwrap();
         uninterrupted.submit(500);
+        let counters = uninterrupted.work_counters();
         let want = uninterrupted.finish();
 
         let mut session = Session::new(spec, &registries).unwrap();
@@ -302,8 +323,38 @@ mod tests {
         let text = serde_json::to_string(&SnapWrap(snap)).unwrap();
         let SnapWrap(back) = serde_json::from_str(&text).unwrap();
         let mut restored = Session::restore(&back, &registries).unwrap();
+        assert_eq!(restored.work_counters(), session.work_counters());
         restored.submit(377);
+        assert_eq!(restored.work_counters(), counters);
+        assert_eq!(restored.work_counters().requests, 500);
         assert_eq!(restored.finish(), want);
+    }
+
+    #[test]
+    fn rings_past_the_process_cap_are_refused_before_building() {
+        let registries = Registries::builtin();
+        let mut huge = scenario("never-move", "uniform", 1);
+        huge.instance = InstanceSpec::packed(65_536, 65_535);
+        let Err(err) = Session::new(huge, &registries) else {
+            panic!("a ring of 2^32 - 2^16 processes must be refused")
+        };
+        assert!(err.0.contains("n = 4294901760"), "{err}");
+        assert!(err.0.contains(&MAX_PROCESSES.to_string()), "{err}");
+        // So is a small ring spread over more servers than the cap.
+        let mut sparse = scenario("never-move", "uniform", 1);
+        sparse.instance = InstanceSpec {
+            n: Some(8),
+            servers: MAX_PROCESSES + 1,
+            capacity: 1,
+        };
+        assert!(Session::new(sparse, &registries).is_err());
+        // The cap itself is allowed.
+        let mut largest = scenario("never-move", "uniform", 1);
+        largest.instance = InstanceSpec::packed(MAX_PROCESSES / 1024, 1024);
+        assert_eq!(
+            Session::new(largest, &registries).unwrap().instance().n(),
+            MAX_PROCESSES
+        );
     }
 
     /// Wrapper making a raw `Value` (de)serializable through the text

@@ -1,8 +1,8 @@
 //! The snapshot/restore contract, pinned as a property:
 //!
 //! > Snapshotting a session at a random step `t` and restoring yields
-//! > the identical `RunReport` and ledger as the uninterrupted run,
-//! > under both audit levels.
+//! > the identical `RunReport`, ledger and work counters as the
+//! > uninterrupted run, under both audit levels.
 //!
 //! Every snapshot goes through a full JSON **text** round trip before
 //! restoring, so the property also pins the wire representation
@@ -100,6 +100,7 @@ proptest! {
         // The uninterrupted reference run.
         let mut uninterrupted = Session::new(spec.clone(), &registries).unwrap();
         uninterrupted.submit(total);
+        let want_counters = uninterrupted.work_counters();
         let want = uninterrupted.finish();
 
         // Interrupted: run t steps, snapshot through JSON text, restore,
@@ -112,6 +113,11 @@ proptest! {
         let mut restored = Session::restore(&parsed, &registries).unwrap();
         prop_assert_eq!(restored.report(), original.report());
         restored.submit(total - t);
+        prop_assert_eq!(
+            restored.work_counters(),
+            want_counters,
+            "counters diverged after restore"
+        );
         let got = restored.finish();
 
         prop_assert_eq!(&got.ledger, &want.ledger, "ledger diverged after restore");
