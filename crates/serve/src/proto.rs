@@ -581,6 +581,7 @@ impl Deserialize for Response {
 mod tests {
     use super::*;
     use rdbp_engine::{AlgorithmSpec, InstanceSpec, WorkloadSpec};
+    use rdbp_model::CostLedger;
 
     fn round_trip_request(req: &Request) -> Request {
         let text = serde_json::to_string(req).unwrap();
@@ -644,9 +645,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn responses_round_trip() {
-        for resp in [
+    /// One response of each of the thirteen kinds, in wire status
+    /// order.
+    fn sample_responses() -> Vec<Response> {
+        let report = RunReport {
+            algorithm: "dynamic-partitioner".into(),
+            workload: "zipf".into(),
+            ledger: CostLedger {
+                communication: 5,
+                migration: 6,
+            },
+            steps: 30,
+            max_load_seen: 9,
+            capacity_violations: 0,
+        };
+        vec![
             Response::Created {
                 info: SessionInfo {
                     id: 1,
@@ -661,19 +674,32 @@ mod tests {
                 summary: BatchSummary {
                     served: 10,
                     steps: 30,
-                    ledger: CostLedger {
-                        communication: 5,
-                        migration: 6,
-                    },
+                    ledger: report.ledger,
                     batch_cost: 3,
                     max_load: 9,
                     violations: 0,
                 },
             },
-            Response::Pong,
-            Response::Bye,
-            Response::Error {
-                message: "nope".into(),
+            Response::Status {
+                status: SessionStatus {
+                    id: 3,
+                    report: report.clone(),
+                    load_bound: 24,
+                    counters: WorkCounters {
+                        requests: 30,
+                        migrations: 6,
+                        ..WorkCounters::default()
+                    },
+                },
+            },
+            Response::Snapshot {
+                session: 3,
+                snapshot: SnapshotBlob::encode(&Value::Obj(vec![("x".into(), Value::UInt(1))]))
+                    .unwrap(),
+            },
+            Response::Closed {
+                session: 3,
+                report: RunReport::new("dynamic-partitioner", "zipf"),
             },
             Response::Stats {
                 stats: ManagerStats {
@@ -683,11 +709,12 @@ mod tests {
                     total_violations: 0,
                 },
             },
+            Response::Pong,
             Response::Hello {
                 hello: ServerHello {
                     server: "rdbp-serve".into(),
                     version: "0.1.0".into(),
-                    proto: PROTO_VERSION,
+                    proto: 4,
                     workers: 4,
                 },
             },
@@ -724,7 +751,57 @@ mod tests {
                     },
                 ],
             },
-        ] {
+            Response::Bye,
+            Response::Error {
+                message: "nope".into(),
+            },
+        ]
+    }
+
+    /// The NDJSON line of each of [`sample_responses`], in order.
+    const GOLDEN_LINES: [&str; 13] = [
+        r#"{"ok":"created","session":1,"algorithm":"dynamic-partitioner","workload":"zipf","load_bound":24,"steps":0}"#,
+        r#"{"ok":"submitted","session":1,"served":10,"steps":30,"ledger":{"communication":5,"migration":6},"batch_cost":3,"max_load":9,"violations":0}"#,
+        r#"{"ok":"status","session":3,"report":{"algorithm":"dynamic-partitioner","workload":"zipf","ledger":{"communication":5,"migration":6},"steps":30,"max_load_seen":9,"capacity_violations":0},"load_bound":24,"counters":{"requests":30,"audited_steps":0,"journal_records":0,"migrations":6,"max_load_updates":0,"policy_serve_vector":0,"policy_serve_hit":0,"hst_node_visits":0,"hst_cache_hits":0,"coupling_follows":0,"oracle_cut_evals":0,"oracle_rounding_passes":0}}"#,
+        r#"{"ok":"snapshot","session":3,"snapshot":{"x":1}}"#,
+        r#"{"ok":"closed","session":3,"report":{"algorithm":"dynamic-partitioner","workload":"zipf","ledger":{"communication":0,"migration":0},"steps":0,"max_load_seen":0,"capacity_violations":0}}"#,
+        r#"{"ok":"stats","open_sessions":2,"created":5,"total_served":1000,"total_violations":0}"#,
+        r#"{"ok":"pong"}"#,
+        r#"{"ok":"hello","server":"rdbp-serve","version":"0.1.0","proto":4,"workers":4}"#,
+        r#"{"ok":"migrated","session":9,"from":0,"to":2}"#,
+        r#"{"ok":"lineage","session":9,"backend":2,"migrations":1,"failovers":1,"snapshot_steps":400,"lost_requests":17}"#,
+        r#"{"ok":"cluster","backends":[{"id":0,"addr":"127.0.0.1:4100","pid":1234,"alive":true,"sessions":5},{"id":1,"addr":"127.0.0.1:4101","pid":0,"alive":false,"sessions":0}]}"#,
+        r#"{"ok":"bye"}"#,
+        r#"{"ok":"error","message":"nope"}"#,
+    ];
+
+    /// The binary frame, in hex, of the five samples whose payload is
+    /// one struct's fields (`submitted`, `stats`, `hello`, `lineage`,
+    /// `cluster`), by index into [`sample_responses`].
+    const GOLDEN_FRAMES: [(usize, &str); 5] = [
+        (1, "b582c000000008070000000700000073657373696f6e03010000000000000006000000736572766564030a00000000000000050000007374657073031e00000000000000060000006c656467657208020000000d000000636f6d6d756e69636174696f6e030500000000000000090000006d6967726174696f6e0306000000000000000a00000062617463685f636f7374030300000000000000080000006d61785f6c6f61640309000000000000000a00000076696f6c6174696f6e73030000000000000000"),
+        (5, "b5866900000008040000000d0000006f70656e5f73657373696f6e7303020000000000000007000000637265617465640305000000000000000c000000746f74616c5f73657276656403e80300000000000010000000746f74616c5f76696f6c6174696f6e73030000000000000000"),
+        (7, "b58959000000080400000006000000736572766572060a000000726462702d73657276650700000076657273696f6e0605000000302e312e300500000070726f746f03040000000000000007000000776f726b657273030400000000000000"),
+        (9, "b58b8f00000008060000000700000073657373696f6e030900000000000000070000006261636b656e640302000000000000000a0000006d6967726174696f6e73030100000000000000090000006661696c6f766572730301000000000000000e000000736e617073686f745f73746570730390010000000000000d0000006c6f73745f7265717565737473031100000000000000"),
+        (10, "b58cd20000000801000000080000006261636b656e6473070200000008050000000200000069640300000000000000000400000061646472060e0000003132372e302e302e313a343130300300000070696403d20400000000000005000000616c697665020800000073657373696f6e7303050000000000000008050000000200000069640301000000000000000400000061646472060e0000003132372e302e302e313a343130310300000070696403000000000000000005000000616c697665010800000073657373696f6e73030000000000000000"),
+    ];
+
+    #[test]
+    fn golden_wire_forms_are_pinned() {
+        let samples = sample_responses();
+        for (resp, line) in samples.iter().zip(GOLDEN_LINES) {
+            assert_eq!(serde_json::to_string(resp).unwrap(), line);
+        }
+        for (index, frame) in GOLDEN_FRAMES {
+            let bytes = crate::wire::encode_response(&samples[index]);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, frame, "frame of {}", GOLDEN_LINES[index]);
+        }
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in sample_responses() {
             let text = serde_json::to_string(&resp).unwrap();
             let back = round_trip_response(&resp);
             assert_eq!(serde_json::to_string(&back).unwrap(), text);
