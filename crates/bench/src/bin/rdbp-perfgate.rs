@@ -2,15 +2,15 @@
 //! regressions.
 //!
 //! ```text
-//! rdbp-perfgate run [--out FILE] [--suite main] [--repeats N] [--strip-wall]
-//! rdbp-perfgate compare BASE.json NEW.json [--tolerance PCT]
+//! rdbp-perfgate run [--out FILE] [--repeats N] [--strip-wall]
+//! rdbp-perfgate compare BASE.json NEW.json
 //! ```
 //!
-//! `run` executes the pinned suite (see `rdbp_bench::suite`) and writes
-//! a versioned `BENCH_<suite>.json`; `compare` diffs two such reports
-//! and exits nonzero when any deterministic work counter drifted beyond
-//! tolerance (default: exact). Wall-clock differences are printed but
-//! never gate — see DESIGN.md §10 for the contract.
+//! `run` executes the pinned `main` suite (see `rdbp_bench::suite`) and
+//! writes a versioned `BENCH_main.json`; `compare` diffs two such
+//! reports and exits nonzero when any deterministic work counter
+//! differs at all. Wall-clock differences are printed but never gate —
+//! see DESIGN.md §10 for the contract.
 //!
 //! `--strip-wall` zeroes the report-only wall-clock/throughput fields
 //! before writing, making the report a pure function of the pinned
@@ -21,19 +21,18 @@ use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use rdbp_bench::{
-    compare, f3, results_dir, run_suite, BenchReport, GateConfig, Table, DEFAULT_REPEATS,
-    MAIN_SUITE,
+    compare, f3, results_dir, run_suite, BenchReport, Table, DEFAULT_REPEATS, MAIN_SUITE,
 };
 
 fn usage() -> ! {
     eprintln!(
         "rdbp-perfgate — deterministic perf gate over the pinned bench suite\n\n\
          USAGE:\n\
-         \x20 rdbp-perfgate run [--out FILE] [--suite main] [--repeats N] [--strip-wall]\n\
-         \x20     run the suite; write BENCH_<suite>.json (default under bench_results/);\n\
+         \x20 rdbp-perfgate run [--out FILE] [--repeats N] [--strip-wall]\n\
+         \x20     run the main suite; write BENCH_main.json (default under bench_results/);\n\
          \x20     --strip-wall zeroes wall-clock fields for byte-exact reproducibility\n\
-         \x20 rdbp-perfgate compare BASE.json NEW.json [--tolerance PCT]\n\
-         \x20     diff two reports; exit 1 if any counter drifts beyond PCT (default 0)\n"
+         \x20 rdbp-perfgate compare BASE.json NEW.json\n\
+         \x20     diff two reports; exit 1 if any counter differs\n"
     );
     exit(2)
 }
@@ -67,22 +66,18 @@ fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
 }
 
 fn cmd_run(mut args: Vec<String>) {
-    let suite = take_flag(&mut args, "--suite").unwrap_or_else(|| MAIN_SUITE.to_string());
     let repeats: u32 = take_flag(&mut args, "--repeats")
         .map(|raw| raw.parse().unwrap_or_else(|_| fail("invalid --repeats")))
         .unwrap_or(DEFAULT_REPEATS);
     let out: PathBuf = take_flag(&mut args, "--out")
         .map(PathBuf::from)
-        .unwrap_or_else(|| results_dir().join(format!("BENCH_{suite}.json")));
+        .unwrap_or_else(|| results_dir().join(format!("BENCH_{MAIN_SUITE}.json")));
     let strip_wall = take_bool_flag(&mut args, "--strip-wall");
     if !args.is_empty() {
         fail(format!("unexpected arguments: {args:?}"));
     }
-    if suite != MAIN_SUITE {
-        fail(format!("unknown suite `{suite}` (valid: {MAIN_SUITE})"));
-    }
 
-    let mut report = run_suite(&suite, repeats);
+    let mut report = run_suite(repeats);
     if strip_wall {
         // Wall-clock and throughput are the only nondeterministic
         // fields of a report; with them zeroed the JSON is a pure
@@ -93,7 +88,7 @@ fn cmd_run(mut args: Vec<String>) {
         }
     }
     let mut table = Table::new(
-        &format!("perf-gate suite `{suite}` ({repeats} repeats, min wall-clock)"),
+        &format!("perf-gate suite `{MAIN_SUITE}` ({repeats} repeats, min wall-clock)"),
         &[
             "case",
             "steps",
@@ -122,18 +117,7 @@ fn cmd_run(mut args: Vec<String>) {
     println!("\n[json] {}", out.display());
 }
 
-fn cmd_compare(mut args: Vec<String>) {
-    let tolerance = take_flag(&mut args, "--tolerance")
-        .map(|raw| {
-            let pct: f64 = raw
-                .parse()
-                .unwrap_or_else(|_| fail("invalid --tolerance (percent)"));
-            if !(0.0..=100.0).contains(&pct) {
-                fail("--tolerance must be in [0, 100]");
-            }
-            pct / 100.0
-        })
-        .unwrap_or(0.0);
+fn cmd_compare(args: Vec<String>) {
     let [base_path, new_path]: [String; 2] = args
         .try_into()
         .unwrap_or_else(|_| fail("compare takes exactly BASE.json and NEW.json"));
@@ -142,24 +126,15 @@ fn cmd_compare(mut args: Vec<String>) {
     };
     let base = load(&base_path);
     let new = load(&new_path);
-    let config = GateConfig {
-        counter_tolerance: tolerance,
-    };
-    let comparison = compare(&base, &new, &config);
+    let comparison = compare(&base, &new);
     comparison.table().print();
     for problem in &comparison.problems {
         println!("PROBLEM: {problem}");
     }
-    let drifted = comparison.rows.iter().filter(|r| r.gating).count();
     if comparison.passed() {
         println!(
-            "\nPASS: all counters within tolerance across {} case(s){}",
-            base.cases.len(),
-            if drifted > 0 {
-                format!(" ({drifted} drifted but tolerated)")
-            } else {
-                String::new()
-            }
+            "\nPASS: all counters equal across {} case(s)",
+            base.cases.len()
         );
     } else {
         let failures: Vec<String> = comparison

@@ -25,7 +25,7 @@ pub mod suite;
 // experiment binaries keep importing them from here.
 pub use rdbp_engine::{mean, parallel_map, stddev};
 
-pub use perfgate::{compare, Comparison, DiffRow, GateConfig};
+pub use perfgate::{compare, Comparison, DiffRow};
 pub use suite::{
     pinned_cases, pinned_oracle_cases, pinned_wire_cases, run_cases, run_oracle_cases, run_suite,
     run_wire_cases, BenchCase, BenchReport, CaseResult, OracleCase, WireCase, WireTarget,

@@ -2,8 +2,8 @@
 //!
 //! The contract ("counters gate, wall-clock informs", DESIGN.md §10):
 //! every [`rdbp_model::WorkCounters`] metric and the step count are
-//! *gating* — by default they must match the baseline **exactly**
-//! (`tolerance = 0`), because pinned scenarios are deterministic;
+//! *gating* — they must match the baseline **exactly**, because pinned
+//! scenarios are deterministic;
 //! wall-clock and throughput are *report-only* — they appear in the
 //! diff table for context but can never fail the gate, because shared
 //! CI runners make them noise.
@@ -15,24 +15,6 @@
 
 use crate::suite::{BenchReport, CaseResult};
 use crate::Table;
-
-/// Gate configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// Maximum relative drift `|new − base| / base` tolerated on
-    /// gating (counter) metrics. Default **0.0**: counters are exact.
-    /// The escape hatch exists for environments whose libm produces
-    /// different floating-point tails (never needed so far).
-    pub counter_tolerance: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        Self {
-            counter_tolerance: 0.0,
-        }
-    }
-}
 
 /// One line of the diff table.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,12 +28,10 @@ pub struct DiffRow {
     pub base: f64,
     /// New value.
     pub new: f64,
-    /// Whether this metric can fail the gate (counters: yes;
-    /// wall-clock: no).
+    /// Whether this row fails the gate: a counter row, emitted only
+    /// where the counter differs. Wall-clock and derived rows are
+    /// report-only.
     pub gating: bool,
-    /// Whether the row is within tolerance (report-only rows are
-    /// always `true`).
-    pub ok: bool,
 }
 
 impl DiffRow {
@@ -82,20 +62,20 @@ pub struct Comparison {
 }
 
 impl Comparison {
-    /// Whether the gate passes: no structural problems and every
-    /// gating row within tolerance.
+    /// Whether the gate passes: no structural problems and no counter
+    /// drift.
     #[must_use]
     pub fn passed(&self) -> bool {
-        self.problems.is_empty() && self.rows.iter().all(|r| r.ok)
+        self.problems.is_empty() && self.failures().next().is_none()
     }
 
-    /// The failing gating rows.
+    /// The failing (gating) rows.
     pub fn failures(&self) -> impl Iterator<Item = &DiffRow> {
-        self.rows.iter().filter(|r| !r.ok)
+        self.rows.iter().filter(|r| r.gating)
     }
 
     /// Renders the diff as a printable [`Table`]: failures first, then
-    /// passing counter drifts, then the report-only wall-clock rows.
+    /// the report-only rows.
     #[must_use]
     pub fn table(&self) -> Table {
         let mut table = Table::new(
@@ -103,7 +83,7 @@ impl Comparison {
             &["case", "metric", "base", "new", "drift", "gate", "status"],
         );
         let mut ordered: Vec<&DiffRow> = self.rows.iter().collect();
-        ordered.sort_by_key(|r| (r.ok, !r.gating));
+        ordered.sort_by_key(|r| !r.gating);
         for row in ordered {
             table.row(vec![
                 row.case.clone(),
@@ -112,13 +92,7 @@ impl Comparison {
                 format_value(row.new),
                 format_drift(row.drift()),
                 if row.gating { "exact" } else { "info" }.to_string(),
-                if !row.gating {
-                    "·".to_string()
-                } else if row.ok {
-                    "ok".to_string()
-                } else {
-                    "FAIL".to_string()
-                },
+                if row.gating { "FAIL" } else { "·" }.to_string(),
             ]);
         }
         table
@@ -143,7 +117,7 @@ fn format_drift(d: f64) -> String {
     }
 }
 
-/// Diffs `new` against the `base`line under `config`.
+/// Diffs `new` against the `base`line.
 ///
 /// Structural mismatches (schema version, suite name, missing/extra
 /// cases) are reported as [`Comparison::problems`] and fail the gate;
@@ -151,7 +125,7 @@ fn format_drift(d: f64) -> String {
 /// are collapsed into nothing (the table stays readable); every case
 /// still contributes its report-only wall-clock row.
 #[must_use]
-pub fn compare(base: &BenchReport, new: &BenchReport, config: &GateConfig) -> Comparison {
+pub fn compare(base: &BenchReport, new: &BenchReport) -> Comparison {
     let mut out = Comparison::default();
     if base.schema_version != new.schema_version {
         out.problems.push(format!(
@@ -172,7 +146,7 @@ pub fn compare(base: &BenchReport, new: &BenchReport, config: &GateConfig) -> Co
             None => out
                 .problems
                 .push(format!("case `{}` missing from the new report", b.id)),
-            Some(n) => diff_case(b, n, config, &mut out),
+            Some(n) => diff_case(b, n, &mut out),
         }
     }
     for n in &new.cases {
@@ -186,23 +160,17 @@ pub fn compare(base: &BenchReport, new: &BenchReport, config: &GateConfig) -> Co
     out
 }
 
-fn diff_case(base: &CaseResult, new: &CaseResult, config: &GateConfig, out: &mut Comparison) {
+fn diff_case(base: &CaseResult, new: &CaseResult, out: &mut Comparison) {
     let mut gate = |metric: &str, b: u64, n: u64| {
         if b == n {
             return; // exact match: no row, the table stays readable
         }
-        let drift = if b == 0 {
-            f64::INFINITY
-        } else {
-            ((n as f64) - (b as f64)).abs() / (b as f64)
-        };
         out.rows.push(DiffRow {
             case: base.id.clone(),
             metric: metric.to_string(),
             base: b as f64,
             new: n as f64,
             gating: true,
-            ok: drift <= config.counter_tolerance,
         });
     };
     gate("steps", base.steps, new.steps);
@@ -216,7 +184,6 @@ fn diff_case(base: &CaseResult, new: &CaseResult, config: &GateConfig, out: &mut
         base: base.wall_ns as f64 / 1e6,
         new: new.wall_ns as f64 / 1e6,
         gating: false,
-        ok: true,
     });
     // Derived layout-efficiency ratio: hierarchy-node touches per
     // request. Report-only (it is a quotient of two gated counters, so
@@ -232,7 +199,6 @@ fn diff_case(base: &CaseResult, new: &CaseResult, config: &GateConfig, out: &mut
             base: per_req(base.counters.hst_node_visits, base.counters.requests),
             new: per_req(new.counters.hst_node_visits, new.counters.requests),
             gating: false,
-            ok: true,
         });
     }
 }
@@ -263,20 +229,20 @@ mod tests {
 
     #[test]
     fn identical_reports_pass() {
-        let cmp = compare(&report(7, 500), &report(7, 500), &GateConfig::default());
+        let cmp = compare(&report(7, 500), &report(7, 500));
         assert!(cmp.passed(), "{:?}", cmp);
         assert_eq!(cmp.failures().count(), 0);
     }
 
     #[test]
     fn wall_clock_drift_never_gates() {
-        let cmp = compare(&report(7, 500), &report(7, 90_000), &GateConfig::default());
+        let cmp = compare(&report(7, 500), &report(7, 90_000));
         assert!(cmp.passed(), "wall-clock is report-only: {:?}", cmp);
     }
 
     #[test]
     fn counter_drift_fails_and_names_the_metric() {
-        let cmp = compare(&report(7, 500), &report(8, 500), &GateConfig::default());
+        let cmp = compare(&report(7, 500), &report(8, 500));
         assert!(!cmp.passed());
         let failures: Vec<&DiffRow> = cmp.failures().collect();
         assert_eq!(failures.len(), 1);
@@ -298,29 +264,20 @@ mod tests {
         // A hedge case surfaces the ratio; halving the visit count is
         // visible in the derived row yet (being derived) never gates on
         // its own — the underlying counter row is what fails.
-        let cmp = compare(&with_hst(600), &with_hst(300), &GateConfig::default());
+        let cmp = compare(&with_hst(600), &with_hst(300));
         let row = cmp
             .rows
             .iter()
             .find(|r| r.metric == "hst_visits_per_req")
             .expect("derived ratio row");
-        assert!(!row.gating && row.ok);
+        assert!(!row.gating);
         assert_eq!(row.base, 6.0);
         assert_eq!(row.new, 3.0);
         assert!(!cmp.passed(), "the raw hst_node_visits row still gates");
         // Cases that never touch the hierarchy (e.g. WFA-only) stay
         // ratio-free.
-        let cmp = compare(&report(7, 500), &report(7, 500), &GateConfig::default());
+        let cmp = compare(&report(7, 500), &report(7, 500));
         assert!(cmp.rows.iter().all(|r| r.metric != "hst_visits_per_req"));
-    }
-
-    #[test]
-    fn tolerance_is_an_escape_hatch() {
-        let lax = GateConfig {
-            counter_tolerance: 0.2,
-        };
-        assert!(compare(&report(100, 1), &report(110, 1), &lax).passed());
-        assert!(!compare(&report(100, 1), &report(130, 1), &lax).passed());
     }
 
     #[test]
@@ -337,7 +294,7 @@ mod tests {
             throughput: 1.0,
         });
         let new = report(7, 1);
-        let cmp = compare(&base, &new, &GateConfig::default());
+        let cmp = compare(&base, &new);
         assert!(!cmp.passed(), "a vanished case must fail the gate");
         assert_eq!(cmp.problems.len(), 1);
         assert!(
@@ -361,7 +318,7 @@ mod tests {
             wall_ns: 1,
             throughput: 1.0,
         });
-        let cmp = compare(&base, &new, &GateConfig::default());
+        let cmp = compare(&base, &new);
         assert!(!cmp.passed(), "an unbaselined case must fail the gate");
         assert_eq!(cmp.problems.len(), 1);
         assert!(
@@ -376,11 +333,11 @@ mod tests {
         let base = report(7, 1);
         let mut other = report(7, 1);
         other.schema_version += 1;
-        assert!(!compare(&base, &other, &GateConfig::default()).passed());
+        assert!(!compare(&base, &other).passed());
 
         let mut renamed = report(7, 1);
         renamed.cases[0].id = "case-b".into();
-        let cmp = compare(&base, &renamed, &GateConfig::default());
+        let cmp = compare(&base, &renamed);
         assert!(!cmp.passed());
         assert_eq!(cmp.problems.len(), 2, "one missing + one extra case");
     }

@@ -23,7 +23,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize};
 
 use rdbp_cluster::{serve_router, Cluster, ClusterConfig};
 use rdbp_engine::{
@@ -97,7 +97,7 @@ impl BenchCase {
 }
 
 /// The measured outcome of one [`BenchCase`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CaseResult {
     /// The case id.
     pub id: String,
@@ -116,7 +116,7 @@ pub struct CaseResult {
 }
 
 /// A whole suite run: the `BENCH_<suite>.json` payload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
     /// [`BENCH_SCHEMA_VERSION`] at write time.
     pub schema_version: u64,
@@ -167,54 +167,6 @@ impl BenchReport {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.0))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hand-written serde: the report schema is a contract (pinned by the
-// golden round-trip test), so it is spelled out rather than derived.
-
-impl Serialize for CaseResult {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("id".into(), self.id.to_value()),
-            ("steps".into(), self.steps.to_value()),
-            ("counters".into(), self.counters.to_value()),
-            ("wall_ns".into(), self.wall_ns.to_value()),
-            ("throughput".into(), self.throughput.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for CaseResult {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            id: String::from_value(v.get_field("id")?)?,
-            steps: u64::from_value(v.get_field("steps")?)?,
-            counters: WorkCounters::from_value(v.get_field("counters")?)?,
-            wall_ns: u64::from_value(v.get_field("wall_ns")?)?,
-            throughput: f64::from_value(v.get_field("throughput")?)?,
-        })
-    }
-}
-
-impl Serialize for BenchReport {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("schema_version".into(), self.schema_version.to_value()),
-            ("suite".into(), self.suite.to_value()),
-            ("cases".into(), self.cases.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for BenchReport {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Self {
-            schema_version: u64::from_value(v.get_field("schema_version")?)?,
-            suite: String::from_value(v.get_field("suite")?)?,
-            cases: <Vec<CaseResult> as Deserialize>::from_value(v.get_field("cases")?)?,
-        })
     }
 }
 
@@ -869,18 +821,16 @@ pub fn run_cases(suite: &str, cases: &[BenchCase], repeats: u32) -> BenchReport 
     }
 }
 
-/// Runs a named suite ([`MAIN_SUITE`] is the only built-in one): the
-/// in-process [`pinned_cases`], then the over-the-wire
-/// [`pinned_wire_cases`], then the offline [`pinned_oracle_cases`].
+/// Runs the [`MAIN_SUITE`]: the in-process [`pinned_cases`], then the
+/// over-the-wire [`pinned_wire_cases`], then the offline
+/// [`pinned_oracle_cases`].
 ///
 /// # Panics
-/// Panics on an unknown suite name (callers validate beforehand) and
-/// under the same conditions as [`run_cases`] / [`run_wire_cases`] /
-/// [`run_oracle_cases`].
+/// Panics under the same conditions as [`run_cases`] /
+/// [`run_wire_cases`] / [`run_oracle_cases`].
 #[must_use]
-pub fn run_suite(suite: &str, repeats: u32) -> BenchReport {
-    assert_eq!(suite, MAIN_SUITE, "unknown suite `{suite}` (valid: main)");
-    let mut report = run_cases(suite, &pinned_cases(), repeats);
+pub fn run_suite(repeats: u32) -> BenchReport {
+    let mut report = run_cases(MAIN_SUITE, &pinned_cases(), repeats);
     report
         .cases
         .extend(run_wire_cases(&pinned_wire_cases(), repeats));

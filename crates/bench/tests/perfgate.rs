@@ -9,7 +9,7 @@
 
 use rdbp_bench::{
     compare, pinned_cases, pinned_oracle_cases, pinned_wire_cases, run_cases, run_oracle_cases,
-    run_wire_cases, BenchCase, BenchReport, GateConfig, WireCase, WireTarget, BENCH_SCHEMA_VERSION,
+    run_wire_cases, BenchCase, BenchReport, WireCase, WireTarget, BENCH_SCHEMA_VERSION,
 };
 use rdbp_engine::{AlgorithmSpec, AuditSpec, InstanceSpec, Registries, Scenario, WorkloadSpec};
 use rdbp_model::{NoopObserver, WorkCounters};
@@ -213,9 +213,8 @@ fn golden_bench_json_schema_round_trips_and_pins_the_version() {
 fn gate_passes_on_identical_runs_and_names_injected_regressions() {
     let base = run_cases("mini", &mini_cases(), 1);
     let rerun = run_cases("mini", &mini_cases(), 1);
-    let config = GateConfig::default();
     assert!(
-        compare(&base, &rerun, &config).passed(),
+        compare(&base, &rerun).passed(),
         "identical-seed reruns must pass the exact gate"
     );
 
@@ -223,7 +222,7 @@ fn gate_passes_on_identical_runs_and_names_injected_regressions() {
     // work) and require the gate to fail naming the exact metric.
     let mut regressed = rerun.clone();
     regressed.cases[0].counters.policy_serve_hit += 17;
-    let comparison = compare(&base, &regressed, &config);
+    let comparison = compare(&base, &regressed);
     assert!(!comparison.passed());
     let failures: Vec<_> = comparison.failures().collect();
     assert_eq!(failures.len(), 1);
@@ -236,7 +235,7 @@ fn gate_passes_on_identical_runs_and_names_injected_regressions() {
         case.wall_ns *= 10;
         case.throughput /= 10.0;
     }
-    assert!(compare(&base, &slow, &config).passed());
+    assert!(compare(&base, &slow).passed());
 }
 
 /// A small twin of the pinned wire cases' fleet: the same multiplexed

@@ -33,6 +33,10 @@ use rdbp_serve::{Client, Request, Response, ServeError, PROTO_VERSION};
 /// dead.
 pub const PING_TIMEOUT: Duration = Duration::from_millis(500);
 
+/// Operation connections kept per backend; a session's ops use
+/// connection `session % POOL`.
+const POOL: usize = 4;
+
 /// How long to wait for a spawned `rdbp-serve` to write its
 /// `--addr-file`.
 const SPAWN_DEADLINE: Duration = Duration::from_secs(10);
@@ -63,12 +67,7 @@ impl Backend {
     /// # Errors
     /// Returns a [`ServeError`] if the process cannot start, never
     /// writes its address, or fails the `hello` health check.
-    pub fn spawn(
-        id: u64,
-        serve_bin: &Path,
-        workers: usize,
-        pool: usize,
-    ) -> Result<Self, ServeError> {
+    pub fn spawn(id: u64, serve_bin: &Path, workers: usize) -> Result<Self, ServeError> {
         let addr_file = std::env::temp_dir().join(format!(
             "rdbp-backend-{}-{id}-{:x}.addr",
             std::process::id(),
@@ -98,7 +97,7 @@ impl Backend {
         };
         let _ = std::fs::remove_file(&addr_file);
         let pid = u64::from(child.id());
-        match Self::attach_inner(id, addr, pool, Some(child)) {
+        match Self::attach_inner(id, addr, Some(child)) {
             Ok(mut backend) => {
                 backend.pid = pid;
                 Ok(backend)
@@ -113,16 +112,11 @@ impl Backend {
     /// # Errors
     /// Returns a [`ServeError`] if the address is unreachable or the
     /// `hello` health check fails.
-    pub fn attach(id: u64, addr: SocketAddr, pool: usize) -> Result<Self, ServeError> {
-        Self::attach_inner(id, addr, pool, None)
+    pub fn attach(id: u64, addr: SocketAddr) -> Result<Self, ServeError> {
+        Self::attach_inner(id, addr, None)
     }
 
-    fn attach_inner(
-        id: u64,
-        addr: SocketAddr,
-        pool: usize,
-        child: Option<Child>,
-    ) -> Result<Self, ServeError> {
+    fn attach_inner(id: u64, addr: SocketAddr, child: Option<Child>) -> Result<Self, ServeError> {
         let cleanup = |mut child: Option<Child>| {
             if let Some(child) = child.as_mut() {
                 let _ = child.kill();
@@ -141,8 +135,8 @@ impl Backend {
             cleanup(child);
             return Err(e);
         }
-        let mut conns = Vec::with_capacity(pool.max(1));
-        for _ in 0..pool.max(1) {
+        let mut conns = Vec::with_capacity(POOL);
+        for _ in 0..POOL {
             match Client::connect(addr) {
                 Ok(client) => conns.push(Mutex::new(client)),
                 Err(e) => {
@@ -335,7 +329,7 @@ mod tests {
             proto,
             workers: 1,
         });
-        let refused = Backend::attach(3, addr, 1).err();
+        let refused = Backend::attach(3, addr).err();
         stub.join().expect("stub thread");
         refused.expect("the backend must be refused").0
     }

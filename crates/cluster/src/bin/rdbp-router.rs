@@ -41,24 +41,22 @@ fn main() {
                      --backends N      rdbp-serve processes to spawn (default 0)\n\
                      --attach ADDR     attach an already-running backend (repeatable)\n\
                      --workers N       worker threads per spawned backend (default 2)\n\
-                     --pool N          connections kept per backend (default 4)\n\
                      --proto P         client protocol: auto|ndjson|binary (default auto)\n\
                      --addr-file F     write the bound host:port to F once listening\n\
                      --serve-bin PATH  rdbp-serve binary to spawn (default: sibling\n\
-                                       of this executable)\n\
+                     \x20                 of this executable)\n\
                      --ping-ms N       liveness-ping cadence; 0 disables (default 250)\n\
                      --snapshot-ms N   background snapshot cadence; 0 disables\n\
-                                       (default 500)\n\
-                     --rebalance-ms N  rebalance-check cadence; 0 disables\n\
-                                       (default 1000)\n\
-                     --rebalance-gap N session-count spread that triggers a\n\
-                                       rebalance migration (default 2)"
+                     \x20                 (default 500)\n\
+                     --rebalance-ms N  rebalance-check cadence; 0 disables (default\n\
+                     \x20                 1000); a check migrates one session when the\n\
+                     \x20                 fullest and emptiest live backends differ by\n\
+                     \x20                 2 or more sessions"
                 );
                 exit(0);
             }
-            "--port" | "--backends" | "--attach" | "--workers" | "--pool" | "--proto"
-            | "--addr-file" | "--serve-bin" | "--ping-ms" | "--snapshot-ms" | "--rebalance-ms"
-            | "--rebalance-gap" => {
+            "--port" | "--backends" | "--attach" | "--workers" | "--proto" | "--addr-file"
+            | "--serve-bin" | "--ping-ms" | "--snapshot-ms" | "--rebalance-ms" => {
                 let Some(value) = it.next() else {
                     fail(format!("flag {flag} needs a value"));
                 };
@@ -94,22 +92,12 @@ fn main() {
                             fail("need at least one worker per backend");
                         }
                     }
-                    "--pool" => {
-                        config.pool_per_backend = value
-                            .parse()
-                            .unwrap_or_else(|_| fail(format!("invalid pool size `{value}`")));
-                    }
                     "--proto" => proto = value.parse().unwrap_or_else(|e| fail(e)),
                     "--addr-file" => addr_file = Some(value),
                     "--serve-bin" => config.serve_bin = Some(value.into()),
                     "--ping-ms" => config.ping_interval = cadence(&value),
                     "--snapshot-ms" => config.snapshot_interval = cadence(&value),
                     "--rebalance-ms" => config.rebalance_interval = cadence(&value),
-                    "--rebalance-gap" => {
-                        config.rebalance_gap = value
-                            .parse()
-                            .unwrap_or_else(|_| fail(format!("invalid gap `{value}`")));
-                    }
                     _ => unreachable!(),
                 }
             }

@@ -71,14 +71,13 @@ pub struct ClusterConfig {
     /// `rdbp-serve` processes to spawn.
     pub spawn: usize,
     /// Path to the `rdbp-serve` binary for spawning (`None` = the
-    /// sibling of the current executable).
+    /// sibling of the current executable). Not looked up when `spawn`
+    /// is 0.
     pub serve_bin: Option<PathBuf>,
     /// Already-running backends to attach to.
     pub attach: Vec<SocketAddr>,
     /// `--workers` for each spawned backend.
     pub workers_per_backend: usize,
-    /// Operation connections kept per backend.
-    pub pool_per_backend: usize,
     /// Liveness-ping cadence (`None` disables pings; deaths are then
     /// detected by op I/O errors only).
     pub ping_interval: Option<Duration>,
@@ -87,9 +86,6 @@ pub struct ClusterConfig {
     pub snapshot_interval: Option<Duration>,
     /// Rebalance-check cadence (`None` disables rebalancing).
     pub rebalance_interval: Option<Duration>,
-    /// Minimum session-count spread between the hottest and coldest
-    /// backend before a rebalance migration triggers.
-    pub rebalance_gap: u64,
 }
 
 impl Default for ClusterConfig {
@@ -99,11 +95,9 @@ impl Default for ClusterConfig {
             serve_bin: None,
             attach: Vec::new(),
             workers_per_backend: 2,
-            pool_per_backend: 4,
             ping_interval: Some(Duration::from_millis(250)),
             snapshot_interval: Some(Duration::from_millis(500)),
             rebalance_interval: Some(Duration::from_secs(1)),
-            rebalance_gap: 2,
         }
     }
 }
@@ -122,6 +116,10 @@ impl ClusterConfig {
         }
     }
 }
+
+/// Minimum session-count spread between the hottest and coldest
+/// backend before a rebalance migration triggers.
+const REBALANCE_GAP: u64 = 2;
 
 /// The retained restore point for one session.
 struct Retained {
@@ -187,25 +185,22 @@ impl Cluster {
         if config.spawn == 0 && config.attach.is_empty() {
             return Err(ServeError("cluster needs at least one backend".into()));
         }
-        let serve_bin = match &config.serve_bin {
-            Some(path) => path.clone(),
-            None => sibling_serve_bin()?,
-        };
         let mut backends = Vec::new();
-        for i in 0..config.spawn {
-            backends.push(Arc::new(Backend::spawn(
-                i as u64,
-                &serve_bin,
-                config.workers_per_backend,
-                config.pool_per_backend,
-            )?));
+        if config.spawn > 0 {
+            let serve_bin = match &config.serve_bin {
+                Some(path) => path.clone(),
+                None => sibling_serve_bin()?,
+            };
+            for i in 0..config.spawn {
+                backends.push(Arc::new(Backend::spawn(
+                    i as u64,
+                    &serve_bin,
+                    config.workers_per_backend,
+                )?));
+            }
         }
         for (i, &addr) in config.attach.iter().enumerate() {
-            backends.push(Arc::new(Backend::attach(
-                (config.spawn + i) as u64,
-                addr,
-                config.pool_per_backend,
-            )?));
+            backends.push(Arc::new(Backend::attach((config.spawn + i) as u64, addr)?));
         }
         let cluster = Arc::new(Self {
             backends,
@@ -749,9 +744,9 @@ impl Cluster {
     }
 
     /// One rebalance check: if the hottest and coldest alive backends
-    /// differ by at least the configured gap, migrate one session from
-    /// hot to cold (greedy least-loaded placement).
-    fn rebalance_once(&self, gap: u64) {
+    /// differ by at least [`REBALANCE_GAP`] sessions, migrate one
+    /// session from hot to cold (greedy least-loaded placement).
+    fn rebalance_once(&self) {
         let alive: Vec<(usize, u64)> = self
             .backends
             .iter()
@@ -765,7 +760,7 @@ impl Cluster {
         let Some(&(cold, cold_n)) = alive.iter().min_by_key(|&&(_, n)| n) else {
             return;
         };
-        if hot == cold || hot_n.saturating_sub(cold_n) < gap {
+        if hot == cold || hot_n.saturating_sub(cold_n) < REBALANCE_GAP {
             return;
         }
         let candidate = self.all_routes().into_iter().find_map(|(id, route)| {
@@ -814,7 +809,7 @@ fn maintenance_main(cluster: &Cluster, config: &ClusterConfig) {
         if let Some(every) = config.rebalance_interval {
             if now.duration_since(last_rebalance) >= every {
                 last_rebalance = now;
-                cluster.rebalance_once(config.rebalance_gap);
+                cluster.rebalance_once();
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
 
@@ -99,6 +99,29 @@ impl RouterUnderTest {
         }
         let status = self.child.wait().expect("wait for router");
         assert!(status.success(), "router exited with {status}");
+    }
+}
+
+impl Drop for RouterUnderTest {
+    /// A test that panics before `shutdown` must not leak the router or
+    /// the backends it spawned. Once `shutdown` has reaped the router
+    /// this does nothing; otherwise it asks the router to shut down,
+    /// which stops its backends, and kills it if it has not exited in
+    /// time.
+    fn drop(&mut self) {
+        if !matches!(self.child.try_wait(), Ok(None)) {
+            return;
+        }
+        if let Ok(mut client) = Client::connect(self.addr) {
+            let _ = client.set_read_timeout(Some(Duration::from_secs(2)));
+            let _ = client.call(&Request::Shutdown);
+        }
+        let deadline = Instant::now() + Duration::from_secs(15);
+        while matches!(self.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 }
 
@@ -675,21 +698,12 @@ fn hello_identifies_router_and_backends_reject_router_ops() {
 /// policy loop migrate them until the spread is under the gap.
 #[test]
 fn rebalance_loop_evens_out_a_skewed_cluster() {
-    // Start with 1 backend so every session lands on backend 0… but the
-    // roster has 3 — skew by creating everything before the loop can
-    // react, with a long initial cadence? Simpler: short cadence, low
-    // gap, and verify convergence after the fact.
+    // A short cadence and the router's fixed gap of 2; convergence is
+    // checked after the fact.
     let router = RouterUnderTest::start(
         "rebalance",
         3,
-        &[
-            "--rebalance-ms",
-            "50",
-            "--rebalance-gap",
-            "2",
-            "--snapshot-ms",
-            "0",
-        ],
+        &["--rebalance-ms", "50", "--snapshot-ms", "0"],
     );
     let mut client = router.connect(false);
     let mut sessions = Vec::new();
@@ -749,6 +763,26 @@ fn rebalance_loop_evens_out_a_skewed_cluster() {
         assert_eq!(summary.violations, 0);
     }
     router.shutdown(false);
+}
+
+/// Dropping a started router without `shutdown`, as a panicking test
+/// does, leaves neither the router nor its backends running.
+#[test]
+fn dropped_router_stops_itself_and_its_backends() {
+    let router = RouterUnderTest::start("drop", 2, &["--snapshot-ms", "0", "--rebalance-ms", "0"]);
+    let mut pids: Vec<u64> = router.backends().iter().map(|b| b.pid).collect();
+    assert!(
+        pids.iter().all(|&pid| pid != 0),
+        "spawned backends have pids: {pids:?}"
+    );
+    pids.push(u64::from(router.child.id()));
+    drop(router);
+    for pid in pids {
+        assert!(
+            !Path::new(&format!("/proc/{pid}")).exists(),
+            "process {pid} outlived the dropped router"
+        );
+    }
 }
 
 /// A raw connection to the router that gives up instead of hanging

@@ -69,27 +69,8 @@ impl InstanceSpec {
                 .checked_mul(self.capacity)
                 .ok_or_else(|| SpecError("instance: ℓ·k overflows u32".into()))?,
         };
-        if n < 3 {
-            return Err(SpecError(format!(
-                "instance: a ring needs at least 3 processes, got n={n}"
-            )));
-        }
-        if self.servers == 0 || self.capacity == 0 {
-            return Err(SpecError(
-                "instance: servers and capacity must be positive".into(),
-            ));
-        }
-        if u64::from(n) > u64::from(self.servers) * u64::from(self.capacity) {
-            return Err(SpecError(format!(
-                "instance: capacity infeasible, n={n} > ℓ·k={}",
-                u64::from(self.servers) * u64::from(self.capacity)
-            )));
-        }
-        Ok(rdbp_model::RingInstance::new(
-            n,
-            self.servers,
-            self.capacity,
-        ))
+        rdbp_model::RingInstance::try_new(n, self.servers, self.capacity)
+            .map_err(|rule| SpecError(format!("instance: {rule}")))
     }
 }
 

@@ -37,18 +37,30 @@ impl RingInstance {
     /// `ℓ ≥ 1`, `k ≥ 1`, and `n ≤ ℓ·k`.
     #[must_use]
     pub fn new(n: u32, servers: u32, capacity: u32) -> Self {
-        assert!(n >= 3, "a ring needs at least 3 processes, got {n}");
-        assert!(servers >= 1, "need at least one server");
-        assert!(capacity >= 1, "need positive capacity");
-        assert!(
-            u64::from(n) <= u64::from(servers) * u64::from(capacity),
-            "capacity infeasible: n={n} > ℓ·k={}",
-            u64::from(servers) * u64::from(capacity)
-        );
-        Self {
-            n,
-            servers,
-            capacity,
+        Self::try_new(n, servers, capacity).unwrap_or_else(|rule| panic!("{rule}"))
+    }
+
+    /// [`RingInstance::new`] without the panic: the first rule the
+    /// parameters break, naming the field.
+    ///
+    /// # Errors
+    /// Returns the broken rule.
+    pub fn try_new(n: u32, servers: u32, capacity: u32) -> Result<Self, String> {
+        let slots = u64::from(servers) * u64::from(capacity);
+        if n < 3 {
+            Err(format!("a ring needs at least 3 processes, got n = {n}"))
+        } else if servers == 0 {
+            Err("need at least one server, got servers = 0".into())
+        } else if capacity == 0 {
+            Err("need positive capacity, got capacity = 0".into())
+        } else if u64::from(n) > slots {
+            Err(format!("capacity infeasible: n = {n} > ℓ·k = {slots}"))
+        } else {
+            Ok(Self {
+                n,
+                servers,
+                capacity,
+            })
         }
     }
 

@@ -39,14 +39,25 @@ impl Trace {
         seed: u64,
         requests: Vec<Edge>,
     ) -> Self {
-        for e in &requests {
-            assert!(e.0 < instance.n(), "request {} out of range", e.0);
-        }
-        Self {
+        let trace = Self {
             instance,
             workload: workload.into(),
             seed,
             requests,
+        };
+        trace.check_requests().unwrap_or_else(|bad| panic!("{bad}"));
+        trace
+    }
+
+    /// The first request that is not an edge of the instance, if any.
+    fn check_requests(&self) -> Result<(), String> {
+        let n = self.instance.n();
+        match self.requests.iter().enumerate().find(|(_, e)| e.0 >= n) {
+            Some((i, e)) => Err(format!(
+                "request {i} (edge {}) out of range for n = {n}",
+                e.0
+            )),
+            None => Ok(()),
         }
     }
 
@@ -84,14 +95,22 @@ impl Trace {
         writer.flush()
     }
 
-    /// Deserializes from JSON.
+    /// Deserializes from JSON, holding the result to the rules
+    /// [`RingInstance::new`] and [`Trace::new`] enforce.
     ///
     /// # Errors
-    /// Returns any underlying I/O or parse error.
+    /// Returns any underlying I/O or parse error, and an
+    /// [`std::io::ErrorKind::InvalidData`] error naming the first bad
+    /// instance field or request.
     pub fn load(path: &Path) -> std::io::Result<Self> {
         let file = File::open(path)?;
-        let reader = BufReader::new(file);
-        Ok(serde_json::from_reader(reader)?)
+        let trace: Self = serde_json::from_reader(BufReader::new(file))?;
+        let inst = trace.instance;
+        RingInstance::try_new(inst.n(), inst.servers(), inst.capacity())
+            .map_err(|rule| format!("instance: {rule}"))
+            .and_then(|_| trace.check_requests())
+            .map_err(|bad| std::io::Error::new(std::io::ErrorKind::InvalidData, bad))?;
+        Ok(trace)
     }
 }
 
@@ -124,6 +143,37 @@ mod tests {
         t.save(&path).unwrap();
         let back = Trace::load(&path).unwrap();
         assert_eq!(t, back);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_rejects_what_new_refuses() {
+        let path = std::env::temp_dir().join(format!("rdbp-bad-trace-{}.json", std::process::id()));
+        for (instance, requests, want) in [
+            (
+                r#"{"n":8,"servers":2,"capacity":4}"#,
+                "[1,1000,2000]",
+                "request 1 (edge 1000) out of range for n = 8",
+            ),
+            (
+                r#"{"n":9,"servers":2,"capacity":4}"#,
+                "[1]",
+                "instance: capacity infeasible: n = 9 > ℓ·k = 8",
+            ),
+            (
+                r#"{"n":8,"servers":0,"capacity":4}"#,
+                "[1]",
+                "instance: need at least one server, got servers = 0",
+            ),
+        ] {
+            let json = format!(
+                r#"{{"instance":{instance},"workload":"manual","seed":0,"requests":{requests}}}"#
+            );
+            std::fs::write(&path, json).unwrap();
+            let err = Trace::load(&path).expect_err("an invalid trace must not load");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), want);
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -31,7 +31,7 @@
 //! [`crate::dynamic_opt`] wherever the exact solver is feasible.
 
 use rdbp_model::{Edge, Placement, RingInstance, WorkCounters};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::{dynamic_opt, interval_opt, IntervalLayout};
 
@@ -174,7 +174,7 @@ impl OfflineOracle for IntervalOracle {
 /// while oracle bounds are `f64`s computed after the run. The sim
 /// binary composes the two side by side instead
 /// (`{"report": …, "oracle": …}`).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OracleReport {
     /// Name of the oracle that produced the bounds.
     pub oracle: String,
@@ -207,40 +207,6 @@ impl OracleReport {
             upper_bound,
             ratio: cost as f64 / lower_bound.max(1.0),
         }
-    }
-}
-
-impl Serialize for OracleReport {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("oracle".into(), self.oracle.to_value()),
-            ("cost".into(), self.cost.to_value()),
-            ("lower_bound".into(), self.lower_bound.to_value()),
-            (
-                "upper_bound".into(),
-                match self.upper_bound {
-                    Some(u) => u.to_value(),
-                    None => Value::Null,
-                },
-            ),
-            ("ratio".into(), self.ratio.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for OracleReport {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let upper_bound = match v.get_field("upper_bound")? {
-            Value::Null => None,
-            other => Some(f64::from_value(other)?),
-        };
-        Ok(Self {
-            oracle: String::from_value(v.get_field("oracle")?)?,
-            cost: u64::from_value(v.get_field("cost")?)?,
-            lower_bound: f64::from_value(v.get_field("lower_bound")?)?,
-            upper_bound,
-            ratio: f64::from_value(v.get_field("ratio")?)?,
-        })
     }
 }
 

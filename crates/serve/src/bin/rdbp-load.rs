@@ -56,7 +56,6 @@ struct Config {
     audit: bool,
     shutdown: bool,
     json: bool,
-    csv: Option<String>,
     /// Send `hello` and report the server identity instead of loading.
     ping: bool,
     /// Spawn a sibling `rdbp-router` and aim the load at it.
@@ -84,7 +83,6 @@ impl Default for Config {
             audit: true,
             shutdown: false,
             json: false,
-            csv: None,
             ping: false,
             router: false,
             backends: 2,
@@ -117,9 +115,8 @@ fn print_help() {
          --seed N         base seed; session i uses split_mix64(seed ^ i) (default 0)\n\
          --no-audit       run sessions without per-step auditing\n\
          --shutdown       send a shutdown request when done\n\
-         --json           machine-readable summary on stdout\n\
-         --csv FILE       append the summary row (config, req/s, latency\n\
-         \x20                percentiles) to FILE, writing a header if new\n\
+         --json           machine-readable summary on stdout (req/s, cost,\n\
+         \x20                violations, failures, latency percentiles)\n\
          --ping           health-check: send `hello`, print the server\n\
          \x20                identity, exit 0 iff it answers (no load)\n\
          --router         spawn a sibling rdbp-router (ephemeral port) and\n\
@@ -165,7 +162,6 @@ fn parse_args() -> Config {
                     "--workload" => cfg.workload = value,
                     "--epsilon" => cfg.epsilon = value.parse().unwrap_or_else(|_| bad()),
                     "--policy" => cfg.policy = value,
-                    "--csv" => cfg.csv = Some(value),
                     "--seed" => cfg.seed = value.parse().unwrap_or_else(|_| bad()),
                     "--backends" => cfg.backends = value.parse().unwrap_or_else(|_| bad()),
                     other => fail(format!("unknown flag `{other}` (try --help)")),
@@ -384,58 +380,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Appends one summary row (config + throughput + latency percentiles)
-/// to `path`, writing the header first when the file is new/empty.
-#[allow(clippy::too_many_arguments)]
-fn write_csv_row(
-    path: &str,
-    cfg: &Config,
-    served: u64,
-    secs: f64,
-    throughput: f64,
-    cost: u64,
-    violations: u64,
-    failures: u64,
-    (p50, p95, p99): (u64, u64, u64),
-) {
-    use std::io::Write as _;
-    const HEADER: &str = "sessions,batches,batch_size,algorithm,workload,audit,served,seconds,\
-                          req_per_sec,total_cost,violations,failures,p50_us,p95_us,p99_us";
-    // Appending under a foreign header would silently misalign columns
-    // for whoever parses the file later — refuse instead.
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let needs_header = existing.is_empty();
-    if let Some(found) = existing.lines().next() {
-        if found.trim_end() != HEADER {
-            fail(format!(
-                "csv {path} has a different header (written by another tool or an older \
-                 rdbp-load?); refusing to append — expected `{HEADER}`"
-            ));
-        }
-    }
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .unwrap_or_else(|e| fail(format!("cannot open csv {path}: {e}")));
-    if needs_header {
-        writeln!(file, "{HEADER}")
-            .unwrap_or_else(|e| fail(format!("cannot write csv header: {e}")));
-    }
-    writeln!(
-        file,
-        "{},{},{},{},{},{},{served},{secs:.3},{throughput:.1},{cost},{violations},\
-         {failures},{p50},{p95},{p99}",
-        cfg.sessions,
-        cfg.batches,
-        cfg.batch_size,
-        cfg.algorithm,
-        cfg.workload,
-        if cfg.audit { "full" } else { "none" },
-    )
-    .unwrap_or_else(|e| fail(format!("cannot write csv row: {e}")));
-}
-
 fn main() {
     let mut cfg = parse_args();
     let mut router = None;
@@ -564,20 +508,6 @@ fn main() {
         println!("served {served} requests in {secs:.3}s → {throughput:.0} req/s");
         println!("batch latency µs: p50={p50} p95={p95} p99={p99}");
         println!("total cost {cost}, violations {violations}, failures {failures}");
-    }
-
-    if let Some(path) = &cfg.csv {
-        write_csv_row(
-            path,
-            &cfg,
-            served,
-            secs,
-            throughput,
-            cost,
-            violations,
-            failures,
-            (p50, p95, p99),
-        );
     }
 
     if violations > 0 || failures > 0 {

@@ -25,8 +25,9 @@
 //! * [`proto`] — the request/response model, thirteen ops (`create`,
 //!   `submit`, `query`, `snapshot`, `restore`, `close`, `stats`,
 //!   `ping`, `hello`, `shutdown`, and the router's `migrate`,
-//!   `lineage`, `cluster`) with its newline-delimited-JSON encoding,
-//!   hand-written serde like the scenario specs.
+//!   `lineage`, `cluster`) with its newline-delimited-JSON encoding.
+//!   Its payload structs derive their serde; only the enum tagging and
+//!   the `created` and `status` arms are written by hand.
 //! * [`wire`] — the length-prefixed binary framing of the same model:
 //!   one opcode/kind byte plus a binary value tree, decoding to the
 //!   exact [`serde::Value`]s the NDJSON form produces, so both

@@ -36,6 +36,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, SendError, Sender};
 use parking_lot::{Mutex, RwLock};
 
+use serde::{Deserialize, Serialize};
+
 use rdbp_engine::{Registries, Scenario};
 use rdbp_model::{Edge, RunReport, WorkCounters};
 
@@ -108,7 +110,7 @@ pub struct StopReport {
 }
 
 /// Aggregate counters across all workers and sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ManagerStats {
     /// Sessions currently live.
     pub open_sessions: u64,

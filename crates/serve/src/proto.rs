@@ -3,9 +3,15 @@
 //! One request line in, one response line out, per connection, in
 //! order. Requests carry an `"op"` discriminator, responses an `"ok"`
 //! discriminator (errors use `{"ok": "error", "message": …}`), so a
-//! client can dispatch on one string. Serialization is hand-written
-//! against the vendored serde value tree — the offline derive stand-in
-//! has no enum support (same approach as `rdbp_engine::spec`).
+//! client can dispatch on one string. The payload structs derive their
+//! serde. What is written by hand against the vendored serde value tree
+//! is the enum tagging of [`Request`] and [`Response`] (the offline
+//! derive stand-in has no enum support, same approach as
+//! `rdbp_engine::spec`): a response is its `"ok"` tag followed by its
+//! variant's fields, a payload struct's derived fields spliced in where
+//! the struct stands. The `created` and `status` arms spell their
+//! struct's fields out instead, because the id is `session` on the wire
+//! but `id` in [`SessionInfo`] and [`SessionStatus`].
 //!
 //! A snapshot is a [`SnapshotBlob`] in the model and its tree on an
 //! NDJSON line; the binary encoding ([`crate::wire`]) carries the
@@ -29,7 +35,7 @@
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use rdbp_engine::Scenario;
-use rdbp_model::{CostLedger, Edge, RunReport, WorkCounters};
+use rdbp_model::{Edge, RunReport, WorkCounters};
 
 use crate::manager::{ManagerStats, SessionInfo, SessionStatus, Work};
 use crate::session::BatchSummary;
@@ -49,7 +55,7 @@ pub const PROTO_VERSION: u64 = 4;
 /// What a server says about itself in reply to `hello` — the liveness
 /// handshake a router (or `rdbp-load --ping`) health-checks before
 /// trusting an address.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServerHello {
     /// Which binary answered (`rdbp-serve`, `rdbp-router`).
     pub server: String,
@@ -64,7 +70,7 @@ pub struct ServerHello {
 /// One session's cluster provenance: where it lives and what migration
 /// and failover did to it. Only a router answers `lineage`; a plain
 /// `rdbp-serve` reports an error (it has no cluster state).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionLineage {
     /// The (router-assigned) session id.
     pub session: u64,
@@ -82,7 +88,7 @@ pub struct SessionLineage {
 }
 
 /// One backend's row in a router's `cluster` response.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BackendSummary {
     /// Router-assigned backend id (stable for the router's lifetime).
     pub id: u64,
@@ -230,10 +236,21 @@ pub enum Response {
     },
 }
 
-fn tag(kind: &str, mut rest: Vec<(String, Value)>, key: &str) -> Value {
-    let mut pairs = vec![(key.to_string(), Value::Str(kind.into()))];
-    pairs.append(&mut rest);
+/// The object `key: kind` followed by `rest`, built in one allocation.
+fn tag(kind: &str, rest: impl IntoIterator<Item = (String, Value)>, key: &str) -> Value {
+    let rest = rest.into_iter();
+    let mut pairs = Vec::with_capacity(1 + rest.size_hint().0);
+    pairs.push((key.to_string(), Value::Str(kind.into())));
+    pairs.extend(rest);
     Value::Obj(pairs)
+}
+
+/// The pairs of a derived struct's object, in declaration order.
+fn derived_pairs(value: &impl Serialize) -> Vec<(String, Value)> {
+    match value.to_value() {
+        Value::Obj(pairs) => pairs,
+        other => unreachable!("a derived struct serializes as an object, got {other:?}"),
+    }
 }
 
 impl Serialize for Request {
@@ -375,15 +392,8 @@ impl Serialize for Response {
             ),
             Response::Submitted { session, summary } => tag(
                 "submitted",
-                vec![
-                    ("session".into(), session.to_value()),
-                    ("served".into(), summary.served.to_value()),
-                    ("steps".into(), summary.steps.to_value()),
-                    ("ledger".into(), summary.ledger.to_value()),
-                    ("batch_cost".into(), summary.batch_cost.to_value()),
-                    ("max_load".into(), summary.max_load.to_value()),
-                    ("violations".into(), summary.violations.to_value()),
-                ],
+                std::iter::once(("session".into(), session.to_value()))
+                    .chain(derived_pairs(summary)),
                 "ok",
             ),
             Response::Status { status } => tag(
@@ -412,27 +422,9 @@ impl Serialize for Response {
                 ],
                 "ok",
             ),
-            Response::Stats { stats } => tag(
-                "stats",
-                vec![
-                    ("open_sessions".into(), stats.open_sessions.to_value()),
-                    ("created".into(), stats.created.to_value()),
-                    ("total_served".into(), stats.total_served.to_value()),
-                    ("total_violations".into(), stats.total_violations.to_value()),
-                ],
-                "ok",
-            ),
+            Response::Stats { stats } => tag("stats", derived_pairs(stats), "ok"),
             Response::Pong => tag("pong", vec![], "ok"),
-            Response::Hello { hello } => tag(
-                "hello",
-                vec![
-                    ("server".into(), hello.server.to_value()),
-                    ("version".into(), hello.version.to_value()),
-                    ("proto".into(), hello.proto.to_value()),
-                    ("workers".into(), hello.workers.to_value()),
-                ],
-                "ok",
-            ),
+            Response::Hello { hello } => tag("hello", derived_pairs(hello), "ok"),
             Response::Migrated { session, from, to } => tag(
                 "migrated",
                 vec![
@@ -442,33 +434,12 @@ impl Serialize for Response {
                 ],
                 "ok",
             ),
-            Response::Lineage { lineage } => tag(
-                "lineage",
-                vec![
-                    ("session".into(), lineage.session.to_value()),
-                    ("backend".into(), lineage.backend.to_value()),
-                    ("migrations".into(), lineage.migrations.to_value()),
-                    ("failovers".into(), lineage.failovers.to_value()),
-                    ("snapshot_steps".into(), lineage.snapshot_steps.to_value()),
-                    ("lost_requests".into(), lineage.lost_requests.to_value()),
-                ],
+            Response::Lineage { lineage } => tag("lineage", derived_pairs(lineage), "ok"),
+            Response::Cluster { backends } => tag(
+                "cluster",
+                vec![("backends".into(), backends.to_value())],
                 "ok",
             ),
-            Response::Cluster { backends } => {
-                let rows: Vec<Value> = backends
-                    .iter()
-                    .map(|b| {
-                        Value::Obj(vec![
-                            ("id".into(), b.id.to_value()),
-                            ("addr".into(), b.addr.to_value()),
-                            ("pid".into(), b.pid.to_value()),
-                            ("alive".into(), b.alive.to_value()),
-                            ("sessions".into(), b.sessions.to_value()),
-                        ])
-                    })
-                    .collect();
-                tag("cluster", vec![("backends".into(), Value::Arr(rows))], "ok")
-            }
             Response::Bye => tag("bye", vec![], "ok"),
             Response::Error { message } => {
                 tag("error", vec![("message".into(), message.to_value())], "ok")
@@ -492,14 +463,7 @@ impl Deserialize for Response {
             }),
             "submitted" => Ok(Response::Submitted {
                 session: u64::from_value(v.get_field("session")?)?,
-                summary: BatchSummary {
-                    served: u64::from_value(v.get_field("served")?)?,
-                    steps: u64::from_value(v.get_field("steps")?)?,
-                    ledger: CostLedger::from_value(v.get_field("ledger")?)?,
-                    batch_cost: u64::from_value(v.get_field("batch_cost")?)?,
-                    max_load: u32::from_value(v.get_field("max_load")?)?,
-                    violations: u64::from_value(v.get_field("violations")?)?,
-                },
+                summary: BatchSummary::from_value(v)?,
             }),
             "status" => Ok(Response::Status {
                 status: SessionStatus {
@@ -518,21 +482,11 @@ impl Deserialize for Response {
                 report: RunReport::from_value(v.get_field("report")?)?,
             }),
             "stats" => Ok(Response::Stats {
-                stats: ManagerStats {
-                    open_sessions: u64::from_value(v.get_field("open_sessions")?)?,
-                    created: u64::from_value(v.get_field("created")?)?,
-                    total_served: u64::from_value(v.get_field("total_served")?)?,
-                    total_violations: u64::from_value(v.get_field("total_violations")?)?,
-                },
+                stats: ManagerStats::from_value(v)?,
             }),
             "pong" => Ok(Response::Pong),
             "hello" => Ok(Response::Hello {
-                hello: ServerHello {
-                    server: String::from_value(v.get_field("server")?)?,
-                    version: String::from_value(v.get_field("version")?)?,
-                    proto: u64::from_value(v.get_field("proto")?)?,
-                    workers: u64::from_value(v.get_field("workers")?)?,
-                },
+                hello: ServerHello::from_value(v)?,
             }),
             "migrated" => Ok(Response::Migrated {
                 session: u64::from_value(v.get_field("session")?)?,
@@ -540,34 +494,11 @@ impl Deserialize for Response {
                 to: u64::from_value(v.get_field("to")?)?,
             }),
             "lineage" => Ok(Response::Lineage {
-                lineage: SessionLineage {
-                    session: u64::from_value(v.get_field("session")?)?,
-                    backend: u64::from_value(v.get_field("backend")?)?,
-                    migrations: u64::from_value(v.get_field("migrations")?)?,
-                    failovers: u64::from_value(v.get_field("failovers")?)?,
-                    snapshot_steps: u64::from_value(v.get_field("snapshot_steps")?)?,
-                    lost_requests: u64::from_value(v.get_field("lost_requests")?)?,
-                },
+                lineage: SessionLineage::from_value(v)?,
             }),
-            "cluster" => {
-                let rows = match v.get_field("backends")? {
-                    Value::Arr(rows) => rows,
-                    other => return Err(DeError(format!("expected array, got {other:?}"))),
-                };
-                let backends = rows
-                    .iter()
-                    .map(|row| {
-                        Ok(BackendSummary {
-                            id: u64::from_value(row.get_field("id")?)?,
-                            addr: String::from_value(row.get_field("addr")?)?,
-                            pid: u64::from_value(row.get_field("pid")?)?,
-                            alive: bool::from_value(row.get_field("alive")?)?,
-                            sessions: u64::from_value(row.get_field("sessions")?)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, DeError>>()?;
-                Ok(Response::Cluster { backends })
-            }
+            "cluster" => Ok(Response::Cluster {
+                backends: Vec::from_value(v.get_field("backends")?)?,
+            }),
             "bye" => Ok(Response::Bye),
             "error" => Ok(Response::Error {
                 message: String::from_value(v.get_field("message")?)?,

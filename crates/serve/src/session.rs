@@ -39,7 +39,7 @@ pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// What one batched submission did (cumulative fields cover the whole
 /// session so far, not just this batch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BatchSummary {
     /// Requests served by this submission.
     pub served: u64,

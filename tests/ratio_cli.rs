@@ -2,7 +2,8 @@
 //! the CLI; these tests pin the JSON shape of the `oracle` object, the
 //! default oracle choice, and the guard rails (unsupported instances,
 //! `--batch` incompatibility). The adversary flags' key list and
-//! unknown-key error are pinned here too.
+//! unknown-key error are pinned here too, and so is `--load-trace`
+//! refusing a trace that names an edge outside its ring.
 
 use std::process::Command;
 
@@ -166,5 +167,29 @@ fn adversary_flags_list_and_check_the_adaptive_workloads() {
         String::from_utf8_lossy(&output.stderr),
         "unknown adversary `uniform` (valid: chaser, cut-chaser, greedy-cut, separation, \
          separation-chaser)\n"
+    );
+}
+
+#[test]
+fn load_trace_refuses_a_request_outside_the_ring() {
+    let path = std::env::temp_dir().join(format!("rdbp-sim-bad-trace-{}.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"{"instance":{"n":8,"servers":2,"capacity":4},"workload":"manual","seed":0,"requests":[7,1000]}"#,
+    )
+    .unwrap();
+    let output = sim(&[
+        "--servers",
+        "2",
+        "--capacity",
+        "4",
+        "--load-trace",
+        path.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&output.stderr).trim_end(),
+        "cannot load trace: request 1 (edge 1000) out of range for n = 8"
     );
 }
