@@ -730,6 +730,39 @@ mod tests {
         }
     }
 
+    /// The `snapshot` response of a `dynamic`×`hedge` session on
+    /// packed(4, 8), seed 7, after 200 `uniform` requests: Hedge
+    /// weights and phase costs (f64 columns), cut states, placement and
+    /// interval tallies (integer columns), and RNG words.
+    fn pinned_snapshot_response() -> Response {
+        let mut algorithm = AlgorithmSpec::named("dynamic");
+        algorithm.policy = Some("hedge".into());
+        let mut scenario = Scenario::new(
+            InstanceSpec::packed(4, 8),
+            algorithm,
+            WorkloadSpec::named("uniform"),
+            0,
+        );
+        scenario.seed = 7;
+        let mut session =
+            crate::Session::new(scenario, &rdbp_engine::Registries::builtin()).unwrap();
+        session.submit(200);
+        Response::Snapshot {
+            session: 1,
+            snapshot: SnapshotBlob::encode(&session.snapshot().unwrap()).unwrap(),
+        }
+    }
+
+    #[test]
+    fn real_snapshot_line_is_pinned() {
+        let line = crate::wire::Framer::new(crate::wire::Proto::Ndjson)
+            .encode_response(&pinned_snapshot_response());
+        assert_eq!(
+            String::from_utf8(line).unwrap(),
+            include_str!("../tests/data/snapshot_response.ndjson")
+        );
+    }
+
     #[test]
     fn responses_round_trip() {
         for resp in sample_responses() {
