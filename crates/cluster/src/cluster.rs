@@ -590,7 +590,10 @@ impl Cluster {
     /// Live-migrates a session: quiesce (the route lock), snapshot the
     /// source (which becomes the retained restore point), restore on
     /// the target, close the source copy. Ops blocked on the route lock
-    /// continue seamlessly against the new backend.
+    /// continue seamlessly against the new backend. A source that dies
+    /// under the snapshot call is failed over inside it; the migration
+    /// then starts from the survivor, and is already done if that is
+    /// the target.
     ///
     /// # Errors
     /// Returns a [`ServeError`] for unknown/lost sessions, bad targets,
@@ -624,6 +627,12 @@ impl Cluster {
             return Ok((from as u64, from as u64));
         }
         let snapshot = self.take_snapshot(id, &mut state)?;
+        // A failover inside the snapshot call may have moved the
+        // session already.
+        let source = state.backend;
+        if source == target {
+            return Ok((from as u64, target as u64));
+        }
         let info = match self.open_on(target, id, &Request::Restore { snapshot }) {
             Opened::Created(info) => info,
             Opened::Refused(message) => {
@@ -636,18 +645,18 @@ impl Cluster {
         let old_remote = state.remote;
         state.acked_steps = info.steps;
         state.migrations += 1;
-        self.move_session_count(from, target);
+        self.move_session_count(source, target);
         state.backend = target;
         state.remote = info.id;
         // The source copy is dead weight now; reclaim it best-effort
         // (the source may be mid-crash, which failover will handle).
-        if let Err(e) = self.backends[from].call(
+        if let Err(e) = self.backends[source].call(
             id,
             &Request::Close {
                 session: old_remote,
             },
         ) {
-            self.report_death(from, &e);
+            self.report_death(source, &e);
         }
         Ok((from as u64, target as u64))
     }
@@ -845,4 +854,94 @@ pub fn sibling_serve_bin() -> Result<PathBuf, ServeError> {
                 exe.display()
             ))
         })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    use rdbp_engine::{AlgorithmSpec, InstanceSpec, Registries, WorkloadSpec};
+    use rdbp_serve::{serve, Client, SessionManager};
+
+    type Reactor = (SocketAddr, JoinHandle<std::io::Result<()>>);
+
+    /// An `rdbp-serve` reactor running in this process on a loopback
+    /// listener.
+    fn reactor() -> Reactor {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("reactor address");
+        let manager = SessionManager::new(1, Registries::builtin());
+        (addr, std::thread::spawn(move || serve(listener, manager)))
+    }
+
+    /// Shuts a reactor down over its own connection, behind any
+    /// router's back, and waits for it to exit.
+    fn stop((addr, handle): Reactor) {
+        let mut client = Client::connect(addr).expect("connect to the reactor");
+        assert!(matches!(client.call(&Request::Shutdown), Ok(Response::Bye)));
+        handle
+            .join()
+            .expect("reactor thread")
+            .expect("reactor exit");
+    }
+
+    fn open_sessions(addr: SocketAddr) -> u64 {
+        let mut client = Client::connect(addr).expect("connect to the reactor");
+        match client.call(&Request::Stats) {
+            Ok(Response::Stats { stats }) => stats.open_sessions,
+            other => panic!("stats answered {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_source_that_dies_during_the_snapshot_call_leaves_one_copy() {
+        let mut reactors = vec![reactor(), reactor()];
+        let mut config = ClusterConfig::quiescent();
+        config.attach = reactors.iter().map(|&(addr, _)| addr).collect();
+        let cluster = Cluster::start(&config).expect("cluster over two reactors");
+        let mut algorithm = AlgorithmSpec::named("dynamic");
+        algorithm.policy = Some("hedge".into());
+        let scenario = Scenario::new(
+            InstanceSpec::packed(4, 8),
+            algorithm,
+            WorkloadSpec::named("uniform"),
+            0,
+        );
+        let id = cluster.create(scenario).expect("create").id;
+        cluster.submit(id, &Work::Generate(100)).expect("submit");
+        let host = cluster.lineage(id).expect("lineage").backend as usize;
+        let survivor = 1 - host;
+
+        // The host dies unnoticed, so the migration's snapshot call is
+        // what finds out: it fails the session over to the survivor,
+        // which is also where the migration was headed.
+        stop(reactors.remove(host));
+        let moved = cluster.migrate(id, None).expect("migrate");
+        assert_eq!(moved, (host as u64, survivor as u64));
+
+        let roster: Vec<_> = cluster
+            .cluster_info()
+            .iter()
+            .map(|b| (b.id, b.alive, b.sessions))
+            .collect();
+        let mut want = vec![(0, true, 0), (1, true, 0)];
+        want[host].1 = false;
+        want[survivor].2 = 1;
+        assert_eq!(roster, want, "one copy, counted once");
+        let survivor_addr = reactors[0].0;
+        assert_eq!(open_sessions(survivor_addr), 1, "no second copy");
+        let lineage = cluster.lineage(id).expect("lineage");
+        assert_eq!(lineage.backend, survivor as u64);
+        assert_eq!((lineage.migrations, lineage.failovers), (0, 1));
+        // The failover rewound to the creation snapshot.
+        assert_eq!(lineage.lost_requests, 100);
+        let summary = cluster.submit(id, &Work::Generate(10)).expect("submit");
+        assert_eq!(summary.steps, 10);
+
+        cluster.close(id).expect("close");
+        assert_eq!(open_sessions(survivor_addr), 0);
+        cluster.shutdown();
+        stop(reactors.remove(0));
+    }
 }

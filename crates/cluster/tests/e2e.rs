@@ -830,8 +830,9 @@ fn assert_closed(stream: &mut TcpStream) {
 /// The hostile inputs the backend e2e suite sends `rdbp-serve` draw the
 /// same answers from the router: a desynchronizing frame an error and a
 /// close, a malformed but delimited frame (an unknown opcode, a
-/// snapshot nested too deep) an error on a connection that stays
-/// usable, and an NDJSON line over the cap an error and a close.
+/// snapshot nested too deep or holding a column of a width no encoder
+/// writes) an error on a connection that stays usable, and an NDJSON
+/// line over the cap an error and a close.
 #[test]
 fn router_answers_hostile_input_like_a_backend() {
     let router = RouterUnderTest::start("hostile", 1, &["--snapshot-ms", "0"]);
@@ -877,6 +878,26 @@ fn router_answers_hostile_input_like_a_backend() {
         .unwrap();
     let message = error_message(read_response(&mut stream));
     assert!(message.contains("depth"), "{message}");
+    assert!(matches!(read_response(&mut stream), Response::Pong));
+    // A restore whose snapshot is an unsigned column of width 3, which
+    // no encoder writes: error, then pong.
+    let mut payload = vec![0x08]; // an object…
+    payload.extend_from_slice(&1u32.to_le_bytes()); // …of one field…
+    payload.extend_from_slice(&8u32.to_le_bytes());
+    payload.extend_from_slice(b"snapshot"); // …named `snapshot`…
+    payload.push(0x0A); // …holding an unsigned column…
+    payload.extend_from_slice(&2u32.to_le_bytes()); // …of two elements…
+    payload.push(3); // …3 bytes wide
+    payload.extend_from_slice(&[0; 6]);
+    let mut restore = vec![wire::MAGIC, 0x05];
+    restore.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+    restore.extend_from_slice(&payload);
+    stream.write_all(&restore).unwrap();
+    stream
+        .write_all(&wire::encode_request(&Request::Ping))
+        .unwrap();
+    let message = error_message(read_response(&mut stream));
+    assert!(message.contains("width 3"), "{message}");
     assert!(matches!(read_response(&mut stream), Response::Pong));
     // Then a bad magic byte: error, then close.
     stream.write_all(&[0x00]).unwrap();

@@ -31,8 +31,9 @@
 //! * [`wire`] — the length-prefixed binary framing of the same model:
 //!   one opcode/kind byte plus a binary value tree, decoding to the
 //!   exact [`serde::Value`]s the NDJSON form produces, so both
-//!   protocols drive identical server behavior (replay submits take a
-//!   typed `u32` layout that decodes to the same requests); the
+//!   protocols drive identical server behavior (numeric arrays travel
+//!   as packed columns of raw little-endian numbers; replay submits
+//!   take a typed `u32` layout that decodes to the same requests); the
 //!   [`SnapshotBlob`] a snapshot travels in as bytes; and the
 //!   [`wire::Framer`] every connection (reactor, router, [`Client`])
 //!   parses and encodes through.

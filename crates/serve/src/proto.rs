@@ -49,8 +49,11 @@ use crate::wire::SnapshotBlob;
 /// 0x0E) and moves snapshots as [`SnapshotBlob`]s. Version 4 moves
 /// [`crate::SNAPSHOT_VERSION`] 3 snapshots, which carry the session's
 /// work counters, so a router refuses a backend it could not move
-/// sessions to or from; no message layout changed.
-pub const PROTO_VERSION: u64 = 4;
+/// sessions to or from; no message layout changed. Version 5 sends
+/// every non-empty numeric array as a packed column (value tags 0x09
+/// and 0x0A, see [`crate::wire`]), which a version-4 peer cannot
+/// decode; NDJSON and the snapshot tree are unchanged.
+pub const PROTO_VERSION: u64 = 5;
 
 /// What a server says about itself in reply to `hello` — the liveness
 /// handshake a router (or `rdbp-load --ping`) health-checks before

@@ -45,7 +45,17 @@
 //! 0x06 str   (u32 len + UTF-8 bytes)
 //! 0x07 arr   (u32 count + elements)
 //! 0x08 obj   (u32 count + (u32 key len + key bytes + value)*)
+//! 0x09 f64 column       (u32 count + count × 8 bytes)
+//! 0x0A unsigned column  (u32 count + u8 width + count × width bytes)
 //! ```
+//!
+//! A numeric array travels as a packed column of raw numbers, not as
+//! one tagged node per element. The packing is canonical: every
+//! non-empty [`Value::Arr`] whose elements are all floats or all
+//! unsigned integers is packed, and an unsigned column takes the
+//! narrowest width (1, 2, 4 or 8 bytes) that holds its largest element.
+//! So equal values encode to equal bytes, and a column decodes back to
+//! the `Arr` it was packed from. Empty arrays stay 0x07.
 //!
 //! Snapshots leave the worker that owns a session as bytes: the
 //! `snapshot` field of a `restore` request and of a `snapshot` response
@@ -61,8 +71,10 @@
 //! lines larger than [`MAX_FRAME`] are rejected with a protocol error
 //! instead of growing buffers without bound; nesting deeper than
 //! [`MAX_DEPTH`] is rejected (a tiny frame must not be able to
-//! overflow the decoder's stack); declared lengths are validated
-//! against the bytes actually present before any allocation.
+//! overflow the decoder's stack), and a non-empty column counts as an
+//! array whose elements sit one level deeper; declared lengths are
+//! validated against the bytes actually present before any allocation;
+//! a column width other than 1, 2, 4 or 8 is refused.
 
 use std::sync::Arc;
 
@@ -184,6 +196,8 @@ const TAG_FLOAT: u8 = 0x05;
 const TAG_STR: u8 = 0x06;
 const TAG_ARR: u8 = 0x07;
 const TAG_OBJ: u8 = 0x08;
+const TAG_FLOATS: u8 = 0x09;
+const TAG_UINTS: u8 = 0x0A;
 
 /// The field of a `restore` request and a `snapshot` response that
 /// holds a [`SnapshotBlob`].
@@ -232,6 +246,14 @@ fn encode_at(value: &Value, depth: u32, out: &mut Vec<u8>) -> bool {
             out.push(TAG_STR);
             put_str(out, s);
         }
+        Value::Arr(items) if !items.is_empty() && items.iter().all(is_float) => {
+            fits &= depth < MAX_DEPTH;
+            put_floats(out, items);
+        }
+        Value::Arr(items) if !items.is_empty() && items.iter().all(is_uint) => {
+            fits &= depth < MAX_DEPTH;
+            put_uints(out, items);
+        }
         Value::Arr(items) => {
             out.push(TAG_ARR);
             put_len(out, items.len());
@@ -249,6 +271,53 @@ fn encode_at(value: &Value, depth: u32, out: &mut Vec<u8>) -> bool {
         }
     }
     fits
+}
+
+fn is_float(value: &Value) -> bool {
+    matches!(value, Value::Float(_))
+}
+
+fn is_uint(value: &Value) -> bool {
+    matches!(value, Value::UInt(_))
+}
+
+/// Appends a non-empty array of floats as an f64 column.
+fn put_floats(out: &mut Vec<u8>, items: &[Value]) {
+    out.push(TAG_FLOATS);
+    put_len(out, items.len());
+    out.reserve(8 * items.len());
+    for x in items.iter().filter_map(Value::as_f64) {
+        out.extend_from_slice(&x.to_bits().to_le_bytes());
+    }
+}
+
+/// The narrowest column width, in bytes, that holds `max`.
+fn uint_width(max: u64) -> usize {
+    match max {
+        0..=0xFF => 1,
+        0x100..=0xFFFF => 2,
+        0x1_0000..=0xFFFF_FFFF => 4,
+        _ => 8,
+    }
+}
+
+/// Appends a non-empty array of unsigned integers as an unsigned
+/// column, each element in the narrowest width that holds the largest.
+fn put_uints(out: &mut Vec<u8>, items: &[Value]) {
+    let xs = items.iter().filter_map(Value::as_u64);
+    let width = uint_width(xs.clone().max().unwrap_or(0));
+    out.push(TAG_UINTS);
+    put_len(out, items.len());
+    out.push(width as u8);
+    out.reserve(width * items.len());
+    // One loop per width, so each one's store is a constant size; every
+    // element fits, as none exceeds the maximum.
+    match width {
+        1 => out.extend(xs.map(|x| x as u8)),
+        2 => xs.for_each(|x| out.extend_from_slice(&(x as u16).to_le_bytes())),
+        4 => xs.for_each(|x| out.extend_from_slice(&(x as u32).to_le_bytes())),
+        _ => xs.for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
+    }
 }
 
 fn too_deep() -> WireError {
@@ -292,10 +361,7 @@ impl<'a> Cursor<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        let raw = self.take(8)?;
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(raw);
-        Ok(u64::from_le_bytes(bytes))
+        Ok(le_u64(self.take(8)?))
     }
 
     fn str(&mut self) -> Result<&'a str, WireError> {
@@ -340,8 +406,58 @@ impl<'a> Cursor<'a> {
                 }
                 Ok(Value::Obj(pairs))
             }
+            TAG_FLOATS => {
+                let (_, raw) = self.column(TAG_FLOATS, depth)?;
+                let xs = raw.chunks_exact(8).map(|b| f64::from_bits(le_u64(b)));
+                Ok(Value::Arr(xs.map(Value::Float).collect()))
+            }
+            TAG_UINTS => {
+                let (width, raw) = self.column(TAG_UINTS, depth)?;
+                let xs = raw.chunks_exact(width);
+                // One loop per width, so each one's load is a constant size.
+                Ok(Value::Arr(match width {
+                    1 => raw.iter().map(|&b| Value::UInt(u64::from(b))).collect(),
+                    2 => xs
+                        .map(|b| Value::UInt(u64::from(u16::from_le_bytes([b[0], b[1]]))))
+                        .collect(),
+                    4 => xs
+                        .map(|b| {
+                            Value::UInt(u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+                        })
+                        .collect(),
+                    _ => xs.map(|b| Value::UInt(le_u64(b))).collect(),
+                }))
+            }
             other => Err(unknown_tag(other)),
         }
+    }
+
+    /// The element width and raw bytes of a packed column whose tag was
+    /// just read, checked under the rules an array's elements obey:
+    /// the elements must fit the bytes left (checked before anything is
+    /// allocated) and sit no deeper than [`MAX_DEPTH`], and an unsigned
+    /// column's width byte must be 1, 2, 4 or 8.
+    fn column(&mut self, tag: u8, depth: u32) -> Result<(usize, &'a [u8]), WireError> {
+        let count = self.u32()? as usize;
+        let width = if tag == TAG_FLOATS {
+            8
+        } else {
+            match self.byte()? {
+                width @ (1 | 2 | 4 | 8) => usize::from(width),
+                other => {
+                    return Err(WireError::Frame(format!(
+                        "unsigned column width {other} is not 1, 2, 4 or 8"
+                    )))
+                }
+            }
+        };
+        if count > 0 && depth >= MAX_DEPTH {
+            return Err(too_deep());
+        }
+        let len = count.checked_mul(width).ok_or_else(|| {
+            WireError::Frame(format!("a column of {count} × {width} bytes overflows"))
+        })?;
+        Ok((width, self.take(len)?))
     }
 
     /// Walks past one value under exactly the rules of
@@ -370,6 +486,9 @@ impl<'a> Cursor<'a> {
                     self.skip(depth + 1)?;
                 }
             }
+            tag @ (TAG_FLOATS | TAG_UINTS) => {
+                self.column(tag, depth)?;
+            }
             other => return Err(unknown_tag(other)),
         }
         Ok(())
@@ -384,6 +503,13 @@ impl<'a> Cursor<'a> {
             ))),
         }
     }
+}
+
+/// The little-endian `u64` in the 8 bytes of `bytes`.
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(bytes);
+    u64::from_le_bytes(word)
 }
 
 fn unknown_tag(tag: u8) -> WireError {
@@ -411,6 +537,8 @@ pub fn decode_value(payload: &[u8]) -> Result<Value, WireError> {
 /// session encodes its snapshot once; frames splice the bytes in and
 /// cut them out; a router stores and forwards them without decoding;
 /// the worker that restores decodes them once. Clones share the bytes.
+/// A blob a version-4 peer encoded, with every array one node per
+/// element, decodes as well (to the same tree).
 ///
 /// Every blob holds exactly one value that the frame decoder accepts as
 /// a field of a frame body — depth, tags, lengths and UTF-8 are checked
@@ -1456,6 +1584,304 @@ mod tests {
                 };
                 assert_eq!(edges, [Edge(4), Edge(u32::MAX)]);
             }
+        }
+    }
+
+    /// A packed column's bytes, tag first, built by hand: `width` is
+    /// `None` for an f64 column.
+    fn raw_column(count: u32, width: Option<u8>, body: &[u8]) -> Vec<u8> {
+        let mut out = vec![width.map_or(TAG_FLOATS, |_| TAG_UINTS)];
+        out.extend_from_slice(&count.to_le_bytes());
+        out.extend(width);
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// A restore frame whose `snapshot` field is `raw`, built by hand.
+    fn restore_frame(raw: &[u8]) -> Vec<u8> {
+        let mut body = vec![TAG_OBJ];
+        put_len(&mut body, 1);
+        put_str(&mut body, SNAPSHOT_FIELD);
+        body.extend_from_slice(raw);
+        raw_frame(0x05, &body)
+    }
+
+    fn uints(xs: &[u64]) -> Value {
+        Value::Arr(xs.iter().map(|&x| Value::UInt(x)).collect())
+    }
+
+    fn floats(xs: &[f64]) -> Value {
+        Value::Arr(xs.iter().map(|&x| Value::Float(x)).collect())
+    }
+
+    #[test]
+    fn unsigned_columns_take_the_narrowest_width() {
+        let cases: [(&[u64], u8); 5] = [
+            (&[0, 255], 1),
+            (&[256], 2),
+            (&[7, 0xFFFF_FFFF], 4),
+            (&[1 << 32], 8),
+            (&[u64::MAX, 0], 8),
+        ];
+        for (xs, width) in cases {
+            let bytes = encoded(&uints(xs));
+            let body: Vec<u8> = xs
+                .iter()
+                .flat_map(|x| x.to_le_bytes()[..usize::from(width)].to_vec())
+                .collect();
+            let count = u32::try_from(xs.len()).unwrap();
+            assert_eq!(bytes, raw_column(count, Some(width), &body), "{xs:?}");
+            assert_eq!(decode_value(&bytes).unwrap(), uints(xs));
+        }
+        let bytes = encoded(&floats(&[0.5, -0.0]));
+        let body: Vec<u8> = [0.5f64, -0.0]
+            .iter()
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(bytes, raw_column(2, None, &body));
+        let back = decode_value(&bytes).unwrap();
+        assert_eq!(back, floats(&[0.5, -0.0]));
+        assert_eq!(encoded(&back), bytes);
+        // Empty arrays and mixed ones stay TAG_ARR.
+        assert_eq!(encoded(&Value::Arr(vec![])), [TAG_ARR, 0, 0, 0, 0]);
+        let mixed = Value::Arr(vec![Value::Float(0.5), Value::UInt(3)]);
+        assert_eq!(encoded(&mixed)[0], TAG_ARR);
+        assert_eq!(decode_value(&encoded(&mixed)).unwrap(), mixed);
+    }
+
+    #[test]
+    fn malformed_columns_are_frame_errors() {
+        let bad = [
+            (
+                "a truncated f64 column",
+                raw_column(3, None, &[0; 16]),
+                "truncated",
+            ),
+            (
+                "a truncated unsigned column",
+                raw_column(3, Some(2), &[0; 5]),
+                "truncated",
+            ),
+            (
+                "a width byte of 3",
+                raw_column(2, Some(3), &[0; 6]),
+                "width 3",
+            ),
+            ("a width byte of 0", raw_column(0, Some(0), &[]), "width 0"),
+            // The size check comes before any allocation: a hostile
+            // count with 8 bytes behind it reserves nothing.
+            (
+                "u32::MAX floats",
+                raw_column(u32::MAX, None, &[0; 8]),
+                "truncated",
+            ),
+            (
+                "u32::MAX words",
+                raw_column(u32::MAX, Some(8), &[0; 8]),
+                "truncated",
+            ),
+            (
+                "no width byte",
+                raw_column(1, Some(1), &[])[..5].to_vec(),
+                "truncated",
+            ),
+        ];
+        for (what, raw, says) in bad {
+            let Err(WireError::Frame(message)) = decode_value(&raw) else {
+                panic!("{what} must be one bad frame")
+            };
+            assert!(message.contains(says), "{what}: {message}");
+            // The skip walk a snapshot field takes refuses it alike, and
+            // the connection keeps going.
+            for proto in [Proto::Binary, Proto::Auto] {
+                let mut framer = Framer::new(proto);
+                framer.push(&restore_frame(&raw));
+                framer.push(&encode_request(&Request::Ping));
+                let Some(Err(WireError::Frame(message))) = framer.next_request() else {
+                    panic!("a restore with {what} must be one bad frame")
+                };
+                assert!(message.contains(says), "{what}: {message}");
+                assert!(matches!(framer.next_request(), Some(Ok(Request::Ping))));
+            }
+        }
+    }
+
+    /// `levels` arrays of one element around `inner`.
+    fn wrapped(levels: u32, inner: Value) -> Value {
+        (0..levels).fold(inner, |v, _| Value::Arr(vec![v]))
+    }
+
+    #[test]
+    fn a_non_empty_column_at_the_depth_limit_is_too_deep() {
+        for column in [floats(&[1.5]), uints(&[7])] {
+            // Decoded at the top level, the column sits at depth levels.
+            let mut raw = nested(MAX_DEPTH);
+            raw.truncate(raw.len() - 1);
+            raw.extend(encoded(&column));
+            let err = decode_value(&raw).expect_err("a column's elements past the limit");
+            assert!(err.message().contains("depth"), "{err}");
+            let shallower = &raw[5..];
+            assert_eq!(
+                decode_value(shallower).unwrap(),
+                wrapped(MAX_DEPTH - 1, column.clone())
+            );
+            // An empty column holds no element past the limit.
+            let mut empty = raw[..raw.len() - encoded(&column).len()].to_vec();
+            empty.extend(raw_column(0, None, &[]));
+            assert_eq!(
+                decode_value(&empty).unwrap(),
+                wrapped(MAX_DEPTH, Value::Arr(vec![]))
+            );
+            // A snapshot is a frame field, one level down already.
+            let deep = wrapped(MAX_DEPTH - 1, column.clone());
+            assert!(SnapshotBlob::encode(&deep).is_err());
+            let err = decode_request(0x05, &restore_frame(&encoded(&deep))[HEADER_LEN..])
+                .expect_err("the skip walk applies the same limit");
+            assert!(err.message().contains("depth"), "{err}");
+            let fits = wrapped(MAX_DEPTH - 2, column);
+            assert_eq!(SnapshotBlob::encode(&fits).unwrap().decode(), fits);
+        }
+    }
+
+    /// The session whose snapshot the column tests move: dynamic×hedge
+    /// on packed(16, 64) after 300 zipf requests.
+    fn hedge_session(registries: &Registries) -> Session {
+        let mut algorithm = AlgorithmSpec::named("dynamic");
+        algorithm.policy = Some("hedge".into());
+        let spec = Scenario::new(
+            InstanceSpec::packed(16, 64),
+            algorithm,
+            WorkloadSpec::named("zipf"),
+            0,
+        );
+        let mut session = Session::new(spec, registries).unwrap();
+        session.submit(300);
+        session
+    }
+
+    #[test]
+    fn a_snapshot_that_crossed_ndjson_re_encodes_to_the_same_blob() {
+        let registries = Registries::builtin();
+        let session = hedge_session(&registries);
+        let tree = session.snapshot().unwrap();
+        let blob = SnapshotBlob::encode(&tree).unwrap();
+        let text = serde_json::to_string(&blob).unwrap();
+        let parsed: Value = serde_json::from_str::<Tree>(&text).unwrap().0;
+        assert_eq!(parsed, tree);
+        let crossed: SnapshotBlob = serde_json::from_str(&text).unwrap();
+        assert_eq!(crossed.as_bytes(), blob.as_bytes());
+        assert_eq!(serde_json::to_string(&crossed).unwrap(), text);
+    }
+
+    /// The version-4 encoding of `value`: every array an `TAG_ARR` of
+    /// one node per element, as before packed columns existed.
+    fn encoded_unpacked(value: &Value, out: &mut Vec<u8>) {
+        if let Value::Arr(items) = value {
+            out.push(TAG_ARR);
+            put_len(out, items.len());
+            for item in items {
+                encoded_unpacked(item, out);
+            }
+        } else if let Value::Obj(pairs) = value {
+            out.push(TAG_OBJ);
+            put_len(out, pairs.len());
+            for (key, item) in pairs {
+                put_str(out, key);
+                encoded_unpacked(item, out);
+            }
+        } else {
+            encode_value(value, out);
+        }
+    }
+
+    #[test]
+    fn an_unpacked_snapshot_blob_still_restores() {
+        let registries = Registries::builtin();
+        let mut session = hedge_session(&registries);
+        let tree = session.snapshot().unwrap();
+        let mut unpacked = Vec::new();
+        encoded_unpacked(&tree, &mut unpacked);
+        assert!(unpacked.len() > SnapshotBlob::encode(&tree).unwrap().as_bytes().len());
+        let Ok(Request::Restore { snapshot }) =
+            decode_request(0x05, &restore_frame(&unpacked)[HEADER_LEN..])
+        else {
+            panic!("an unpacked snapshot must decode")
+        };
+        assert_eq!(snapshot.as_bytes(), unpacked, "kept as sent");
+        let decoded = snapshot.decode();
+        assert_eq!(decoded, tree);
+        let mut restored = Session::restore(&decoded, &registries).unwrap();
+        restored.submit(200);
+        session.submit(200);
+        assert_eq!(restored.report(), session.report());
+        assert_eq!(restored.work_counters(), session.work_counters());
+    }
+
+    /// A raw tree through the JSON text layer.
+    struct Tree(Value);
+
+    impl Deserialize for Tree {
+        fn from_value(v: &Value) -> Result<Self, DeError> {
+            Ok(Tree(v.clone()))
+        }
+    }
+
+    /// A random tree of at most `depth` levels drawn from `seed`, rich in
+    /// numeric arrays: empty and mixed arrays, float arrays, unsigned
+    /// arrays of every column width, and scalars that survive JSON text
+    /// (finite floats, negative `Int`s).
+    fn random_tree(seed: &mut u64, depth: u32) -> Value {
+        let mut next = || {
+            *seed = rdbp_model::split_mix64(*seed);
+            *seed
+        };
+        let kind = next() % if depth == 0 { 8 } else { 10 };
+        let len = (next() % 6) as usize;
+        let width = [0xFF, 0xFFFF, 0xFFFF_FFFF, u64::MAX][(next() % 4) as usize];
+        let word = next();
+        let float = |bits: u64| {
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                x
+            } else {
+                (bits >> 11) as f64 / 8.0
+            }
+        };
+        match kind {
+            0 => Value::Null,
+            1 => Value::Bool(word.is_multiple_of(2)),
+            2 => Value::UInt(word & width),
+            3 => Value::Int(-1 - (word >> 2) as i64),
+            4 => Value::Float(float(word)),
+            5 => Value::Str(format!("s\"{len}\\")),
+            6 => Value::Arr((0..len).map(|_| Value::UInt(next() & width)).collect()),
+            7 => Value::Arr((0..len).map(|_| Value::Float(float(next()))).collect()),
+            8 => Value::Arr((0..len).map(|_| random_tree(seed, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..len)
+                    .map(|i| (format!("k{i}"), random_tree(seed, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn numeric_trees_round_trip_and_re_encode_identically(seed in 0u64..u64::MAX) {
+            let mut state = seed;
+            let tree = random_tree(&mut state, 4);
+            let bytes = encoded(&tree);
+            let back = decode_value(&bytes).unwrap();
+            proptest::prop_assert_eq!(&back, &tree);
+            proptest::prop_assert_eq!(encoded(&back), bytes.clone());
+            // Through JSON text as well: same text, same bytes.
+            let blob = SnapshotBlob::encode(&tree).unwrap();
+            let text = serde_json::to_string(&blob).unwrap();
+            let crossed: SnapshotBlob = serde_json::from_str(&text).unwrap();
+            proptest::prop_assert_eq!(crossed.as_bytes(), &bytes[..]);
+            proptest::prop_assert_eq!(serde_json::to_string(&crossed).unwrap(), text);
         }
     }
 }
