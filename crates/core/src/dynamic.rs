@@ -688,6 +688,43 @@ mod tests {
     }
 
     #[test]
+    fn setup_migrations_is_the_distance_from_the_contiguous_placement() {
+        // The shapes of `incremental_mapping_matches_reference`, the
+        // benchmark's two packed sizes and two rings with spare slots
+        // (where the contiguous placement leaves servers part-full),
+        // each under five seeds and one fixed shift.
+        let mut shapes: Vec<RingInstance> = (0..30)
+            .map(|t| RingInstance::packed(2 + t % 4, 3 + t % 5))
+            .collect();
+        shapes.extend([
+            RingInstance::packed(16, 64),
+            RingInstance::packed(64, 256),
+            RingInstance::new(50, 8, 8),
+            RingInstance::new(1000, 40, 29),
+        ]);
+        for inst in &shapes {
+            let contiguous = Placement::contiguous(inst);
+            let mut configs: Vec<DynamicConfig> =
+                (0..5).map(|seed| cfg(PolicyKind::WorkFunction, seed)).collect();
+            let k_prime = DynamicPartitioner::new(inst, configs[0]).k_prime();
+            configs.push(DynamicConfig {
+                shift: Some(k_prime - 1),
+                ..configs[0]
+            });
+            for config in configs {
+                let alg = DynamicPartitioner::new(inst, config);
+                assert_eq!(
+                    alg.setup_migrations(),
+                    contiguous.migration_distance(alg.placement()),
+                    "{inst:?} seed {} shift {}",
+                    config.seed,
+                    alg.shift()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn load_invariant_holds_under_all_workloads() {
         let inst = RingInstance::packed(4, 8);
         let sources: Vec<Box<dyn Workload>> = vec![
