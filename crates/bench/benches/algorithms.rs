@@ -1,4 +1,5 @@
-//! Criterion: per-request latency of the online algorithms.
+//! Criterion: per-request latency of the online algorithms, and the
+//! cost of building the dynamic partitioner.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -70,6 +71,35 @@ fn bench_serve(c: &mut Criterion) {
     group.finish();
 }
 
+/// `DynamicPartitioner::new` at the three benchmark workloads' shapes:
+/// part of every session create and restore. Each iteration includes
+/// dropping what it built.
+fn bench_construct(c: &mut Criterion) {
+    let mut group = c.benchmark_group("construct");
+    group.sample_size(200);
+    for &(ell, k) in &[(8u32, 32u32), (16, 64), (64, 256)] {
+        let inst = RingInstance::packed(ell, k);
+        group.bench_with_input(
+            BenchmarkId::new("dynamic-hedge", format!("n{}", inst.n())),
+            &inst,
+            |b, inst| {
+                b.iter(|| {
+                    DynamicPartitioner::new(
+                        inst,
+                        DynamicConfig {
+                            epsilon: 0.5,
+                            policy: PolicyKind::HstHedge,
+                            seed: 1,
+                            shift: None,
+                        },
+                    )
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -80,6 +110,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_serve
+    targets = bench_serve, bench_construct
 }
 criterion_main!(benches);

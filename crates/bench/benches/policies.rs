@@ -1,5 +1,6 @@
 //! Criterion: MTS policy step latency as a function of the state count,
-//! through the cost-vector `serve` and the point `serve_hit` paths.
+//! through the cost-vector `serve` and the point `serve_hit` paths, and
+//! the cost of building a partitioner's interval policies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -59,6 +60,26 @@ fn bench_policies(c: &mut Criterion) {
     group.finish();
 }
 
+/// Building a partitioner's ℓ′ interval policies at once, at the three
+/// benchmark workloads' (ℓ′, k′): part of every session create and
+/// restore. Each iteration includes dropping what it built.
+fn bench_construct(c: &mut Criterion) {
+    let mut group = c.benchmark_group("construct");
+    group.sample_size(200);
+    for &(count, states) in &[(6usize, 48usize), (11, 96), (43, 384)] {
+        group.bench_with_input(
+            BenchmarkId::new("hst-hedge/build_many", format!("{count}x{states}")),
+            &(count, states),
+            |b, &(count, states)| {
+                b.iter(|| {
+                    PolicyKind::HstHedge.build_many(count, states, states / 2, |i| i as u64 + 1)
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -69,6 +90,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_policies
+    targets = bench_policies, bench_construct
 }
 criterion_main!(benches);

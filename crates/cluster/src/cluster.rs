@@ -564,7 +564,9 @@ impl Cluster {
         self.take_snapshot(id, &mut state)
     }
 
-    /// Closes a session and removes its route.
+    /// Closes a session and removes its route. A lost session has no
+    /// copy left to close, and its backend's count was already given
+    /// back, so closing it removes the route and answers the loss.
     ///
     /// # Errors
     /// Returns a [`ServeError`] for unknown/lost sessions.
@@ -572,7 +574,16 @@ impl Cluster {
         let route = self.route_of(id)?;
         let mut state = route.lock();
         let response =
-            self.roundtrip(id, &mut state, |remote| Request::Close { session: remote })?;
+            match self.roundtrip(id, &mut state, |remote| Request::Close { session: remote }) {
+                Ok(response) => response,
+                Err(e) => {
+                    if state.lost.is_some() {
+                        drop(state);
+                        self.routes.write().remove(&id);
+                    }
+                    return Err(e);
+                }
+            };
         match response {
             Response::Closed { report, .. } => {
                 self.backends[state.backend]
@@ -941,6 +952,47 @@ mod tests {
 
         cluster.close(id).expect("close");
         assert_eq!(open_sessions(survivor_addr), 0);
+        cluster.shutdown();
+        stop(reactors.remove(0));
+    }
+
+    #[test]
+    fn closing_a_lost_session_removes_its_route() {
+        let mut reactors = vec![reactor(), reactor()];
+        let mut config = ClusterConfig::quiescent();
+        config.attach = reactors.iter().map(|&(addr, _)| addr).collect();
+        let cluster = Cluster::start(&config).expect("cluster over two reactors");
+        // `static` cannot snapshot, so its session has no restore point
+        // and dies with its host.
+        let scenario = Scenario::new(
+            InstanceSpec::packed(4, 8),
+            AlgorithmSpec::named("static"),
+            WorkloadSpec::named("uniform"),
+            0,
+        );
+        let id = cluster.create(scenario).expect("create").id;
+        cluster.submit(id, &Work::Generate(100)).expect("submit");
+        let host = cluster.lineage(id).expect("lineage").backend as usize;
+        stop(reactors.remove(host));
+
+        let lost = cluster
+            .submit(id, &Work::Generate(1))
+            .expect_err("the session died with its host");
+        assert_eq!(
+            lost.0,
+            format!(
+                "session {id} lost: backend {host} died and the session's algorithm \
+                 does not support snapshot/restore"
+            )
+        );
+        let closed = cluster.close(id).expect_err("closing answers the loss");
+        assert_eq!(closed.0, lost.0);
+        assert_eq!(cluster.stats().open_sessions, 0, "the route is gone");
+        let again = cluster.close(id).expect_err("the session is gone");
+        assert_eq!(again.0, format!("unknown session {id}"));
+        let roster: Vec<_> = cluster.cluster_info().iter().map(|b| b.sessions).collect();
+        assert_eq!(roster, vec![0, 0], "the lost session is counted nowhere");
+
         cluster.shutdown();
         stop(reactors.remove(0));
     }

@@ -137,8 +137,13 @@ impl DynamicPartitioner {
         let cut_state = vec![initial_state; ell_prime as usize];
 
         let assignment = assignment_from_cuts(n, k_prime, ell_prime, shift, &cut_state);
+        // The distance from the contiguous placement, which hosts
+        // process p on server p / k.
+        let setup_migrations = (0..n)
+            .zip(&assignment)
+            .filter(|&(p, &server)| server != p / k)
+            .count() as u64;
         let placement = Placement::from_assignment(instance, assignment);
-        let setup_migrations = Placement::contiguous(instance).migration_distance(&placement);
 
         Self {
             instance: *instance,
@@ -704,8 +709,9 @@ mod tests {
         ]);
         for inst in &shapes {
             let contiguous = Placement::contiguous(inst);
-            let mut configs: Vec<DynamicConfig> =
-                (0..5).map(|seed| cfg(PolicyKind::WorkFunction, seed)).collect();
+            let mut configs: Vec<DynamicConfig> = (0..5)
+                .map(|seed| cfg(PolicyKind::WorkFunction, seed))
+                .collect();
             let k_prime = DynamicPartitioner::new(inst, configs[0]).k_prime();
             configs.push(DynamicConfig {
                 shift: Some(k_prime - 1),

@@ -34,7 +34,10 @@
 //! Each policy owns only its live state:
 //! parallel `Vec<f64>` columns `log_w`/`phase_cost`, the
 //! write-through conditional-probability cache `cond`, and the
-//! softmax's exp cache `ex`/`top`, all indexed by arena node.
+//! softmax's exp cache `ex`/`top`, all indexed by arena node. Every
+//! policy starts from the same live state (zero weights), so the tree
+//! computes it once, with its leaf distribution, and a new policy
+//! copies it; only the seeded draw of the coupling is per policy.
 //! BFS order gives two invariants the serve paths lean on: a node's
 //! children occupy the contiguous index range
 //! `child_start..child_start + child_count` (a family's Hedge lanes
@@ -123,6 +126,8 @@ pub(crate) struct HstTree {
     eta: Vec<f64>,
     /// Tree depth in levels (a root-only tree has 1).
     levels: u32,
+    /// The live state every policy on this tree starts from.
+    start: Start,
 }
 
 impl HstTree {
@@ -178,7 +183,7 @@ impl HstTree {
             .zip(&hi)
             .map(|(&l, &h)| 1.0 / f64::from(h - l))
             .collect();
-        Self {
+        let mut tree = Self {
             lo,
             hi,
             parent,
@@ -187,7 +192,10 @@ impl HstTree {
             leaf_of_state,
             eta,
             levels,
-        }
+            start: Start::default(),
+        };
+        tree.start = Start::new(&tree);
+        tree
     }
 
     fn num_nodes(&self) -> usize {
@@ -208,12 +216,70 @@ impl HstTree {
     fn span(&self, family: usize) -> f64 {
         f64::from(self.hi[family] - self.lo[family])
     }
+
+    /// Writes the normalized leaf distribution of the conditionals
+    /// `cond` into `out` (top-down product of conditionals, normalized
+    /// exactly as [`Distribution::new`] would).
+    fn leaf_probs(&self, cond: &[f64], out: &mut [f64]) {
+        let n_nodes = self.num_nodes();
+        let mut node_prob = vec![0.0f64; n_nodes];
+        for i in 0..n_nodes {
+            let p = if self.parent[i] == NO_PARENT {
+                1.0
+            } else {
+                node_prob[self.parent[i] as usize] * cond[i]
+            };
+            node_prob[i] = p;
+            if self.child_count[i] == 0 {
+                out[self.lo[i] as usize] = p;
+            }
+        }
+        let sum: f64 = out.iter().sum();
+        for q in out.iter_mut() {
+            *q /= sum;
+        }
+    }
+}
+
+/// A policy's live state before its first serve: zero weights and
+/// phase costs with fresh caches, and the leaf distribution they give.
+/// It depends only on the tree, so [`HstTree::new`] computes it once and
+/// [`HstHedge::on_tree`] copies it.
+#[derive(Debug, Default)]
+struct Start {
+    lanes: Lanes,
+    /// The leaf-distribution cache for `lanes`: what
+    /// [`HstTree::leaf_probs`] writes, fresh at generation 1. A single
+    /// state has no such cache (its buffer stays zero and stale).
+    probs: Vec<f64>,
+    /// The probabilities of the [`Distribution`] that
+    /// [`HstHedge::leaf_distribution`] returns for `lanes`: `probs`
+    /// re-normalized, or the point mass on a single state.
+    dist: Vec<f64>,
+}
+
+impl Start {
+    fn new(tree: &HstTree) -> Self {
+        let lanes = Lanes::new(tree);
+        let mut probs = vec![0.0; tree.num_states()];
+        let dist = if tree.num_states() == 1 {
+            Distribution::point(0, 1)
+        } else {
+            tree.leaf_probs(&lanes.cond, &mut probs);
+            Distribution::new(probs.clone())
+        };
+        Self {
+            lanes,
+            probs,
+            dist: dist.probs().to_vec(),
+        }
+    }
 }
 
 /// A policy's live Hedge state, one entry per arena node: the node's
 /// lane within its parent family (root entries are unused; `cond` of
 /// the root is 1.0).
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 struct Lanes {
     /// Log-domain Hedge weights.
     log_w: Vec<f64>,
@@ -408,43 +474,43 @@ impl HstHedge {
         Self::on_tree(Arc::new(HstTree::new(num_states)), initial, seed)
     }
 
-    /// [`Self::new`] over an already built (shared) hierarchy.
+    /// [`Self::new`] over an already built (shared) hierarchy: a copy
+    /// of the tree's start state, with the coupling drawn from `seed`.
     ///
     /// # Panics
     /// Panics if `initial` is not one of the tree's states.
     pub(crate) fn on_tree(tree: Arc<HstTree>, initial: usize, seed: u64) -> Self {
-        let num_states = tree.num_states();
-        assert!(initial < num_states, "initial state out of range");
-        let lanes = Lanes::new(&tree);
-        let mut policy = Self {
-            tree,
-            lanes,
-            gen: 1,
-            probs: RefCell::new(vec![0.0; num_states]),
-            probs_gen: Cell::new(0),
-            val: Vec::new(),
-            // Placeholder; replaced right below once the distribution
-            // exists.
-            coupling: QuantileCoupling::with_u(&Distribution::uniform(num_states.max(1)), 0.5),
-            rng: StdRng::seed_from_u64(seed),
-            serves: 0,
-            hits: 0,
-            node_visits: 0,
-            cache_hits: 0,
-        };
-        let dist = policy.leaf_distribution();
+        assert!(initial < tree.num_states(), "initial state out of range");
+        let start = &tree.start;
+        let mut rng = StdRng::seed_from_u64(seed);
         // Draw u uniformly inside initial's quantile block, so the
         // realized initial state is `initial` while u stays random
         // within the block (see the same note in `SminGradient::new`).
         let mut cdf = 0.0;
-        for i in 0..initial {
-            cdf += dist.prob(i);
+        for &p in &start.dist[..initial] {
+            cdf += p;
         }
-        let jitter: f64 = policy.rng.random::<f64>().max(1e-9);
-        let u = (cdf + jitter * dist.prob(initial)).clamp(1e-12, 1.0 - 1e-12);
-        policy.coupling = QuantileCoupling::with_u(&dist, u);
-        debug_assert_eq!(policy.coupling.state(), initial);
-        policy
+        let jitter: f64 = rng.random::<f64>().max(1e-9);
+        let u = (cdf + jitter * start.dist[initial]).clamp(1e-12, 1.0 - 1e-12);
+        let coupling =
+            QuantileCoupling::from_parts(u, Distribution::quantile_of(&start.dist, u), 0);
+        debug_assert_eq!(coupling.state(), initial);
+        Self {
+            lanes: start.lanes.clone(),
+            gen: 1,
+            probs: RefCell::new(start.probs.clone()),
+            // Generation 1 marks `start.probs` fresh; a single state
+            // keeps it stale, as `leaf_distribution` never fills it.
+            probs_gen: Cell::new(u64::from(tree.num_states() > 1)),
+            val: Vec::new(),
+            coupling,
+            rng,
+            serves: 0,
+            hits: 0,
+            node_visits: 0,
+            cache_hits: 0,
+            tree,
+        }
     }
 
     /// The current leaf distribution (product of conditional Hedge
@@ -457,7 +523,8 @@ impl HstHedge {
             return Distribution::point(0, 1);
         }
         if self.probs_gen.get() != self.gen {
-            self.compute_leaf_probs(&mut self.probs.borrow_mut());
+            self.tree
+                .leaf_probs(&self.lanes.cond, &mut self.probs.borrow_mut());
             self.probs_gen.set(self.gen);
         }
         Distribution::new(self.probs.borrow().clone())
@@ -490,30 +557,6 @@ impl HstHedge {
             node = family;
         }
         path
-    }
-
-    /// Writes the normalized leaf distribution into `out` (top-down
-    /// product of conditionals, normalized exactly as
-    /// [`Distribution::new`] would).
-    fn compute_leaf_probs(&self, out: &mut [f64]) {
-        let tree = &*self.tree;
-        let n_nodes = tree.num_nodes();
-        let mut node_prob = vec![0.0f64; n_nodes];
-        for i in 0..n_nodes {
-            let p = if tree.parent[i] == NO_PARENT {
-                1.0
-            } else {
-                node_prob[tree.parent[i] as usize] * self.lanes.cond[i]
-            };
-            node_prob[i] = p;
-            if tree.child_count[i] == 0 {
-                out[tree.lo[i] as usize] = p;
-            }
-        }
-        let sum: f64 = out.iter().sum();
-        for q in out.iter_mut() {
-            *q /= sum;
-        }
     }
 
     /// The cost-vector serve body: one bottom-up sweep computing the
@@ -733,7 +776,8 @@ impl MtsPolicy for HstHedge {
         self.gen = 1;
         if probs_fresh {
             if self.num_states() > 1 {
-                self.compute_leaf_probs(&mut self.probs.borrow_mut());
+                self.tree
+                    .leaf_probs(&self.lanes.cond, &mut self.probs.borrow_mut());
             }
             self.probs_gen.set(self.gen);
         } else {
@@ -779,6 +823,49 @@ mod tests {
         }
     }
 
+    /// The construction every policy ran before its tree carried the
+    /// start state: fresh lanes, the leaf distribution computed from
+    /// them behind a placeholder coupling, then the jitter and the
+    /// coupling. Kept as the reference [`HstHedge::on_tree`] is diffed
+    /// against.
+    fn reference_on_tree(tree: Arc<HstTree>, initial: usize, seed: u64) -> HstHedge {
+        let num_states = tree.num_states();
+        let lanes = Lanes::new(&tree);
+        let mut policy = HstHedge {
+            tree,
+            lanes,
+            gen: 1,
+            probs: RefCell::new(vec![0.0; num_states]),
+            probs_gen: Cell::new(0),
+            val: Vec::new(),
+            coupling: QuantileCoupling::with_u(&Distribution::uniform(num_states), 0.5),
+            rng: StdRng::seed_from_u64(seed),
+            serves: 0,
+            hits: 0,
+            node_visits: 0,
+            cache_hits: 0,
+        };
+        let dist = policy.leaf_distribution();
+        let mut cdf = 0.0;
+        for i in 0..initial {
+            cdf += dist.prob(i);
+        }
+        let jitter: f64 = policy.rng.random::<f64>().max(1e-9);
+        let u = (cdf + jitter * dist.prob(initial)).clamp(1e-12, 1.0 - 1e-12);
+        policy.coupling = QuantileCoupling::with_u(&dist, u);
+        policy
+    }
+
+    /// Every live column of `p` and its leaf cache, as bits.
+    fn state_bits(p: &HstHedge) -> Vec<Vec<u64>> {
+        let l = &p.lanes;
+        let probs = p.probs.borrow();
+        [&l.log_w, &l.phase_cost, &l.ex, &l.top, &l.cond, &*probs]
+            .iter()
+            .map(|column| column.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
     fn unit(n: usize, i: usize) -> Vec<f64> {
         let mut v = vec![0.0; n];
         v[i] = 1.0;
@@ -791,6 +878,64 @@ mod tests {
             for init in [0, n / 2, n - 1] {
                 let p = HstHedge::new(n, init, 5);
                 assert_eq!(p.state(), init, "n={n} init={init}");
+            }
+        }
+    }
+
+    #[test]
+    fn copied_start_state_matches_per_policy_construction() {
+        // Policies copied from one shared tree's start state against
+        // the per-policy reference, each on its own tree: the same
+        // snapshot, counters, caches and leaf distribution at the start
+        // and after 300 hits, and the same state after every hit.
+        for n in [1usize, 2, 3, 4, 5, 7, 48, 96, 384] {
+            let shared = Arc::new(HstTree::new(n));
+            for initial in [0, n / 2, n - 1] {
+                for seed in [0u64, 7, 1009] {
+                    let context = format!("n={n} initial={initial} seed={seed}");
+                    let mut copied = HstHedge::on_tree(Arc::clone(&shared), initial, seed);
+                    let mut reference = reference_on_tree(Arc::new(HstTree::new(n)), initial, seed);
+                    assert_eq!(copied.state(), initial, "{context}");
+                    let mut rng = StdRng::seed_from_u64(seed ^ n as u64);
+                    for step in 0..=300 {
+                        assert_eq!(
+                            copied.export_state(),
+                            reference.export_state(),
+                            "{context} step {step}"
+                        );
+                        assert_eq!(
+                            copied.work_counters(),
+                            reference.work_counters(),
+                            "{context} step {step}"
+                        );
+                        assert_eq!(
+                            state_bits(&copied),
+                            state_bits(&reference),
+                            "{context} step {step}"
+                        );
+                        assert_eq!(copied.gen, reference.gen, "{context} step {step}");
+                        assert_eq!(
+                            copied.probs_gen.get(),
+                            reference.probs_gen.get(),
+                            "{context} step {step}"
+                        );
+                        if step == 300 {
+                            break;
+                        }
+                        let hit = rng.random_range(0..n);
+                        assert_eq!(
+                            copied.serve_hit(hit),
+                            reference.serve_hit(hit),
+                            "{context} step {step}"
+                        );
+                    }
+                    assert_eq!(
+                        copied.leaf_distribution(),
+                        reference.leaf_distribution(),
+                        "{context}"
+                    );
+                    assert_eq!(copied.export_state(), reference.export_state());
+                }
             }
         }
     }

@@ -34,6 +34,37 @@ impl Serialize for JsonValue {
     }
 }
 
+/// Every flag `main` reads, and whether it takes a value. `Args::parse`
+/// refuses any other, so a misspelled flag cannot quietly run a
+/// different experiment.
+const FLAGS: &[(&str, bool)] = &[
+    ("scenario", true),
+    ("servers", true),
+    ("capacity", true),
+    ("steps", true),
+    ("algorithm", true),
+    ("policy", true),
+    ("workload", true),
+    ("epsilon", true),
+    ("seed", true),
+    ("zipf-s", true),
+    ("batch", true),
+    ("opt", false),
+    ("ratio", false),
+    ("opt-oracle", true),
+    ("audit", false),
+    ("json", false),
+    ("counters", false),
+    ("adversary", true),
+    ("search-budget", true),
+    ("save-scenario", true),
+    ("save-trace", true),
+    ("load-trace", true),
+    ("list-algorithms", false),
+    ("list-workloads", false),
+    ("list-adversaries", false),
+];
+
 struct Args(HashMap<String, String>);
 
 impl Args {
@@ -49,17 +80,11 @@ impl Args {
                 print_help();
                 exit(0);
             }
-            if matches!(
-                name,
-                "opt"
-                    | "audit"
-                    | "json"
-                    | "counters"
-                    | "ratio"
-                    | "list-algorithms"
-                    | "list-workloads"
-                    | "list-adversaries"
-            ) {
+            let Some(&(_, takes_value)) = FLAGS.iter().find(|(known, _)| *known == name) else {
+                eprintln!("unknown flag `--{name}` (see --help)");
+                exit(2);
+            };
+            if !takes_value {
                 map.insert(name.to_string(), "true".to_string());
                 continue;
             }
@@ -72,8 +97,17 @@ impl Args {
         Self(map)
     }
 
+    /// The raw value of `name`, if it was given.
+    fn value(&self, name: &str) -> Option<&String> {
+        debug_assert!(
+            FLAGS.iter().any(|(known, _)| *known == name),
+            "--{name} is missing from FLAGS"
+        );
+        self.0.get(name)
+    }
+
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.0.get(name) {
+        match self.value(name) {
             None => default,
             Some(raw) => raw.parse().unwrap_or_else(|_| {
                 eprintln!("invalid value `{raw}` for --{name}");
@@ -83,11 +117,11 @@ impl Args {
     }
 
     fn str(&self, name: &str, default: &str) -> String {
-        self.0.get(name).cloned().unwrap_or_else(|| default.into())
+        self.value(name).cloned().unwrap_or_else(|| default.into())
     }
 
     fn flag(&self, name: &str) -> bool {
-        self.0.contains_key(name)
+        self.value(name).is_some()
     }
 }
 
@@ -188,7 +222,7 @@ fn main() {
         return;
     }
 
-    let mut scenario = match args.0.get("scenario") {
+    let mut scenario = match args.value("scenario") {
         Some(path) => Scenario::load(Path::new(path))
             .unwrap_or_else(|e| fail(format!("cannot load scenario: {e}"))),
         None => scenario_from_flags(&args),
@@ -201,7 +235,7 @@ fn main() {
     // --adversary drives the run with an adaptive strategy. Adversaries
     // are workloads, so outside of search mode it names the workload,
     // refusing the oblivious ones.
-    if let Some(key) = args.0.get("adversary") {
+    if let Some(key) = args.value("adversary") {
         Registries::builtin()
             .workloads
             .check_adversary(key)
@@ -212,12 +246,12 @@ fn main() {
     // --search-budget switches to adversary-search mode: instead of one
     // run, spend N rollouts searching for the schedule that maximizes
     // the algorithm's cost / certified-LB ratio (DESIGN.md §15).
-    if let Some(raw) = args.0.get("search-budget") {
+    if let Some(raw) = args.value("search-budget") {
         let budget: u64 = raw
             .parse()
             .unwrap_or_else(|_| fail(format!("invalid value `{raw}` for --search-budget")));
         for incompatible in ["opt", "batch", "save-trace", "load-trace"] {
-            if args.0.contains_key(incompatible) {
+            if args.flag(incompatible) {
                 fail(format!(
                     "--search-budget runs a schedule search, not a single serve, \
                      and cannot be combined with --{incompatible}"
@@ -230,7 +264,7 @@ fn main() {
         config.budget = budget;
         config.seed = scenario.seed;
         config.oracle = OracleSpec::named(args.str("opt-oracle", "ringload"));
-        if let Some(key) = args.0.get("adversary") {
+        if let Some(key) = args.value("adversary") {
             config.adversaries = vec![key.clone()];
         }
         let outcome = adversary_search(&inst, &config, &registries).unwrap_or_else(|e| fail(e));
@@ -273,7 +307,7 @@ fn main() {
         return;
     }
 
-    if let Some(path) = args.0.get("save-scenario") {
+    if let Some(path) = args.value("save-scenario") {
         scenario
             .save(Path::new(path))
             .unwrap_or_else(|e| fail(format!("cannot save scenario: {e}")));
@@ -283,7 +317,7 @@ fn main() {
     // --batch routes the run through the batched driver. Batched runs
     // emit no per-step events, so the trace- and OPT-features that need
     // them are rejected up front instead of silently recording nothing.
-    let batch: Option<u64> = args.0.get("batch").map(|raw| {
+    let batch: Option<u64> = args.value("batch").map(|raw| {
         let n = raw
             .parse()
             .unwrap_or_else(|_| fail(format!("invalid value `{raw}` for --batch")));
@@ -294,7 +328,7 @@ fn main() {
     });
     if batch.is_some() {
         for incompatible in ["opt", "ratio", "save-trace", "load-trace"] {
-            if args.0.contains_key(incompatible) {
+            if args.flag(incompatible) {
                 fail(format!(
                     "--batch serves without per-step events and cannot be combined \
                      with --{incompatible}"
@@ -317,7 +351,7 @@ fn main() {
     // Serve: replay a recorded trace, or run the scenario live while
     // recording the requests it generates (for --opt / --save-trace).
     let mut recorder = TraceRecorder::new();
-    let loaded: Option<Trace> = args.0.get("load-trace").map(|path| {
+    let loaded: Option<Trace> = args.value("load-trace").map(|path| {
         let t = Trace::load(Path::new(path))
             .unwrap_or_else(|e| fail(format!("cannot load trace: {e}")));
         if t.instance != inst {
@@ -440,7 +474,7 @@ fn main() {
         );
     }
 
-    if let Some(path) = args.0.get("save-trace") {
+    if let Some(path) = args.value("save-trace") {
         // A replayed trace keeps its original provenance (workload
         // name + seed); a live run records what just generated it.
         let t = match &loaded {

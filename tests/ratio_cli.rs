@@ -2,8 +2,9 @@
 //! the CLI; these tests pin the JSON shape of the `oracle` object, the
 //! default oracle choice, and the guard rails (unsupported instances,
 //! `--batch` incompatibility). The adversary flags' key list and
-//! unknown-key error are pinned here too, and so is `--load-trace`
-//! refusing a trace that names an edge outside its ring.
+//! unknown-key error are pinned here too, and so are `--load-trace`
+//! refusing a trace that names an edge outside its ring and the refusal
+//! of a misspelled flag.
 
 use std::process::Command;
 
@@ -192,4 +193,26 @@ fn load_trace_refuses_a_request_outside_the_ring() {
         String::from_utf8_lossy(&output.stderr).trim_end(),
         "cannot load trace: request 1 (edge 1000) out of range for n = 8"
     );
+}
+
+#[test]
+fn a_misspelled_flag_is_refused() {
+    // `--capacty` used to be stored and never read, so the run served
+    // the default capacity and exited 0.
+    let output = sim(&[
+        "--servers",
+        "4",
+        "--capacty",
+        "32",
+        "--steps",
+        "1000",
+        "--seed",
+        "1",
+    ]);
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&output.stderr),
+        "unknown flag `--capacty` (see --help)\n"
+    );
+    assert!(output.stdout.is_empty(), "nothing may run");
 }
