@@ -1,5 +1,5 @@
 //! Criterion: offline solver costs (static OPT DP, line-MTS DP, tiny
-//! dynamic OPT, the ringload oracle's lower bound).
+//! dynamic OPT, the ringload oracle's lower and upper bounds).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -67,25 +67,44 @@ fn bench_dynamic_opt(c: &mut Criterion) {
     group.finish();
 }
 
-/// The ringload lower bound on the benchmark's shapes: `sim-ratio`'s
-/// 64 offsets over a sliding trace, and `serve-replay`'s zipf ring.
-fn bench_ringload_lower_bound(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ringload-lower-bound");
-    group.sample_size(10);
+/// The ringload oracle's two bounds on the benchmark's shapes:
+/// `sim-ratio`'s 64 offsets over a sliding trace, and `serve-replay`'s
+/// zipf ring.
+fn bench_ringload(c: &mut Criterion) {
     let wide = RingInstance::packed(64, 256);
     let small = RingInstance::packed(8, 32);
     let shapes: [(RingInstance, Box<dyn Workload>); 2] = [
         (wide, Box::new(SlidingWindow::new(wide.capacity(), 8, 1))),
         (small, Box::new(Zipf::new(&small, 1.2, 1))),
     ];
-    for (inst, mut workload) in shapes {
-        let initial = Placement::contiguous(&inst);
-        let trace = record(workload.as_mut(), &initial, 200_000);
+    let inputs: Vec<_> = shapes
+        .into_iter()
+        .map(|(inst, mut workload)| {
+            let initial = Placement::contiguous(&inst);
+            let trace = record(workload.as_mut(), &initial, 200_000);
+            (inst, initial, trace)
+        })
+        .collect();
+    let mut group = c.benchmark_group("ringload-lower-bound");
+    group.sample_size(10);
+    for (inst, initial, trace) in &inputs {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("n{}", inst.n())),
-            &trace,
+            trace,
             |b, trace| {
-                b.iter(|| black_box(RingloadOracle::new().lower_bound(&inst, &initial, trace)));
+                b.iter(|| black_box(RingloadOracle::new().lower_bound(inst, initial, trace)));
+            },
+        );
+    }
+    group.finish();
+    let mut group = c.benchmark_group("ringload-upper-bound");
+    group.sample_size(10);
+    for (inst, initial, trace) in &inputs {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("n{}", inst.n())),
+            trace,
+            |b, trace| {
+                b.iter(|| black_box(RingloadOracle::new().upper_bound(inst, initial, trace)));
             },
         );
     }
@@ -102,7 +121,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_static_opt, bench_line_mts_opt, bench_dynamic_opt,
-        bench_ringload_lower_bound
+    targets = bench_static_opt, bench_line_mts_opt, bench_dynamic_opt, bench_ringload
 }
 criterion_main!(benches);

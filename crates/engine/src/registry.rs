@@ -25,7 +25,7 @@ use rdbp_core::{DynamicConfig, DynamicPartitioner, StaticConfig, StaticPartition
 use rdbp_model::{
     workload, GreedyCutMaximizer, OnlineAlgorithm, RingInstance, SeparationChaser, Workload,
 };
-use rdbp_offline::{ExactDynamicOracle, IntervalOracle, OfflineOracle};
+use rdbp_offline::{ExactDynamicOracle, OfflineOracle};
 use rdbp_ringload::RingloadOracle;
 
 use crate::spec::{AlgorithmSpec, OracleSpec, SpecError, WorkloadSpec};
@@ -357,26 +357,14 @@ impl WorkloadRegistry {
 
 impl OracleRegistry {
     /// The registry of built-in oracles: `exact` (brute-force dynamic
-    /// OPT, tiny instances only), `interval` (the `OPT_R` comparator)
-    /// and `ringload` (the scalable certified-bound oracle). Oracles are
-    /// deterministic: their builders ignore the seed.
+    /// OPT, tiny instances only) and `ringload` (the scalable
+    /// certified-bound oracle). Oracles are deterministic: their
+    /// builders ignore the seed.
     #[must_use]
     pub fn builtin() -> Self {
         let mut reg = Self::empty();
         reg.register("exact", |_inst, _spec, _seed| {
             Ok(Box::new(ExactDynamicOracle) as Box<dyn OfflineOracle>)
-        });
-        reg.register("interval", |_inst, spec, _seed| {
-            let epsilon = spec.epsilon.unwrap_or(0.5);
-            if !(epsilon.is_finite() && epsilon > 0.0) {
-                return Err(SpecError(format!(
-                    "interval oracle epsilon must be positive, got {epsilon}"
-                )));
-            }
-            Ok(Box::new(IntervalOracle {
-                epsilon,
-                shift: spec.shift.unwrap_or(0),
-            }) as _)
         });
         reg.register("ringload", |_inst, _spec, _seed| {
             Ok(Box::new(RingloadOracle::new()) as _)
@@ -484,7 +472,6 @@ mod tests {
             .expect("must fail");
         assert!(err.0.contains("unknown oracle `crystal-ball`"), "{err}");
         assert!(err.0.contains("exact"), "{err}");
-        assert!(err.0.contains("interval"), "{err}");
         assert!(err.0.contains("ringload"), "{err}");
     }
 
@@ -492,15 +479,10 @@ mod tests {
     fn builtin_oracles_resolve_and_report_their_names() {
         let reg = OracleRegistry::builtin();
         let inst = InstanceSpec::packed(2, 4).build().unwrap();
-        for key in ["exact", "interval", "ringload"] {
+        for key in ["exact", "ringload"] {
             let oracle = reg.resolve(&OracleSpec::named(key), &inst).unwrap();
             assert_eq!(oracle.name(), key);
         }
-        let spec = OracleSpec {
-            epsilon: Some(-0.5),
-            ..OracleSpec::named("interval")
-        };
-        assert!(reg.resolve(&spec, &inst).is_err());
     }
 
     #[test]

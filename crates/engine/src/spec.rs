@@ -108,32 +108,19 @@ impl AlgorithmSpec {
     }
 }
 
-/// Which offline oracle to compare a run against, by registry key,
-/// with its knobs (resolved by
-/// [`OracleRegistry`](crate::registry::OracleRegistry)).
-///
-/// As with [`AlgorithmSpec`], parameters not used by the named oracle
-/// are ignored by its builder.
+/// Which offline oracle to compare a run against, by registry key
+/// (resolved by [`OracleRegistry`](crate::registry::OracleRegistry)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OracleSpec {
-    /// Registry key (`exact`, `interval`, `ringload`, or any
-    /// user-registered name).
+    /// Registry key (`exact`, `ringload`, or any user-registered name).
     pub name: String,
-    /// Interval slack ε for `interval` (default 0.5).
-    pub epsilon: Option<f64>,
-    /// Fixed interval shift for `interval` (default 0).
-    pub shift: Option<u32>,
 }
 
 impl OracleSpec {
-    /// A spec with the given registry key and default parameters.
+    /// A spec with the given registry key.
     #[must_use]
     pub fn named(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            epsilon: None,
-            shift: None,
-        }
+        Self { name: name.into() }
     }
 }
 

@@ -18,9 +18,9 @@
 //! * [`adversaries`] — the position-chasing adversary of Lemma 4.1 for
 //!   the deterministic lower-bound experiments.
 //! * [`OfflineOracle`] — one interchangeable comparator surface over
-//!   all of the above (and over `rdbp_ringload`'s scalable ring-loading
-//!   oracle), with a certified `lower_bound ≤ OPT ≤ upper_bound`
-//!   contract (DESIGN.md §13).
+//!   the exact dynamic optimum (and over `rdbp_ringload`'s scalable
+//!   ring-loading oracle), with a certified
+//!   `lower_bound ≤ OPT ≤ upper_bound` contract (DESIGN.md §13).
 
 pub mod adversaries;
 mod dynamic_opt;
@@ -31,6 +31,6 @@ mod well_behaved;
 
 pub use dynamic_opt::dynamic_opt;
 pub use interval_opt::{interval_opt, IntervalLayout, IntervalOpt};
-pub use oracle::{ExactDynamicOracle, IntervalOracle, OfflineOracle, OracleReport};
+pub use oracle::{ExactDynamicOracle, OfflineOracle, OracleReport};
 pub use static_opt::{static_opt, static_opt_bruteforce, StaticOpt};
 pub use well_behaved::{WbStep, WellBehaved};

@@ -1,24 +1,25 @@
 //! The [`OfflineOracle`] trait: interchangeable offline comparators.
 //!
 //! Every ratio experiment needs the other side of the fraction, but the
-//! exact solvers in this crate have wildly different feasibility
-//! envelopes: [`crate::dynamic_opt`] is exact and tiny (n ≤ 12),
-//! [`crate::interval_opt`] is exact per interval but only a
-//! constant-factor comparator, and the ring-loading oracle in
-//! `rdbp_ringload` scales to tens of thousands of processes. The trait
-//! makes them interchangeable behind one surface so the sim binary, the
-//! engine registry and the `exp_*` sweeps can swap comparators with a
-//! flag (DESIGN.md §13).
+//! solvers that certify it have wildly different feasibility
+//! envelopes: [`crate::dynamic_opt`] is exact and tiny (n ≤ 12), and
+//! the ring-loading oracle in `rdbp_ringload` scales to tens of
+//! thousands of processes. The trait makes them interchangeable behind
+//! one surface so the sim binary, the engine registry and the `exp_*`
+//! sweeps can swap comparators with a flag (DESIGN.md §13).
+//!
+//! [`crate::interval_opt`] is deliberately not an oracle: its `OPT_R`
+//! bounds the optimum only up to the constant of Lemma 3.3 and can
+//! exceed it, so the F3, A1 and F6 sweeps call it directly and label
+//! their columns `cost/OPT_R`.
 //!
 //! ## Tolerance contract
 //!
 //! * [`OfflineOracle::lower_bound`] must return a **certified lower
 //!   bound** on the cost (communication + migrations) of *any* offline
-//!   schedule that respects capacity `k`, starting from `initial` —
-//!   with one documented exception: [`IntervalOracle`] returns the raw
-//!   `OPT_R` comparator of Lemma 3.3, which lower-bounds the optimum
-//!   only up to that lemma's constant. `0.0` is always sound, and is
-//!   what oracles return outside their feasible envelope.
+//!   schedule that respects capacity `k`, starting from `initial`.
+//!   `0.0` is always sound, and is what oracles return outside their
+//!   feasible envelope.
 //! * [`OfflineOracle::opt_cost`] returns the **exact** optimum when the
 //!   oracle can certify it, `None` otherwise.
 //! * [`OfflineOracle::upper_bound`] returns the cost of an explicit
@@ -27,13 +28,14 @@
 //!
 //! So for every oracle and instance:
 //! `lower_bound ≤ OPT ≤ upper_bound` (when the latter is `Some`), and
-//! `tests/ringload_oracle.rs` machine-checks the sandwich against
-//! [`crate::dynamic_opt`] wherever the exact solver is feasible.
+//! `tests/ringload_oracle.rs` machine-checks the sandwich for every
+//! registered oracle against [`crate::dynamic_opt`] wherever the exact
+//! solver is feasible.
 
 use rdbp_model::{Edge, Placement, RingInstance, WorkCounters};
 use serde::{Deserialize, Serialize};
 
-use crate::{dynamic_opt, interval_opt, IntervalLayout};
+use crate::dynamic_opt;
 
 /// An interchangeable offline comparator for ratio experiments.
 ///
@@ -117,56 +119,6 @@ impl OfflineOracle for ExactDynamicOracle {
     }
 }
 
-/// The interval-based optimum `OPT_R` of Lemma 3.3 as an oracle.
-///
-/// `OPT_R` is the comparator the F3 sweep plots against: exact per
-/// interval, but a lower bound on the true dynamic optimum only up to
-/// the constant of Lemma 3.3 — which is why ratios against it are
-/// labelled `cost/OPT_R`, never competitive ratios. `opt_cost` is
-/// therefore always `None`.
-#[derive(Debug, Clone, Copy)]
-pub struct IntervalOracle {
-    /// Augmentation slack ε the interval geometry is derived for.
-    pub epsilon: f64,
-    /// Interval shift `R ∈ {0,…,k′−1}` (the algorithm under test draws
-    /// it randomly; pass the same value to compare like with like).
-    pub shift: u32,
-}
-
-impl Default for IntervalOracle {
-    fn default() -> Self {
-        Self {
-            epsilon: 0.5,
-            shift: 0,
-        }
-    }
-}
-
-impl OfflineOracle for IntervalOracle {
-    fn name(&self) -> &'static str {
-        "interval"
-    }
-
-    fn lower_bound(
-        &mut self,
-        instance: &RingInstance,
-        _initial: &Placement,
-        trace: &[Edge],
-    ) -> f64 {
-        let layout = IntervalLayout::new(instance, self.epsilon, self.shift);
-        interval_opt(&layout, trace).total
-    }
-
-    fn opt_cost(
-        &mut self,
-        _instance: &RingInstance,
-        _initial: &Placement,
-        _trace: &[Edge],
-    ) -> Option<f64> {
-        None
-    }
-}
-
 /// One oracle evaluation against an observed run, ready for reporting.
 ///
 /// Deliberately *not* part of [`rdbp_model::RunReport`]: the run report
@@ -242,22 +194,6 @@ mod tests {
         assert!(!oracle.supports(&inst));
         assert_eq!(oracle.lower_bound(&inst, &initial, &trace), 0.0);
         assert_eq!(oracle.opt_cost(&inst, &initial, &trace), None);
-    }
-
-    #[test]
-    fn interval_oracle_matches_the_f3_comparator() {
-        let inst = RingInstance::packed(4, 8);
-        let initial = Placement::contiguous(&inst);
-        let trace = tiny_trace(&inst);
-        let mut oracle = IntervalOracle {
-            epsilon: 0.5,
-            shift: 3,
-        };
-        let layout = IntervalLayout::new(&inst, 0.5, 3);
-        let direct = interval_opt(&layout, &trace).total;
-        assert_eq!(oracle.lower_bound(&inst, &initial, &trace), direct);
-        assert_eq!(oracle.opt_cost(&inst, &initial, &trace), None);
-        assert_eq!(oracle.upper_bound(&inst, &initial, &trace), None);
     }
 
     #[test]

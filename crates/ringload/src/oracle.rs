@@ -28,6 +28,12 @@
 //! exactly the moment the demand across every cut position of the
 //! window has become positive.
 //!
+//! One trace pass counts up to 64 offsets, one bit lane each: a `u64`
+//! per edge marks the lanes whose current phase has seen it, and each
+//! window keeps its 64 lane counters bit-sliced, so one ripple-carry
+//! add bumps all of a window's fresh lanes and its carry out is the set
+//! of lanes that just completed a phase (`lane_phase_counts`).
+//!
 //! ## Upper bound: explicit feasible schedules
 //!
 //! Any feasible schedule's cost upper-bounds `OPT`. The oracle
@@ -39,7 +45,9 @@
 //! lightest-cut scan (the rotation whose `ℓ` cut edges carry the least
 //! aggregate demand — tight cuts in reverse), and block-to-server
 //! labelings are matched cyclically to minimize the migration count.
-//! The reported bound is the cheapest schedule found.
+//! The reported bound is the cheapest schedule found. One pass builds
+//! the per-edge request histogram both kinds are priced from: the lazy
+//! cost is the histogram summed over the initial cut edges.
 
 use rdbp_model::{Edge, Placement, RingInstance, WorkCounters};
 use rdbp_offline::OfflineOracle;
@@ -117,20 +125,28 @@ impl RingloadOracle {
 
         // Lazy: stay put, pay the initial cut set.
         self.rounding_passes += 1;
-        let mut best: u64 = trace.iter().filter(|&&e| initial.is_cut(e)).count() as u64;
-
-        // Migrate-then-freeze rotations need exact blocks of k.
-        if u64::from(n) != u64::from(ell) * u64::from(k) || trace.is_empty() {
-            return best;
-        }
+        let Some((&first, rest)) = trace.split_first() else {
+            return 0;
+        };
         // Migrations only happen *after* serving a request (the cost
         // model charges communication on the pre-migration config), so
-        // the earliest rotation schedule still serves the first request
-        // on the initial placement.
-        let first_charge = u64::from(initial.is_cut(trace[0]));
+        // every schedule serves the first request on the initial
+        // placement. The rest is counted per edge: the lazy schedule
+        // pays the counts of its cut edges.
+        let first_charge = u64::from(initial.is_cut(first));
         let mut weights = vec![0u64; n as usize];
-        for e in &trace[1..] {
+        for e in rest {
             weights[e.0 as usize] += 1;
+        }
+        let mut best = first_charge
+            + initial
+                .cut_edges()
+                .map(|e| weights[e.0 as usize])
+                .sum::<u64>();
+
+        // Migrate-then-freeze rotations need exact blocks of k.
+        if u64::from(n) != u64::from(ell) * u64::from(k) {
+            return best;
         }
         // Rank rotations by the aggregate demand on their cut set
         // {c−1, c−1+k, …} — the lightest-cut scan.
@@ -173,6 +189,80 @@ fn untiled_edges(n: usize, covered: usize, c: usize) -> impl Iterator<Item = usi
     (covered..n).map(move |pos| (pos + c) % n)
 }
 
+/// One `u64` counter plane per bit: bit `j` of plane `i` of a window is
+/// bit `i` of lane `j`'s counter in that window, so one ripple-carry
+/// add bumps any set of a window's lanes at once.
+///
+/// Every counter starts at `2^bits − k` with `bits = ⌊log₂ k⌋ + 1`, so
+/// its `k`-th bump carries out of the top plane: the carry is exactly
+/// the set of lanes that just completed a phase.
+struct SlicedCounters {
+    bits: usize,
+    /// `2^bits − k`, in `[1, 2^(bits−1)]`.
+    start: u64,
+    /// Window-major, `bits` planes per window.
+    planes: Vec<u64>,
+}
+
+impl SlicedCounters {
+    fn new(windows: usize, k: usize) -> Self {
+        let bits = k.ilog2() as usize + 1;
+        let start = (1u64 << bits) - k as u64;
+        let window: Vec<u64> = (0..bits)
+            .map(|i| 0u64.wrapping_sub(start >> i & 1))
+            .collect();
+        Self {
+            bits,
+            start,
+            planes: window.repeat(windows),
+        }
+    }
+
+    /// Adds one to the counters of the lanes in `lanes` of window `w`
+    /// and returns the lanes that carried out of the top plane; their
+    /// counters are left at zero for [`Self::restart`].
+    #[inline]
+    fn bump(&mut self, w: usize, lanes: u64) -> u64 {
+        let mut carry = lanes;
+        for plane in &mut self.planes[w * self.bits..(w + 1) * self.bits] {
+            let sum = *plane ^ carry;
+            carry &= *plane;
+            *plane = sum;
+        }
+        carry
+    }
+
+    /// Sets the counters of `lanes` (all zero after their carry) of
+    /// window `w` back to the start value.
+    fn restart(&mut self, w: usize, lanes: u64) {
+        for (i, plane) in self.planes[w * self.bits..(w + 1) * self.bits]
+            .iter_mut()
+            .enumerate()
+        {
+            *plane |= lanes & 0u64.wrapping_sub(self.start >> i & 1);
+        }
+    }
+
+    /// The lanes of window `w` whose counter is below the start value
+    /// (none, while the kernel's invariant holds).
+    fn below_start(&self, w: usize) -> u64 {
+        let (mut below, mut equal) = (0u64, u64::MAX);
+        for (i, &plane) in self.planes[w * self.bits..(w + 1) * self.bits]
+            .iter()
+            .enumerate()
+            .rev()
+        {
+            if self.start >> i & 1 == 1 {
+                below |= equal & !plane;
+                equal &= plane;
+            } else {
+                equal &= !plane;
+            }
+        }
+        below
+    }
+}
+
 /// The complete-phase count of every offset in `offsets` (ascending,
 /// below `k`, at most [`LANES`]), from one pass over the trace.
 ///
@@ -180,7 +270,10 @@ fn untiled_edges(n: usize, covered: usize, c: usize) -> impl Iterator<Item = usi
 /// current phase of its window under offset `offsets[j]`, or lies
 /// outside that offset's tiling (set once, never cleared). Unused lanes
 /// start set, so a request whose edge is set in every lane costs one
-/// load and one compare; otherwise only its fresh lanes are counted.
+/// load and one compare. Otherwise its fresh lanes split by the
+/// request's residue `r = e mod k`: lanes with offset `≤ r` count in
+/// window `⌊e/k⌋`, the rest in the window before it (the last window
+/// when `e < k`), and each window's lanes take one bit-sliced bump.
 fn lane_phase_counts(n: usize, k: usize, offsets: &[usize], trace: &[Edge]) -> [u64; LANES] {
     debug_assert!(!offsets.is_empty() && offsets.len() <= LANES);
     let windows = n / k;
@@ -191,55 +284,42 @@ fn lane_phase_counts(n: usize, k: usize, offsets: &[usize], trace: &[Edge]) -> [
             seen[e] |= 1 << j;
         }
     }
-    // Window-major: the lanes of one window share a cache line or two.
-    let mut count = vec![0u32; windows * LANES];
+    // `early[r]`: the lanes whose offset is ≤ r.
+    let early: Vec<u64> = (0..k)
+        .map(|r| {
+            let lanes = offsets.partition_point(|&c| c <= r) as u32;
+            !u64::MAX.checked_shl(lanes).unwrap_or(0)
+        })
+        .collect();
+    // One window more than the tiling: a request on an untiled edge
+    // past the last window bumps it with no lanes.
+    let mut counters = SlicedCounters::new(windows + 1, k);
     let mut phases = [0u64; LANES];
     for &Edge(e) in trace {
-        let e = e as usize;
-        let mut fresh = !seen[e];
+        let fresh = !seen[e as usize];
         if fresh == 0 {
             continue;
         }
-        seen[e] = u64::MAX;
-        let (q, r) = (e / k, e % k);
-        while fresh != 0 {
-            let j = fresh.trailing_zeros() as usize;
-            fresh &= fresh - 1;
-            let c = offsets[j];
-            // Window of position (e − c) mod n; fresh lanes are tiled.
-            let w = if r >= c {
-                q
-            } else if q > 0 {
-                q - 1
-            } else {
-                (e + n - c) / k
-            };
-            debug_assert!(w < windows, "fresh lane {j} outside its tiling");
-            let slot = &mut count[w * LANES + j];
-            debug_assert!(
-                (*slot as usize) < k,
-                "lane {j} window {w} reached k unbanked"
-            );
-            *slot += 1;
-            if *slot as usize == k {
-                // Window complete: one phase banked, reset it.
-                *slot = 0;
-                phases[j] += 1;
-                let keep = !(1u64 << j);
-                let start = w * k + c; // < n; the window may wrap
-                let end = start + k;
-                for s in &mut seen[start..end.min(n)] {
-                    *s &= keep;
-                }
-                for s in &mut seen[..end.saturating_sub(n)] {
-                    *s &= keep;
-                }
+        seen[e as usize] = u64::MAX;
+        let (q, r) = ((e / k as u32) as usize, (e % k as u32) as usize);
+        let p = if q == 0 { windows - 1 } else { q - 1 };
+        let (now, before) = (fresh & early[r], fresh & !early[r]);
+        debug_assert!(q < windows || now == 0, "fresh lanes outside their tiling");
+        let done = [(q, counters.bump(q, now)), (p, counters.bump(p, before))];
+        if done[0].1 | done[1].1 != 0 {
+            for (w, lanes) in done {
+                bank(&mut seen, &mut phases, k, offsets, w, lanes);
+                counters.restart(w, lanes);
             }
         }
+        debug_assert!(
+            counters.below_start(q) | counters.below_start(p) == 0,
+            "a counter left [2^bits − k, 2^bits)"
+        );
     }
     debug_assert!(
-        count.iter().all(|&c| (c as usize) < k),
-        "a lane count reached k"
+        (0..=windows).all(|w| counters.below_start(w) == 0),
+        "a counter left [2^bits − k, 2^bits)"
     );
     debug_assert!(
         offsets
@@ -249,6 +329,34 @@ fn lane_phase_counts(n: usize, k: usize, offsets: &[usize], trace: &[Edge]) -> [
         "an out-of-tiling bit was cleared"
     );
     phases
+}
+
+/// Banks one phase for each lane in `lanes`, which just completed
+/// window `w`, and clears the lane's seen bit over that window, edges
+/// `w·k + c .. w·k + c + k` (mod `n`) for the lane's offset `c`.
+fn bank(
+    seen: &mut [u64],
+    phases: &mut [u64; LANES],
+    k: usize,
+    offsets: &[usize],
+    w: usize,
+    mut lanes: u64,
+) {
+    let n = seen.len();
+    while lanes != 0 {
+        let j = lanes.trailing_zeros() as usize;
+        lanes &= lanes - 1;
+        phases[j] += 1;
+        let keep = !(1u64 << j);
+        let start = w * k + offsets[j]; // < n; the window may wrap
+        let end = start + k;
+        for s in &mut seen[start..end.min(n)] {
+            *s &= keep;
+        }
+        for s in &mut seen[..end.saturating_sub(n)] {
+            *s &= keep;
+        }
+    }
 }
 
 impl OfflineOracle for RingloadOracle {
@@ -312,38 +420,45 @@ mod tests {
             // One server could hold the whole ring: no forced cuts.
             return 0;
         }
-        let windows = (n / k) as usize;
-        let covered = windows * k as usize;
         let step = (k as usize / oracle.max_offsets.max(1)).max(1);
-        let mut seen = vec![false; covered];
-        let mut count = vec![0u32; windows];
         let mut best = 0u64;
         for c in (0..k).step_by(step) {
-            seen.fill(false);
-            count.fill(0);
-            let mut phases = 0u64;
-            for e in trace {
-                let pos = ((e.0 + n - c) % n) as usize;
-                if pos < covered && !seen[pos] {
-                    seen[pos] = true;
-                    let w = pos / k as usize;
-                    count[w] += 1;
-                    if count[w] == k {
-                        // Window complete: one phase banked, reset it.
-                        phases += 1;
-                        count[w] = 0;
-                        seen[w * k as usize..(w + 1) * k as usize].fill(false);
-                    }
-                }
-            }
             oracle.cut_evals += trace.len() as u64;
-            best = best.max(phases);
+            best = best.max(reference_phases_at(instance, c, trace));
         }
         best
     }
 
+    /// The complete phases of the tiling at offset `c`, by one pass of
+    /// the per-offset scan.
+    fn reference_phases_at(instance: &RingInstance, c: u32, trace: &[Edge]) -> u64 {
+        let n = instance.n();
+        let k = instance.capacity();
+        let windows = (n / k) as usize;
+        let covered = windows * k as usize;
+        let mut seen = vec![false; covered];
+        let mut count = vec![0u32; windows];
+        let mut phases = 0u64;
+        for e in trace {
+            let pos = ((e.0 + n - c) % n) as usize;
+            if pos < covered && !seen[pos] {
+                seen[pos] = true;
+                let w = pos / k as usize;
+                count[w] += 1;
+                if count[w] == k {
+                    // Window complete: one phase banked, reset it.
+                    phases += 1;
+                    count[w] = 0;
+                    seen[w * k as usize..(w + 1) * k as usize].fill(false);
+                }
+            }
+        }
+        phases
+    }
+
     /// Asserts the lane kernel and the reference scan agree on the
-    /// phase count and on `oracle_cut_evals`, at every offset budget.
+    /// phase count and on `oracle_cut_evals`, at every offset budget,
+    /// and on every lane's own count when all `k` offsets are lanes.
     fn assert_matches_reference(instance: &RingInstance, trace: &[Edge]) {
         for max_offsets in [1, 7, 64, 200] {
             let mut kernel = RingloadOracle {
@@ -359,6 +474,21 @@ mod tests {
                 "{instance:?}, max_offsets={max_offsets}, {} requests",
                 trace.len()
             );
+        }
+        let (n, k) = (instance.n(), instance.capacity());
+        if n > k {
+            let offsets: Vec<usize> = (0..k as usize).collect();
+            for group in offsets.chunks(LANES) {
+                let lanes = lane_phase_counts(n as usize, k as usize, group, trace);
+                for (j, &c) in group.iter().enumerate() {
+                    assert_eq!(
+                        lanes[j],
+                        reference_phases_at(instance, c as u32, trace),
+                        "{instance:?}, offset {c}, {} requests",
+                        trace.len()
+                    );
+                }
+            }
         }
     }
 
@@ -426,14 +556,130 @@ mod tests {
             RingInstance::new(700, 3, 300),
         ];
         instances.extend((64..=66).map(|k| RingInstance::new(3 * k - 5, 3, k)));
+        // Counter widths at their carry boundaries: start values
+        // 2^bits − k of 1 (k = 2^bits − 1) and of 2^(bits−1) (k a power
+        // of two), each packed and with untiled edges.
+        for k in [
+            2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 256, 257,
+        ] {
+            instances.push(RingInstance::packed(3, k));
+            instances.push(RingInstance::new(3 * k - k.div_ceil(2), 3, k));
+        }
         for inst in instances {
-            let sweeps: Vec<Edge> = (0..5 * u64::from(inst.n()) + 3)
+            let (n, k) = (u64::from(inst.n()), u64::from(inst.capacity()));
+            let sweeps: Vec<Edge> = (0..5 * n + 3).map(|i| inst.edge(i)).collect();
+            let backwards: Vec<Edge> = sweeps.iter().rev().copied().collect();
+            let hammered = vec![inst.edge(n - 1); 500];
+            // Every edge but `e`, then `e`: its request completes the
+            // windows on both sides of its residue split, in window
+            // ⌊e/k⌋ and in the one before it (the last when e < k).
+            let split: Vec<Edge> = [k / 2, k + k / 2, n - 1]
+                .into_iter()
+                .flat_map(|e| (e + 1..e + n).chain([e]))
                 .map(|i| inst.edge(i))
                 .collect();
-            let backwards: Vec<Edge> = sweeps.iter().rev().copied().collect();
-            let hammered = vec![inst.edge(u64::from(inst.n()) - 1); 500];
-            for trace in [Vec::new(), sweeps, backwards, hammered] {
+            // Sweeps across edge 0: the last window of every offset
+            // past the tiling's end wraps, and completes at q = 0.
+            let wrap: Vec<Edge> = (0..3)
+                .flat_map(|_| n - k.min(n)..n + k)
+                .map(|i| inst.edge(i))
+                .collect();
+            for trace in [Vec::new(), sweeps, backwards, hammered, split, wrap] {
                 assert_matches_reference(&inst, &trace);
+            }
+        }
+    }
+
+    /// The upper bound as it was before the lazy cost came from the
+    /// rotation histogram, kept as its reference: the lazy schedule is
+    /// counted by a pass over the trace.
+    fn reference_schedule(
+        oracle: &mut RingloadOracle,
+        instance: &RingInstance,
+        initial: &Placement,
+        trace: &[Edge],
+    ) -> u64 {
+        let n = instance.n();
+        let ell = instance.servers();
+        let k = instance.capacity();
+
+        // Lazy: stay put, pay the initial cut set.
+        oracle.rounding_passes += 1;
+        let mut best: u64 = trace.iter().filter(|&&e| initial.is_cut(e)).count() as u64;
+
+        // Migrate-then-freeze rotations need exact blocks of k.
+        if u64::from(n) != u64::from(ell) * u64::from(k) || trace.is_empty() {
+            return best;
+        }
+        let first_charge = u64::from(initial.is_cut(trace[0]));
+        let mut weights = vec![0u64; n as usize];
+        for e in &trace[1..] {
+            weights[e.0 as usize] += 1;
+        }
+        let mut rotations: Vec<(u64, u32)> = (0..k)
+            .map(|c| {
+                oracle.cut_evals += u64::from(ell);
+                let comm: u64 = (0..ell)
+                    .map(|j| weights[((c + j * k + n - 1) % n) as usize])
+                    .sum();
+                (comm, c)
+            })
+            .collect();
+        rotations.sort_unstable();
+        for &(comm, c) in rotations.iter().take(oracle.max_rotations) {
+            if first_charge + comm >= best {
+                break;
+            }
+            let mut matches = vec![0u64; ell as usize];
+            for p in 0..n {
+                let block = ((p + n - c) % n) / k;
+                let server = initial.server(rdbp_model::Process(p)).0;
+                matches[((block + ell - server % ell) % ell) as usize] += 1;
+            }
+            oracle.rounding_passes += u64::from(ell);
+            let moves = u64::from(n) - matches.iter().copied().max().unwrap_or(0);
+            best = best.min(first_charge + moves + comm);
+        }
+        best
+    }
+
+    /// A uniformly random placement that respects capacity: the first
+    /// `n` of the `ℓ·k` server slots, shuffled.
+    fn random_placement(rng: &mut StdRng, instance: &RingInstance) -> Placement {
+        let k = instance.capacity();
+        let mut slots: Vec<u32> = (0..instance.servers() * k).map(|slot| slot / k).collect();
+        for i in (1..slots.len()).rev() {
+            slots.swap(i, rng.random_range(0..=i));
+        }
+        slots.truncate(instance.n() as usize);
+        Placement::from_assignment(instance, slots)
+    }
+
+    #[test]
+    fn lazy_cost_from_the_histogram_matches_the_trace_pass() {
+        let mut rng = StdRng::seed_from_u64(0x1a2e);
+        for round in 0..300 {
+            let inst = random_instance(&mut rng);
+            let initial = random_placement(&mut rng, &inst);
+            let trace = match round % 3 {
+                0 => Vec::new(),
+                1 => vec![Edge(rng.random_range(0..inst.n()))],
+                _ => random_trace(&mut rng, &inst),
+            };
+            let mut oracle = RingloadOracle::new();
+            let mut reference = oracle.clone();
+            let got = oracle.upper_bound(&inst, &initial, &trace);
+            let want = reference_schedule(&mut reference, &inst, &initial, &trace);
+            assert_eq!(
+                (got, oracle.work_counters()),
+                (Some(want as f64), reference.work_counters()),
+                "{inst:?}, {} requests",
+                trace.len()
+            );
+            if inst.n() != inst.servers() * inst.capacity() {
+                // No rotation schedule: the bound is the lazy count.
+                let lazy = trace.iter().filter(|&&e| initial.is_cut(e)).count();
+                assert_eq!(got, Some(lazy as f64));
             }
         }
     }

@@ -145,7 +145,7 @@ fn print_help() {
          --ratio          also compare against an offline oracle: report\n\
          \x20                cost / oracle-LB (and the oracle's UB when it has\n\
          \x20                one); with --json adds an \"oracle\" object\n\
-         --opt-oracle O   oracle for --ratio: exact|interval|ringload\n\
+         --opt-oracle O   oracle for --ratio: exact|ringload\n\
          \x20                (default ringload; `exact` needs a tiny instance)\n\
          --audit          run with full per-step auditing\n\
          --json           print the run report as JSON\n\

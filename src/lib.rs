@@ -103,8 +103,8 @@ pub mod prelude {
     };
     pub use rdbp_mts::PolicyKind;
     pub use rdbp_offline::{
-        dynamic_opt, interval_opt, static_opt, ExactDynamicOracle, IntervalLayout, IntervalOracle,
-        OfflineOracle, OracleReport,
+        dynamic_opt, interval_opt, static_opt, ExactDynamicOracle, IntervalLayout, OfflineOracle,
+        OracleReport,
     };
     pub use rdbp_ringload::{Demand, RingLoading, RingloadOracle, Routing};
     pub use rdbp_serve::{Session, SessionManager};

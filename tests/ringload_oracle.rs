@@ -8,14 +8,15 @@
 //!
 //! (the dynamic optimum is what the oracle bounds; online costs can be
 //! *below* OPT(k) because the online algorithms run augmented, so they
-//! are deliberately not part of the sandwich). Plus property tests for
-//! the classical ring-loading solver on every instance with `n ≤ 8`:
-//! the streaming `O(n²)` demands-across-cuts scan must match the
-//! brute-force per-cut-pair enumeration (the LP optimum equals
-//! `max D(g,h)/2` on a cycle), the half-split `{0, ½, 1}` routing grid
-//! must land inside the split↔unsplit sandwich, and the rounded
-//! routing must respect the Schrijver–Seymour–Winkler bound
-//! `unsplit ≤ split + 3/2·max demand`.
+//! are deliberately not part of the sandwich). The same sandwich holds
+//! for every registered oracle key on the instances it supports. Plus
+//! property tests for the classical ring-loading solver on every
+//! instance with `n ≤ 8`: the streaming `O(n²)` demands-across-cuts
+//! scan must match the brute-force per-cut-pair enumeration (the LP
+//! optimum equals `max D(g,h)/2` on a cycle), the half-split
+//! `{0, ½, 1}` routing grid must land inside the split↔unsplit
+//! sandwich, and the rounded routing must respect the
+//! Schrijver–Seymour–Winkler bound `unsplit ≤ split + 3/2·max demand`.
 
 use proptest::prelude::*;
 use rdbp::model::observers::TraceRecorder;
@@ -44,26 +45,36 @@ const ALGORITHMS: [(&str, Option<&str>); 6] = [
     ("never-move", None),
 ];
 
+/// The requests one seeded run of `algorithm` on `inst` served.
+fn recorded_trace(
+    registries: &Registries,
+    inst: &RingInstance,
+    (algorithm, policy): (&str, Option<&str>),
+    workload: &str,
+    seed: u64,
+) -> Vec<Edge> {
+    let mut algorithm_spec = AlgorithmSpec::named(algorithm);
+    algorithm_spec.policy = policy.map(String::from);
+    let mut scenario = Scenario::new(
+        InstanceSpec::packed(inst.servers(), inst.capacity()),
+        algorithm_spec,
+        WorkloadSpec::named(workload),
+        60,
+    );
+    scenario.seed = seed;
+    let prepared = scenario.resolve(registries).expect("resolve");
+    let mut recorder = TraceRecorder::new();
+    prepared.run(None, 1, &mut recorder);
+    recorder.into_requests()
+}
+
 #[test]
 fn ringload_sandwiches_the_exact_dynamic_opt_on_small_instances() {
     let registries = Registries::builtin();
     for inst in small_instances() {
         for (algorithm, policy) in ALGORITHMS {
             for workload in ["uniform", "zipf", "chaser"] {
-                let mut algorithm_spec = AlgorithmSpec::named(algorithm);
-                algorithm_spec.policy = policy.map(String::from);
-                let mut scenario = Scenario::new(
-                    InstanceSpec::packed(inst.servers(), inst.capacity()),
-                    algorithm_spec,
-                    WorkloadSpec::named(workload),
-                    60,
-                );
-                scenario.seed = 5;
-                let prepared = scenario.resolve(&registries).expect("resolve");
-                let mut recorder = TraceRecorder::new();
-                prepared.run(None, 1, &mut recorder);
-                let trace = recorder.into_requests();
-
+                let trace = recorded_trace(&registries, &inst, (algorithm, policy), workload, 5);
                 let initial = Placement::contiguous(&inst);
                 let exact = dynamic_opt(&inst, &initial, &trace) as f64;
                 let mut oracle = RingloadOracle::new();
@@ -79,6 +90,51 @@ fn ringload_sandwiches_the_exact_dynamic_opt_on_small_instances() {
                     exact <= ub + 1e-9,
                     "exact OPT {exact} > UB {ub} on {inst:?} {algorithm}/{workload}"
                 );
+            }
+        }
+    }
+}
+
+/// The contract of every registered oracle key, not only `ringload`:
+/// on each small instance it supports, `LB ≤ exact OPT ≤ UB` over
+/// `dynamic`×`hedge` traces at six seeds, so an oracle registered later
+/// cannot print a "lower bound" above OPT unseen.
+#[test]
+fn every_registered_oracle_sandwiches_the_exact_dynamic_opt() {
+    let registries = Registries::builtin();
+    for inst in small_instances() {
+        let initial = Placement::contiguous(&inst);
+        for workload in ["uniform", "zipf", "chaser"] {
+            for seed in 0..=5 {
+                let trace = recorded_trace(
+                    &registries,
+                    &inst,
+                    ("dynamic", Some("hedge")),
+                    workload,
+                    seed,
+                );
+                let exact = dynamic_opt(&inst, &initial, &trace) as f64;
+                for key in registries.oracles.keys() {
+                    let mut oracle = registries
+                        .oracles
+                        .resolve(&OracleSpec::named(key), &inst)
+                        .expect("a builtin oracle resolves");
+                    if !oracle.supports(&inst) {
+                        continue;
+                    }
+                    let run = format!("{inst:?} dynamic/hedge/{workload} seed {seed}");
+                    let lb = oracle.lower_bound(&inst, &initial, &trace);
+                    assert!(
+                        lb <= exact + 1e-9,
+                        "{key}: LB {lb} > exact OPT {exact} on {run}"
+                    );
+                    if let Some(ub) = oracle.upper_bound(&inst, &initial, &trace) {
+                        assert!(
+                            exact <= ub + 1e-9,
+                            "{key}: exact OPT {exact} > UB {ub} on {run}"
+                        );
+                    }
+                }
             }
         }
     }
