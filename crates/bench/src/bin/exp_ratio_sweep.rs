@@ -4,9 +4,11 @@
 //!
 //! For each `k` the dynamic algorithm serves a recorded trace and the
 //! [`rdbp_ringload::RingloadOracle`] bounds the dynamic optimum on the
-//! *same* trace: `cost / LB` is a certified upper bound on the true
-//! competitive ratio (the oracle never overstates OPT), and `UB / LB`
-//! reports how tight the certificate itself is. The paper predicts the
+//! *same* trace, which brackets the trace's true competitive ratio:
+//! `cost / UB ≤ ratio ≤ cost / LB`, because `LB ≤ OPT ≤ UB`. `UB / LB`
+//! reports how tight the certificate itself is. A zero bound certifies
+//! nothing on its side, so a row where some seed's bound is 0 prints
+//! `-` in the columns that would divide by it. The paper predicts the
 //! true ratio stays polylog in `k`; the `/ln³ k` column should not
 //! grow.
 
@@ -35,11 +37,12 @@ fn main() {
     let workloads = WorkloadRegistry::builtin();
 
     let mut table = Table::new(
-        "S6 — ratio sweep at oracle scale: cost/LB vs k (ringload oracle)",
+        "S6 — ratio sweep at oracle scale: [cost/UB, cost/LB] vs k (ringload oracle)",
         &[
             "k",
             "n",
             "workload",
+            "cost/UB",
             "cost/LB",
             "stdev",
             "UB/LB",
@@ -51,8 +54,8 @@ fn main() {
         let rows = parallel_map(ks.clone(), |&k| {
             let inst = RingInstance::packed(servers, k);
             let steps = 40 * u64::from(k);
-            let mut ratios = Vec::new();
-            let mut tightness = Vec::new();
+            // (online cost, LB, UB) per seed.
+            let mut runs = Vec::new();
             for &seed in &seeds {
                 let mut src = workloads
                     .resolve(&WorkloadSpec::named(name), &inst, seed + 100)
@@ -75,38 +78,48 @@ fn main() {
                     .upper_bound(&inst, &initial, &trace)
                     .expect("ringload always has an upper bound");
                 assert!(lb <= ub, "oracle certificate inverted at k={k}");
-                // Clamp only the denominators: LB = UB = 0 is a valid
-                // certificate when all traffic stays inside blocks.
-                let denominator = lb.max(1.0);
-                ratios.push(report.ledger.total() as f64 / denominator);
-                tightness.push(ub / denominator);
+                runs.push((report.ledger.total() as f64, lb, ub));
             }
-            (
-                k,
-                inst.n(),
-                mean(&ratios),
-                stddev(&ratios),
-                mean(&tightness),
-            )
+            (k, inst.n(), runs)
         });
-        for (k, n, r, s, t) in rows {
-            let l3 = f64::from(k).ln().powi(3);
-            table.row(vec![
-                k.to_string(),
-                n.to_string(),
-                name.into(),
-                f3(r),
-                f3(s),
-                f3(t),
-                f3(r / l3),
-            ]);
+        for (k, n, runs) in rows {
+            let dash = || "-".to_string();
+            let mut row = vec![k.to_string(), n.to_string(), name.into()];
+            row.push(if runs.iter().all(|&(_, _, ub)| ub > 0.0) {
+                let floors: Vec<f64> = runs.iter().map(|&(cost, _, ub)| cost / ub).collect();
+                f3(mean(&floors))
+            } else {
+                dash()
+            });
+            if runs.iter().all(|&(_, lb, _)| lb > 0.0) {
+                // OPT is a whole number, so a positive LB (a multiple of
+                // ½) certifies OPT ≥ 1: dividing by max(LB, 1) stays an
+                // upper bound on the ratio.
+                let ratios: Vec<f64> = runs
+                    .iter()
+                    .map(|&(cost, lb, _)| cost / lb.max(1.0))
+                    .collect();
+                let tightness: Vec<f64> =
+                    runs.iter().map(|&(_, lb, ub)| ub / lb.max(1.0)).collect();
+                let r = mean(&ratios);
+                row.extend([
+                    f3(r),
+                    f3(stddev(&ratios)),
+                    f3(mean(&tightness)),
+                    f3(r / f64::from(k).ln().powi(3)),
+                ]);
+            } else {
+                row.extend([dash(), dash(), dash(), dash()]);
+            }
+            table.row(row);
         }
     }
 
     table.print();
     println!(
         "\nExpected shape: cost/LB stays polylog in k (the /ln³ k column\n\
-         should not grow); UB/LB reports the certificate's own slack."
+         should not grow); UB/LB reports the certificate's own slack, and\n\
+         `-` marks a bound that is 0 on some seed."
     );
     table.write_csv("s6_ratio_sweep");
 }

@@ -560,13 +560,12 @@ pub fn pinned_wire_cases() -> Vec<WireCase> {
 
 /// One pinned oracle benchmark: a pinned workload trace pushed through
 /// the ringload oracle (certified dynamic-OPT bounds, the hot loop of
-/// the S6 ratio sweep) plus a seeded classical ring-loading instance
-/// pushed through the `O(n²)` split scan and the unsplit rounding.
+/// the S6 ratio sweep).
 ///
 /// The gated signal is the oracle work — `oracle_cut_evals` /
 /// `oracle_rounding_passes` — which is deterministic for a pinned
-/// trace and demand seed; `requests` is set to the trace length so the
-/// shared measurement harness can assert the case served its steps.
+/// trace; `requests` is set to the trace length so the shared
+/// measurement harness can assert the case served its steps.
 #[derive(Debug, Clone)]
 pub struct OracleCase {
     /// Stable case id (report key).
@@ -575,14 +574,10 @@ pub struct OracleCase {
     /// algorithm is never run — oracles bound OPT, not the online
     /// cost).
     pub scenario: Scenario,
-    /// Seeded ring-loading demands evaluated by the classical solver.
-    pub demands: u32,
-    /// Seed for the demand set (chained through [`workload_seed`]).
-    pub demand_seed: u64,
 }
 
 impl OracleCase {
-    fn new(id: &str, workload: &str, steps: u64, demands: u32, demand_seed: u64) -> Self {
+    fn new(id: &str, workload: &str, steps: u64) -> Self {
         let mut algorithm = AlgorithmSpec::named("dynamic");
         algorithm.policy = Some("hedge".into());
         let mut scenario = Scenario::new(
@@ -596,31 +591,11 @@ impl OracleCase {
         Self {
             id: id.to_string(),
             scenario,
-            demands,
-            demand_seed,
         }
     }
 
-    /// The seeded demand set: endpoints and amounts drawn from a
-    /// [`workload_seed`] chain — deterministic, instance-shaped.
-    fn demand_set(&self, n: u32) -> Vec<rdbp_ringload::Demand> {
-        let mut state = self.demand_seed;
-        let mut draw = || {
-            state = workload_seed(state);
-            state
-        };
-        (0..self.demands)
-            .map(|_| {
-                let from = (draw() % u64::from(n)) as u32;
-                let delta = 1 + (draw() % u64::from(n - 1)) as u32;
-                let amount = 1 + draw() % 9;
-                rdbp_ringload::Demand::new(from, (from + delta) % n, amount)
-            })
-            .collect()
-    }
-
-    /// Bounds the trace with the ringload oracle and solves the seeded
-    /// ring-loading instance, returning the merged work counters.
+    /// Bounds the trace with the ringload oracle, returning its work
+    /// counters.
     fn run_once(&self, trace: &[Edge]) -> WorkCounters {
         use rdbp_offline::OfflineOracle as _;
         let instance = self
@@ -636,17 +611,6 @@ impl OracleCase {
             .expect("ringload always has an upper bound");
         assert!(lb <= ub, "case {}: certificate inverted", self.id);
         let mut counters = oracle.work_counters();
-
-        let mut solver =
-            rdbp_ringload::RingLoading::new(instance.n(), self.demand_set(instance.n()));
-        let split = solver.split_optimum();
-        let rounded = solver.round_unsplit();
-        assert!(
-            split <= rounded.max_load as f64,
-            "case {}: rounding below the split optimum",
-            self.id
-        );
-        counters.merge(&solver.work_counters());
         // The shared harness gates on "served exactly the pinned
         // steps"; an oracle case's unit of service is a trace element.
         counters.requests = trace.len() as u64;
@@ -654,15 +618,15 @@ impl OracleCase {
     }
 }
 
-/// The pinned oracle cases of the `main` suite: the ringload oracle +
-/// classical solver over two workload shapes (skew and drift). These
-/// gate the S6 ratio-sweep hot path the same way the serve cases gate
-/// the wire path.
+/// The pinned oracle cases of the `main` suite: the ringload oracle
+/// over two workload shapes (skew and drift). These gate the S6
+/// ratio-sweep hot path the same way the serve cases gate the wire
+/// path.
 #[must_use]
 pub fn pinned_oracle_cases() -> Vec<OracleCase> {
     vec![
-        OracleCase::new("oracle-ringload-zipf", "zipf", 20_000, 96, 0x0DD5),
-        OracleCase::new("oracle-ringload-sliding", "sliding", 20_000, 96, 0x0DD6),
+        OracleCase::new("oracle-ringload-zipf", "zipf", 20_000),
+        OracleCase::new("oracle-ringload-sliding", "sliding", 20_000),
     ]
 }
 
@@ -944,18 +908,6 @@ mod tests {
         let ids: Vec<&str> = cases.iter().map(|c| c.id.as_str()).collect();
         assert!(ids.contains(&"oracle-ringload-zipf"));
         assert!(ids.contains(&"oracle-ringload-sliding"));
-        for case in &cases {
-            assert_eq!(case.demands, 96, "demand count stays pinned");
-            // The demand set is fully seed-determined and well-formed.
-            let demands = case.demand_set(256);
-            assert_eq!(demands, case.demand_set(256));
-            assert_eq!(demands.len(), 96);
-            assert!(demands.iter().all(|d| d.from != d.to && d.amount > 0));
-        }
-        assert_ne!(
-            cases[0].demand_seed, cases[1].demand_seed,
-            "distinct demand seeds"
-        );
     }
 
     #[test]
@@ -963,7 +915,7 @@ mod tests {
         // The oracle-determinism claim at suite scope: two *separate*
         // invocations (fresh traces, fresh oracles) must agree bit for
         // bit, and the oracle metrics must actually be exercised.
-        let mini = OracleCase::new("oracle-mini", "zipf", 500, 12, 0x0DD7);
+        let mini = OracleCase::new("oracle-mini", "zipf", 500);
         let a = run_oracle_cases(std::slice::from_ref(&mini), 1);
         let b = run_oracle_cases(std::slice::from_ref(&mini), 1);
         assert_eq!(a[0].counters, b[0].counters);

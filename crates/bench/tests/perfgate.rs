@@ -132,20 +132,16 @@ fn counters_reflect_real_work_per_family() {
 fn oracle_counters_are_identical_across_independent_invocations() {
     // The oracle twin of the determinism property above: two fully
     // independent harness invocations (fresh trace recording, fresh
-    // oracle and solver state) must produce bit-identical counters,
-    // and the oracle metrics must be the ones doing the work.
+    // oracle state) must produce bit-identical counters, and the
+    // oracle metrics must be the ones doing the work.
     let minis = [
         rdbp_bench::OracleCase {
             id: "mini-oracle-zipf".into(),
             scenario: scenario("dynamic", Some("hedge"), "zipf", AuditSpec::None),
-            demands: 16,
-            demand_seed: 0x0DD8,
         },
         rdbp_bench::OracleCase {
             id: "mini-oracle-uniform".into(),
             scenario: scenario("never-move", None, "uniform", AuditSpec::None),
-            demands: 16,
-            demand_seed: 0x0DD9,
         },
     ];
     let a = run_oracle_cases(&minis, 2);

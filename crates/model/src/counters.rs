@@ -67,14 +67,15 @@ pub struct WorkCounters {
     /// Quantile-coupling follow/resample operations (randomized
     /// policies).
     pub coupling_follows: u64,
-    /// Cut-pair/window evaluations performed by offline oracles: the
-    /// ring-loading solver's demands-across-cuts scan, the ringload
-    /// oracle's rotation ranking and, for its lower bound, the
-    /// (request, window offset) pairs decided (`trace.len() × offsets`,
-    /// however many of them one skipped request settles at once).
+    /// Cut evaluations performed by offline oracles: for the ringload
+    /// oracle's lower bound, the (request, window offset) pairs decided
+    /// (`trace.len() × offsets`, however many of them one skipped
+    /// request settles at once); for its upper bound, the `ℓ` cut edges
+    /// priced per rotation (`ℓ·k` on a packed ring).
     pub oracle_cut_evals: u64,
-    /// Rounding/strategy-evaluation passes performed by offline oracles
-    /// (unsplit rounding sweeps and candidate-rotation evaluations).
+    /// Candidate schedules priced by offline oracles: for the ringload
+    /// oracle's upper bound, the lazy schedule plus, on a packed ring,
+    /// one migrate-then-freeze schedule per rotation (`1 + k`).
     pub oracle_rounding_passes: u64,
 }
 

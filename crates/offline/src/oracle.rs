@@ -20,11 +20,9 @@
 //!   schedule that respects capacity `k`, starting from `initial`.
 //!   `0.0` is always sound, and is what oracles return outside their
 //!   feasible envelope.
-//! * [`OfflineOracle::opt_cost`] returns the **exact** optimum when the
-//!   oracle can certify it, `None` otherwise.
 //! * [`OfflineOracle::upper_bound`] returns the cost of an explicit
-//!   feasible schedule (an upper bound on the optimum); by default the
-//!   exact optimum itself.
+//!   feasible schedule (an upper bound on the optimum), or `None`
+//!   outside the oracle's envelope.
 //!
 //! So for every oracle and instance:
 //! `lower_bound ≤ OPT ≤ upper_bound` (when the latter is `Some`), and
@@ -48,7 +46,7 @@ pub trait OfflineOracle {
 
     /// Whether the oracle's certified envelope covers `instance`.
     /// Outside it, `lower_bound` degrades to a trivial bound and
-    /// `opt_cost` returns `None`.
+    /// `upper_bound` returns `None`.
     fn supports(&self, instance: &RingInstance) -> bool {
         let _ = instance;
         true
@@ -58,24 +56,14 @@ pub trait OfflineOracle {
     /// (see the module docs for the exact contract).
     fn lower_bound(&mut self, instance: &RingInstance, initial: &Placement, trace: &[Edge]) -> f64;
 
-    /// The exact optimum, when this oracle can certify it.
-    fn opt_cost(
-        &mut self,
-        instance: &RingInstance,
-        initial: &Placement,
-        trace: &[Edge],
-    ) -> Option<f64>;
-
     /// The cost of an explicit feasible offline schedule — a certified
-    /// upper bound on the optimum. Defaults to the exact optimum.
+    /// upper bound on the optimum — or `None` outside the envelope.
     fn upper_bound(
         &mut self,
         instance: &RingInstance,
         initial: &Placement,
         trace: &[Edge],
-    ) -> Option<f64> {
-        self.opt_cost(instance, initial, trace)
-    }
+    ) -> Option<f64>;
 
     /// The deterministic work this oracle performed so far (the
     /// `oracle_*` metrics of [`WorkCounters`]); zero for the exact
@@ -86,8 +74,9 @@ pub trait OfflineOracle {
 }
 
 /// The exact brute-force dynamic optimum ([`dynamic_opt`]) as an
-/// oracle. Certifies `OPT` exactly inside its envelope (`n ≤ 12`,
-/// `ℓ ≤ 5`) and degrades to the trivial lower bound `0` outside it.
+/// oracle. Both bounds are `OPT` inside its envelope (`n ≤ 12`,
+/// `ℓ ≤ 5`); outside it the lower bound degrades to the trivial `0`
+/// and there is no upper bound.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactDynamicOracle;
 
@@ -108,7 +97,7 @@ impl OfflineOracle for ExactDynamicOracle {
         }
     }
 
-    fn opt_cost(
+    fn upper_bound(
         &mut self,
         instance: &RingInstance,
         initial: &Placement,
@@ -178,11 +167,10 @@ mod tests {
         let mut oracle = ExactDynamicOracle;
         assert!(oracle.supports(&inst));
         let lb = oracle.lower_bound(&inst, &initial, &trace);
-        let opt = oracle.opt_cost(&inst, &initial, &trace).unwrap();
         let ub = oracle.upper_bound(&inst, &initial, &trace).unwrap();
+        let opt = dynamic_opt(&inst, &initial, &trace) as f64;
         assert_eq!(lb, opt);
         assert_eq!(ub, opt);
-        assert_eq!(opt, dynamic_opt(&inst, &initial, &trace) as f64);
     }
 
     #[test]
@@ -193,7 +181,7 @@ mod tests {
         let mut oracle = ExactDynamicOracle;
         assert!(!oracle.supports(&inst));
         assert_eq!(oracle.lower_bound(&inst, &initial, &trace), 0.0);
-        assert_eq!(oracle.opt_cost(&inst, &initial, &trace), None);
+        assert_eq!(oracle.upper_bound(&inst, &initial, &trace), None);
     }
 
     #[test]

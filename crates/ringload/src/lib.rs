@@ -1,36 +1,22 @@
-//! # rdbp_ringload — ring-loading structure as a fast OPT oracle
+//! # rdbp_ringload — ring-cut structure as a fast OPT oracle
 //!
-//! The paper's instances are ring demands, which is exactly the setting
-//! of the classical **ring loading problem** (Schrijver–Seymour–Winkler):
-//! demands between nodes of a cycle, each routed clockwise or
-//! counterclockwise, minimizing the maximum edge load. Its structure —
-//! demands-across-cuts, tight cuts, partial-integer rounding — is
-//! computable in `O(n²)`, which is what lets this crate replace the
-//! brute-force offline comparators (`rdbp_offline::dynamic_opt`,
-//! feasible to `n ≤ 12`) with certified bounds at `n` in the tens of
-//! thousands (DESIGN.md §13, EXPERIMENTS.md S6).
+//! The exact offline comparators (`rdbp_offline::dynamic_opt`) are
+//! feasible to `n ≤ 12`. [`RingloadOracle`] is an
+//! [`rdbp_offline::OfflineOracle`] that bounds the same dynamic
+//! optimum (communication plus migrations under capacity `k`) at `n`
+//! in the tens of thousands (DESIGN.md §13, EXPERIMENTS.md S6):
 //!
-//! Two layers:
+//! * a certified **lower bound** from counting request phases against
+//!   disjoint `k`-edge cut windows, since a capacity-`k` placement cuts
+//!   every window;
+//! * a certified **upper bound** from explicit feasible schedules: the
+//!   lazy one, and on packed rings migrate-then-freeze into every
+//!   rotation of the contiguous placement.
 //!
-//! * [`RingLoading`] — the classical solver: the exact split (fractional)
-//!   optimum `L* = max_{cuts {g,h}} D(g,h)/2` via an `O(n²)`
-//!   demands-across-cuts scan with tight-cut detection, a greedy
-//!   partial-integer rounding step producing a certified unsplit
-//!   routing, and an exact-on-small-instances unsplit mode by
-//!   enumeration.
-//! * [`RingloadOracle`] — an [`rdbp_offline::OfflineOracle`] for the
-//!   *dynamic partitioning* problem built on the same ring-cut
-//!   structure: a certified lower bound by counting request phases
-//!   against disjoint `k`-edge cut windows, and a certified upper bound
-//!   from explicit feasible schedules whose cut sets are chosen by the
-//!   solver's lightest-cut scan.
-//!
-//! Everything is deterministic; the work both layers perform is
+//! Everything is deterministic; the work both bounds perform is
 //! surfaced as the `oracle_cut_evals` / `oracle_rounding_passes`
 //! metrics of [`rdbp_model::WorkCounters`] and gated by the perf suite.
 
 mod oracle;
-mod solver;
 
 pub use oracle::RingloadOracle;
-pub use solver::{Demand, RingLoading, Routing};

@@ -23,10 +23,7 @@
 //!
 //! for **every** offset `c`; the oracle maximizes over a deterministic
 //! sample of offsets (each individually sound, so sampling never breaks
-//! the certificate). This is the demands-across-cuts idea of the
-//! ring-loading solver transported to the time axis: a phase is
-//! exactly the moment the demand across every cut position of the
-//! window has become positive.
+//! the certificate).
 //!
 //! One trace pass counts up to 64 offsets, one bit lane each: a `u64`
 //! per edge marks the lanes whose current phase has seen it, and each
@@ -36,55 +33,41 @@
 //!
 //! ## Upper bound: explicit feasible schedules
 //!
-//! Any feasible schedule's cost upper-bounds `OPT`. The oracle
-//! evaluates (a) the **lazy** schedule — keep the initial placement,
-//! pay every request on its cut set — and (b) for packed instances
-//! (`n = ℓ·k`), **migrate-then-freeze** schedules: pay the migrations
-//! into the contiguous rotation placement with blocks at offset `c`,
-//! then serve statically. Candidate offsets are chosen by the solver's
-//! lightest-cut scan (the rotation whose `ℓ` cut edges carry the least
-//! aggregate demand — tight cuts in reverse), and block-to-server
-//! labelings are matched cyclically to minimize the migration count.
-//! The reported bound is the cheapest schedule found. One pass builds
-//! the per-edge request histogram both kinds are priced from: the lazy
-//! cost is the histogram summed over the initial cut edges.
+//! Any feasible schedule's cost upper-bounds `OPT`. Every schedule
+//! serves the first request on the initial placement; the oracle then
+//! prices (a) the **lazy** schedule — keep the initial placement, pay
+//! every request on its cut set — and (b) for packed instances
+//! (`n = ℓ·k`), the **migrate-then-freeze** schedule of every rotation
+//! `c < k`: pay the migrations into the contiguous placement with
+//! blocks at offset `c` under its cheapest cyclic block→server
+//! labelling, then serve statically on its cut edges `c − 1 + j·k`.
+//! The reported bound is the cheapest of them. One pass builds the
+//! per-edge request histogram every schedule is priced from, and one
+//! pass over the processes counts rotation 0's labelling matches; each
+//! later rotation moves one process per block, so all `k` rotations
+//! cost `O(n + k·ℓ)`.
 
 use rdbp_model::{Edge, Placement, RingInstance, WorkCounters};
 use rdbp_offline::OfflineOracle;
 
 /// The ring-loading oracle: certified `lower_bound ≤ OPT ≤ upper_bound`
 /// at sizes far beyond the exact solvers (see module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RingloadOracle {
-    /// Offset budget of the lower bound, which maximizes over the
-    /// window offsets `0, step, 2·step, … < k` with
-    /// `step = max(1, ⌊k / max_offsets⌋)`. That is `⌈k / step⌉`
-    /// offsets, which can exceed the budget: all `k` while
-    /// `k < 2·max_offsets`, so up to `2·max_offsets − 1` (100 at
-    /// k = 100, 67 at k = 200 with the default 64). Each offset is
-    /// individually sound; more offsets only tighten the bound.
-    pub max_offsets: usize,
-    /// Maximum number of candidate rotations the upper bound evaluates
-    /// migration costs for (pre-ranked by their cut sets' aggregate
-    /// demand).
-    pub max_rotations: usize,
     cut_evals: u64,
     rounding_passes: u64,
 }
 
-impl Default for RingloadOracle {
-    fn default() -> Self {
-        Self {
-            max_offsets: 64,
-            max_rotations: 16,
-            cut_evals: 0,
-            rounding_passes: 0,
-        }
-    }
-}
+/// Offset budget of the lower bound, which maximizes over the window
+/// offsets `0, step, 2·step, … < k` with `step = max(1, ⌊k / budget⌋)`.
+/// That is `⌈k / step⌉` offsets, which can exceed the budget: all `k`
+/// while `k < 2·budget`, so up to 127 (100 at k = 100, 67 at k = 200).
+/// Each offset is individually sound; more offsets only tighten the
+/// bound.
+const MAX_OFFSETS: usize = 64;
 
 impl RingloadOracle {
-    /// An oracle with the default offset/rotation budgets.
+    /// An oracle with zeroed work counters.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -92,16 +75,22 @@ impl RingloadOracle {
 
     /// The phase count of the best sampled window offset (twice the
     /// lower bound, kept integral). Offsets `0, step, 2·step, …` below
-    /// `k` are scanned, `step = max(1, ⌊k / max_offsets⌋)`; each group
-    /// of up to [`LANES`] of them is counted in one trace pass.
-    fn best_phase_count(&mut self, instance: &RingInstance, trace: &[Edge]) -> u64 {
+    /// `k` are scanned, `step = max(1, ⌊k / max_offsets⌋)` (see
+    /// [`MAX_OFFSETS`]); each group of up to [`LANES`] of them is
+    /// counted in one trace pass.
+    fn best_phase_count(
+        &mut self,
+        instance: &RingInstance,
+        trace: &[Edge],
+        max_offsets: usize,
+    ) -> u64 {
         let n = instance.n() as usize;
         let k = instance.capacity() as usize;
         if n <= k {
             // One server could hold the whole ring: no forced cuts.
             return 0;
         }
-        let step = (k / self.max_offsets.max(1)).max(1);
+        let step = (k / max_offsets.max(1)).max(1);
         let offsets: Vec<usize> = (0..k).step_by(step).collect();
         // One (request, offset) pair decided per evaluation.
         self.cut_evals += trace.len() as u64 * offsets.len() as u64;
@@ -119,9 +108,9 @@ impl RingloadOracle {
         initial: &Placement,
         trace: &[Edge],
     ) -> u64 {
-        let n = instance.n();
-        let ell = instance.servers();
-        let k = instance.capacity();
+        let n = instance.n() as usize;
+        let ell = instance.servers() as usize;
+        let k = instance.capacity() as usize;
 
         // Lazy: stay put, pay the initial cut set.
         self.rounding_passes += 1;
@@ -131,51 +120,74 @@ impl RingloadOracle {
         // Migrations only happen *after* serving a request (the cost
         // model charges communication on the pre-migration config), so
         // every schedule serves the first request on the initial
-        // placement. The rest is counted per edge: the lazy schedule
-        // pays the counts of its cut edges.
+        // placement. The rest is counted per edge: a schedule pays the
+        // counts of its cut edges.
         let first_charge = u64::from(initial.is_cut(first));
-        let mut weights = vec![0u64; n as usize];
+        let mut weights = vec![0u64; n];
         for e in rest {
             weights[e.0 as usize] += 1;
         }
-        let mut best = first_charge
-            + initial
-                .cut_edges()
-                .map(|e| weights[e.0 as usize])
-                .sum::<u64>();
+        let lazy = initial
+            .cut_edges()
+            .map(|e| weights[e.0 as usize])
+            .sum::<u64>();
 
         // Migrate-then-freeze rotations need exact blocks of k.
-        if u64::from(n) != u64::from(ell) * u64::from(k) {
-            return best;
+        if n != ell * k {
+            return first_charge + lazy;
         }
-        // Rank rotations by the aggregate demand on their cut set
-        // {c−1, c−1+k, …} — the lightest-cut scan.
-        let mut rotations: Vec<(u64, u32)> = (0..k)
-            .map(|c| {
-                self.cut_evals += u64::from(ell);
-                let comm: u64 = (0..ell)
-                    .map(|j| weights[((c + j * k + n - 1) % n) as usize])
-                    .sum();
-                (comm, c)
-            })
-            .collect();
-        rotations.sort_unstable();
-        for &(comm, c) in rotations.iter().take(self.max_rotations) {
-            if first_charge + comm >= best {
-                break; // sorted: migrations only add on top
+        let rotation = self.cheapest_rotation(initial.assignment(), &weights, ell, k);
+        first_charge + lazy.min(rotation)
+    }
+
+    /// The cheapest migrate-then-freeze schedule after the first request
+    /// over every rotation `c < k` of a packed ring: its migrations plus
+    /// the `weights` of its cut edges `c − 1 + j·k` (mod `n`).
+    ///
+    /// Rotation `c`'s block `j` holds processes `c + j·k .. c + (j+1)·k`.
+    /// A cyclic labelling `t` puts block `j` on server `j − t` (mod `ℓ`),
+    /// so it leaves in place `matches[t]` processes, those whose block
+    /// `j` and server `s` have `j − s ≡ t`, and moves the rest. From
+    /// rotation `c − 1` to `c` only process `c − 1 + j·k` changes block,
+    /// from `j` to `j − 1`, so each rotation updates `ℓ` matches.
+    fn cheapest_rotation(&mut self, servers: &[u32], weights: &[u64], ell: usize, k: usize) -> u64 {
+        let n = servers.len();
+        let mut matches = vec![0u64; ell];
+        for (j, block) in servers.chunks(k).enumerate() {
+            for &s in block {
+                matches[sub_mod(j, s as usize, ell)] += 1;
             }
-            // Cheapest cyclic block→server labeling, by match counts.
-            let mut matches = vec![0u64; ell as usize];
-            for p in 0..n {
-                let block = ((p + n - c) % n) / k;
-                let server = initial.server(rdbp_model::Process(p)).0;
-                matches[((block + ell - server % ell) % ell) as usize] += 1;
-            }
-            self.rounding_passes += u64::from(ell);
-            let moves = u64::from(n) - matches.iter().copied().max().unwrap_or(0);
-            best = best.min(first_charge + moves + comm);
         }
+        let kept = |matches: &[u64]| matches.iter().copied().max().unwrap_or(0);
+        // Rotation 0's cut edges: n − 1 and j·k − 1.
+        let comm = weights[n - 1] + (1..ell).map(|j| weights[j * k - 1]).sum::<u64>();
+        let mut best = n as u64 - kept(&matches) + comm;
+        for c in 1..k {
+            let mut comm = 0;
+            let mut back = ell - 1; // the block before block j
+            for j in 0..ell {
+                let p = c - 1 + j * k; // also rotation c's cut edge
+                comm += weights[p];
+                let s = servers[p] as usize;
+                matches[sub_mod(j, s, ell)] -= 1;
+                matches[sub_mod(back, s, ell)] += 1;
+                back = j;
+            }
+            best = best.min(n as u64 - kept(&matches) + comm);
+        }
+        // One schedule per rotation, `ℓ` cut edges priced for each.
+        self.rounding_passes += k as u64;
+        self.cut_evals += (k * ell) as u64;
         best
+    }
+}
+
+/// `(a − b) mod m` for `a, b < m`.
+fn sub_mod(a: usize, b: usize, m: usize) -> usize {
+    if a >= b {
+        a - b
+    } else {
+        a + m - b
     }
 }
 
@@ -370,16 +382,7 @@ impl OfflineOracle for RingloadOracle {
         _initial: &Placement,
         trace: &[Edge],
     ) -> f64 {
-        self.best_phase_count(instance, trace) as f64 / 2.0
-    }
-
-    fn opt_cost(
-        &mut self,
-        _instance: &RingInstance,
-        _initial: &Placement,
-        _trace: &[Edge],
-    ) -> Option<f64> {
-        None // certified bounds, not the exact optimum
+        self.best_phase_count(instance, trace, MAX_OFFSETS) as f64 / 2.0
     }
 
     fn upper_bound(
@@ -413,6 +416,7 @@ mod tests {
         oracle: &mut RingloadOracle,
         instance: &RingInstance,
         trace: &[Edge],
+        max_offsets: usize,
     ) -> u64 {
         let n = instance.n();
         let k = instance.capacity();
@@ -420,7 +424,7 @@ mod tests {
             // One server could hold the whole ring: no forced cuts.
             return 0;
         }
-        let step = (k as usize / oracle.max_offsets.max(1)).max(1);
+        let step = (k as usize / max_offsets.max(1)).max(1);
         let mut best = 0u64;
         for c in (0..k).step_by(step) {
             oracle.cut_evals += trace.len() as u64;
@@ -460,14 +464,11 @@ mod tests {
     /// phase count and on `oracle_cut_evals`, at every offset budget,
     /// and on every lane's own count when all `k` offsets are lanes.
     fn assert_matches_reference(instance: &RingInstance, trace: &[Edge]) {
-        for max_offsets in [1, 7, 64, 200] {
-            let mut kernel = RingloadOracle {
-                max_offsets,
-                ..RingloadOracle::new()
-            };
-            let mut reference = kernel.clone();
-            let got = kernel.best_phase_count(instance, trace);
-            let want = reference_phase_count(&mut reference, instance, trace);
+        for max_offsets in [1, 7, MAX_OFFSETS, 200] {
+            let mut kernel = RingloadOracle::new();
+            let mut reference = RingloadOracle::new();
+            let got = kernel.best_phase_count(instance, trace, max_offsets);
+            let want = reference_phase_count(&mut reference, instance, trace, max_offsets);
             assert_eq!(
                 (got, kernel.cut_evals),
                 (want, reference.cut_evals),
@@ -590,21 +591,37 @@ mod tests {
         }
     }
 
-    /// The upper bound as it was before the lazy cost came from the
-    /// rotation histogram, kept as its reference: the lazy schedule is
-    /// counted by a pass over the trace.
-    fn reference_schedule(
-        oracle: &mut RingloadOracle,
+    /// The upper bound before every rotation was priced, kept as the
+    /// "never looser" reference: the lazy cost by a pass over the trace,
+    /// then the 16 rotations whose cut sets carry the least traffic,
+    /// each matched to the initial placement by its own pass over the
+    /// processes.
+    fn reference_schedule(instance: &RingInstance, initial: &Placement, trace: &[Edge]) -> u64 {
+        reference_ranked_scan(instance, initial, trace, 16)
+    }
+
+    /// Every rotation priced by its own matching pass: the reference of
+    /// the incremental matching.
+    fn reference_all_rotations(
         instance: &RingInstance,
         initial: &Placement,
         trace: &[Edge],
+    ) -> u64 {
+        reference_ranked_scan(instance, initial, trace, usize::MAX)
+    }
+
+    /// The ranked scan over the `take` lightest rotations.
+    fn reference_ranked_scan(
+        instance: &RingInstance,
+        initial: &Placement,
+        trace: &[Edge],
+        take: usize,
     ) -> u64 {
         let n = instance.n();
         let ell = instance.servers();
         let k = instance.capacity();
 
         // Lazy: stay put, pay the initial cut set.
-        oracle.rounding_passes += 1;
         let mut best: u64 = trace.iter().filter(|&&e| initial.is_cut(e)).count() as u64;
 
         // Migrate-then-freeze rotations need exact blocks of k.
@@ -618,7 +635,6 @@ mod tests {
         }
         let mut rotations: Vec<(u64, u32)> = (0..k)
             .map(|c| {
-                oracle.cut_evals += u64::from(ell);
                 let comm: u64 = (0..ell)
                     .map(|j| weights[((c + j * k + n - 1) % n) as usize])
                     .sum();
@@ -626,7 +642,7 @@ mod tests {
             })
             .collect();
         rotations.sort_unstable();
-        for &(comm, c) in rotations.iter().take(oracle.max_rotations) {
+        for &(comm, c) in rotations.iter().take(take) {
             if first_charge + comm >= best {
                 break;
             }
@@ -636,7 +652,6 @@ mod tests {
                 let server = initial.server(rdbp_model::Process(p)).0;
                 matches[((block + ell - server % ell) % ell) as usize] += 1;
             }
-            oracle.rounding_passes += u64::from(ell);
             let moves = u64::from(n) - matches.iter().copied().max().unwrap_or(0);
             best = best.min(first_charge + moves + comm);
         }
@@ -655,33 +670,92 @@ mod tests {
         Placement::from_assignment(instance, slots)
     }
 
+    /// The lazy cost from the histogram and the incremental rotation
+    /// matching equal their per-schedule references, and pricing every
+    /// rotation is never looser than the ranked scan (equal to it when
+    /// it already saw every rotation).
     #[test]
     fn lazy_cost_from_the_histogram_matches_the_trace_pass() {
         let mut rng = StdRng::seed_from_u64(0x1a2e);
         for round in 0..300 {
             let inst = random_instance(&mut rng);
-            let initial = random_placement(&mut rng, &inst);
+            let initial = if rng.random_bool(0.5) {
+                random_placement(&mut rng, &inst)
+            } else {
+                Placement::contiguous(&inst)
+            };
             let trace = match round % 3 {
                 0 => Vec::new(),
                 1 => vec![Edge(rng.random_range(0..inst.n()))],
                 _ => random_trace(&mut rng, &inst),
             };
-            let mut oracle = RingloadOracle::new();
-            let mut reference = oracle.clone();
-            let got = oracle.upper_bound(&inst, &initial, &trace);
-            let want = reference_schedule(&mut reference, &inst, &initial, &trace);
-            assert_eq!(
-                (got, oracle.work_counters()),
-                (Some(want as f64), reference.work_counters()),
-                "{inst:?}, {} requests",
-                trace.len()
+            let run = format!("{inst:?}, {} requests", trace.len());
+            let got = RingloadOracle::new()
+                .upper_bound(&inst, &initial, &trace)
+                .expect("ringload always has an upper bound");
+            let all = reference_all_rotations(&inst, &initial, &trace) as f64;
+            let ranked = reference_schedule(&inst, &initial, &trace) as f64;
+            assert_eq!(got, all, "{run}");
+            assert!(
+                got <= ranked,
+                "{run}: {got} above the ranked scan's {ranked}"
             );
-            if inst.n() != inst.servers() * inst.capacity() {
+            let packed = inst.n() == inst.servers() * inst.capacity();
+            if !packed || inst.capacity() <= 16 {
+                assert_eq!(got, ranked, "{run}");
+            }
+            if !packed {
                 // No rotation schedule: the bound is the lazy count.
                 let lazy = trace.iter().filter(|&&e| initial.is_cut(e)).count();
-                assert_eq!(got, Some(lazy as f64));
+                assert_eq!(got, lazy as f64, "{run}");
             }
         }
+    }
+
+    #[test]
+    fn the_cheapest_rotation_can_rank_below_sixteenth_by_traffic() {
+        // packed(2, 64) from the contiguous placement, whose cut edges
+        // are 63 and 127. Rotation 1 (cut edges 0 and 64) moves 2
+        // processes and pays the 5 requests on edge 0. Rotations 2..=23
+        // and 41..=63 each carry 200 requests on edge c − 1, so the 16
+        // lightest cut sets are the untouched rotations 24..=39, which
+        // move at least 48 processes each.
+        let inst = RingInstance::packed(2, 64);
+        let initial = Placement::contiguous(&inst);
+        let mut trace = vec![inst.edge(63); 100];
+        trace.extend([inst.edge(0); 5]);
+        for c in (2..=23).chain(41..=63) {
+            trace.extend(vec![inst.edge(c - 1); 200]);
+        }
+        let ub = RingloadOracle::new().upper_bound(&inst, &initial, &trace);
+        // The first request is cut: 1 + 2 moves + 5 requests.
+        assert_eq!(ub, Some(8.0));
+        assert_eq!(reference_schedule(&inst, &initial, &trace), 49);
+    }
+
+    #[test]
+    fn the_upper_bound_counts_one_schedule_per_rotation() {
+        let trace =
+            |inst: &RingInstance| -> Vec<Edge> { (0..50u64).map(|i| inst.edge(i * 3)).collect() };
+        // Packed: the lazy schedule and k = 5 rotations, ℓ = 3 cut
+        // edges priced for each.
+        let packed = RingInstance::packed(3, 5);
+        let mut oracle = RingloadOracle::new();
+        oracle.upper_bound(&packed, &Placement::contiguous(&packed), &trace(&packed));
+        let counters = oracle.work_counters();
+        assert_eq!(
+            (counters.oracle_rounding_passes, counters.oracle_cut_evals),
+            (1 + 5, 3 * 5)
+        );
+        // With slack there are no rotations: the lazy schedule alone.
+        let slack = RingInstance::new(13, 3, 5);
+        let mut oracle = RingloadOracle::new();
+        oracle.upper_bound(&slack, &Placement::contiguous(&slack), &trace(&slack));
+        let counters = oracle.work_counters();
+        assert_eq!(
+            (counters.oracle_rounding_passes, counters.oracle_cut_evals),
+            (1, 0)
+        );
     }
 
     #[test]

@@ -26,10 +26,9 @@
 //!   the Lemma 3.4 well-behaved strategy, lower-bound adversaries, and
 //!   the [`OfflineOracle`](rdbp_offline::OfflineOracle) trait
 //!   unifying them for ratio reporting;
-//! * [`ringload`] — the fast ring-loading OPT oracle: the
-//!   classical `O(n²)` split/unsplit ring-loading solver
-//!   (demands-across-cuts, tight cuts, rounding) and the scalable
-//!   certified-bound oracle behind the S6 ratio sweep (DESIGN.md §13);
+//! * [`ringload`] — the scalable certified-bound OPT oracle behind the
+//!   S6 ratio sweep: window phases below, explicit schedules above
+//!   (DESIGN.md §13);
 //! * [`baselines`] — the straw men (never-move, greedy
 //!   swapping, component-growing deterministic repartitioners) and the
 //!   related-work family algorithms
@@ -106,6 +105,6 @@ pub mod prelude {
         dynamic_opt, interval_opt, static_opt, ExactDynamicOracle, IntervalLayout, OfflineOracle,
         OracleReport,
     };
-    pub use rdbp_ringload::{Demand, RingLoading, RingloadOracle, Routing};
+    pub use rdbp_ringload::RingloadOracle;
     pub use rdbp_serve::{Session, SessionManager};
 }
