@@ -35,7 +35,7 @@ pub const PING_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Operation connections kept per backend; a session's ops use
 /// connection `session % POOL`.
-const POOL: usize = 4;
+pub(crate) const POOL: usize = 4;
 
 /// How long to wait for a spawned `rdbp-serve` to write its
 /// `--addr-file`.

@@ -9,8 +9,8 @@
 //! Clients speak to the router exactly as they would to a single
 //! `rdbp-serve` (both wire protocols, auto-detected); the router
 //! spreads sessions across the backends, live-migrates them to keep
-//! load balanced, and fails them over from retained snapshots when a
-//! backend dies. See DESIGN.md §12 for the architecture.
+//! load balanced, and fails them over from retained restore points
+//! when a backend dies. See DESIGN.md §12 for the architecture.
 
 use std::net::TcpListener;
 use std::process::exit;

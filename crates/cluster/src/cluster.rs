@@ -26,17 +26,23 @@
 //!
 //! ## Failover and the lost-requests contract
 //!
-//! The router retains the latest snapshot of every session, as opaque
-//! bytes (taken at create/restore/migrate, refreshed by the
-//! maintenance loop and by every client-requested snapshot). When a
-//! backend dies — an op hits an I/O error, or the monitor ping times
-//! out — its sessions are restored from the retained snapshots onto
-//! the least-loaded survivors. Requests acknowledged after the retained snapshot are
-//! **lost** (the session rewinds to the snapshot); the router counts
-//! them and reports `replayed from snapshot N, lost K` through the
-//! `lineage` op rather than hiding the gap. Sessions whose algorithm
-//! cannot snapshot (the `static` partitioner) are reported lost
-//! explicitly on their next op.
+//! The router retains a restore point for every session: what it was
+//! last handed that reopens the session. That is the create request's
+//! scenario (the session at step 0) until the session's first
+//! snapshot, and from then on the latest snapshot, as opaque bytes (a
+//! client `restore`'s own blob, then every migration's, every
+//! client-requested snapshot and every maintenance refresh). So
+//! opening a session costs one backend call. When a backend dies — an
+//! op hits an I/O error, or the monitor ping times out — its sessions
+//! are reopened from their restore points on the least-loaded
+//! survivors; a session reopened from its scenario is snapshotted
+//! once there, and that snapshot becomes its restore point. Requests
+//! acknowledged after the restore point are **lost** (the session
+//! rewinds to it); the router counts them and reports `replayed from
+//! snapshot N, lost K` through the `lineage` op rather than hiding the
+//! gap. Sessions whose algorithm cannot snapshot (the `static`
+//! partitioner) fail that first snapshot: the copy is closed and the
+//! session is reported lost explicitly on its next op.
 //!
 //! ## Rebalancing
 //!
@@ -49,7 +55,7 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,6 +70,7 @@ use rdbp_serve::{
 };
 
 use crate::backend::Backend;
+use crate::stop::{OnStop, Stop};
 
 /// How a [`Cluster`] is assembled and how its maintenance loop runs.
 #[derive(Debug, Clone)]
@@ -81,8 +88,8 @@ pub struct ClusterConfig {
     /// Liveness-ping cadence (`None` disables pings; deaths are then
     /// detected by op I/O errors only).
     pub ping_interval: Option<Duration>,
-    /// Background snapshot-refresh cadence (`None` disables; retained
-    /// snapshots then only update on create/migrate/client snapshot).
+    /// Background snapshot-refresh cadence (`None` disables; restore
+    /// points then only update on restore/migrate/client snapshot).
     pub snapshot_interval: Option<Duration>,
     /// Rebalance-check cadence (`None` disables rebalancing).
     pub rebalance_interval: Option<Duration>,
@@ -121,20 +128,46 @@ impl ClusterConfig {
 /// backend before a rebalance migration triggers.
 const REBALANCE_GAP: u64 = 2;
 
-/// The retained restore point for one session.
-struct Retained {
-    snapshot: SnapshotBlob,
-    /// The session's steps when the snapshot was taken.
-    steps: u64,
+/// How often the maintenance loop wakes to check its cadences.
+const MAINTENANCE_TICK: Duration = Duration::from_millis(10);
+
+/// A session's retained restore point: what the router was last handed
+/// that reopens the session, kept so a failover can send it again.
+enum Retained {
+    /// The create request's scenario: the session at step 0.
+    Scenario(Box<Scenario>),
+    /// A snapshot blob, and the session's steps when it was taken.
+    Snapshot { blob: SnapshotBlob, steps: u64 },
+}
+
+impl Retained {
+    /// The session's steps at this restore point.
+    fn steps(&self) -> u64 {
+        match self {
+            Self::Scenario(_) => 0,
+            Self::Snapshot { steps, .. } => *steps,
+        }
+    }
+
+    /// The request that reopens the session at this restore point.
+    fn reopen(&self) -> Request {
+        match self {
+            Self::Scenario(scenario) => Request::Create {
+                scenario: scenario.clone(),
+            },
+            Self::Snapshot { blob, .. } => Request::Restore {
+                snapshot: blob.clone(),
+            },
+        }
+    }
 }
 
 /// One session's routing entry. Locked for the duration of every op —
 /// see the module docs for why.
-#[derive(Default)]
 struct RouteState {
     backend: usize,
     remote: u64,
-    retained: Option<Retained>,
+    retained: Retained,
     /// The session's steps as its backend last reported them: when it
     /// opened there, and after each acknowledged submit.
     acked_steps: u64,
@@ -168,7 +201,7 @@ pub struct Cluster {
     created: AtomicU64,
     served: AtomicU64,
     violations: AtomicU64,
-    stopping: AtomicBool,
+    stop: Stop,
     maintenance: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -209,7 +242,7 @@ impl Cluster {
             created: AtomicU64::new(0),
             served: AtomicU64::new(0),
             violations: AtomicU64::new(0),
-            stopping: AtomicBool::new(false),
+            stop: Stop::default(),
             maintenance: Mutex::new(None),
         });
         let cadences = [
@@ -249,13 +282,21 @@ impl Cluster {
     /// Whether shutdown has been requested.
     #[must_use]
     pub fn stopping(&self) -> bool {
-        self.stopping.load(Ordering::Acquire)
+        self.stop.requested()
     }
 
-    /// Requests shutdown: the maintenance loop and the frontend accept
-    /// loop observe the flag and wind down.
+    /// Requests shutdown and wakes, at once, the maintenance loop, the
+    /// frontend's accept loop and every connection waiting for a
+    /// request; each winds down.
     pub fn begin_stop(&self) {
-        self.stopping.store(true, Ordering::Release);
+        self.stop.request();
+    }
+
+    /// Runs `wake` when [`Cluster::begin_stop`] is called, for as long
+    /// as the returned guard lives; `None` if it was called already.
+    /// How the maintenance loop and the frontend unblock their waits.
+    pub(crate) fn on_stop(&self, wake: impl Fn() + Send + 'static) -> Option<OnStop<'_>> {
+        self.stop.on_request(wake)
     }
 
     /// Full teardown: stops maintenance, then shuts every *spawned*
@@ -333,54 +374,82 @@ impl Cluster {
         }
     }
 
-    /// Restores the session from its retained snapshot onto a
-    /// surviving backend. Caller holds the route lock.
+    /// Reopens the session from its restore point on a surviving
+    /// backend. A session reopened from its scenario is snapshotted
+    /// there once: the snapshot becomes its restore point, and a
+    /// session that cannot snapshot is lost, as it would have no
+    /// restore point past step 0. Caller holds the route lock.
     fn failover_locked(&self, id: u64, state: &mut RouteState) -> Result<(), ServeError> {
         let dead = state.backend;
-        let Some(retained) = &state.retained else {
-            let msg = format!(
-                "session {id} lost: backend {dead} died and the session's algorithm \
-                 does not support snapshot/restore"
-            );
-            state.lost = Some(msg.clone());
-            self.backends[dead].sessions.fetch_sub(1, Ordering::Relaxed);
-            return Err(ServeError(msg));
-        };
-        // The snapshot may need several placement attempts if survivors
+        // Reopening may need several placement attempts if survivors
         // keep dying under us.
-        let request = Request::Restore {
-            snapshot: retained.snapshot.clone(),
-        };
+        let request = state.retained.reopen();
         for _ in 0..self.backends.len() {
             let target = self.least_loaded(Some(dead))?;
-            match self.open_on(target, id, &request) {
-                Opened::Created(info) => {
-                    let lost = state.acked_steps.saturating_sub(retained.steps);
-                    if lost > 0 {
-                        eprintln!(
-                            "rdbp-router: session {id} replayed from snapshot at step {} on \
-                             backend {target}; {lost} acknowledged request(s) lost",
-                            retained.steps
-                        );
-                    }
-                    state.lost_requests += lost;
-                    state.acked_steps = info.steps;
-                    state.failovers += 1;
-                    self.move_session_count(dead, target);
-                    state.backend = target;
-                    state.remote = info.id;
-                    return Ok(());
-                }
+            let info = match self.open_on(target, id, &request) {
+                Opened::Created(info) => info,
                 Opened::Refused(message) => {
-                    let msg = format!("session {id} lost: failover restore refused: {message}");
-                    state.lost = Some(msg.clone());
-                    self.backends[dead].sessions.fetch_sub(1, Ordering::Relaxed);
-                    return Err(ServeError(msg));
+                    return Err(self.lose(
+                        state,
+                        format!("session {id} lost: failover restore refused: {message}"),
+                    ));
                 }
-                Opened::Died(_) => {}
+                Opened::Died(_) => continue,
+            };
+            if let Retained::Scenario(_) = state.retained {
+                let copy = &self.backends[target];
+                match copy.call(id, &Request::Snapshot { session: info.id }) {
+                    Ok(Response::Snapshot { snapshot, .. }) => {
+                        state.retained = Retained::Snapshot {
+                            blob: snapshot,
+                            steps: info.steps,
+                        };
+                    }
+                    Ok(_) => {
+                        if let Err(e) = copy.call(id, &Request::Close { session: info.id }) {
+                            self.report_death(target, &e);
+                        }
+                        return Err(self.lose(
+                            state,
+                            format!(
+                                "session {id} lost: backend {dead} died and the session's \
+                                 algorithm does not support snapshot/restore"
+                            ),
+                        ));
+                    }
+                    Err(e) => {
+                        self.report_death(target, &e);
+                        continue;
+                    }
+                }
             }
+            let from = state.retained.steps();
+            let lost = state.acked_steps.saturating_sub(from);
+            if lost > 0 {
+                eprintln!(
+                    "rdbp-router: session {id} replayed from snapshot at step {from} on \
+                     backend {target}; {lost} acknowledged request(s) lost"
+                );
+            }
+            state.lost_requests += lost;
+            state.acked_steps = info.steps;
+            state.failovers += 1;
+            self.move_session_count(dead, target);
+            state.backend = target;
+            state.remote = info.id;
+            return Ok(());
         }
         Err(ServeError("no live backends".into()))
+    }
+
+    /// Marks the session lost for good and gives its dead backend's
+    /// count back; returns the error every later op answers.
+    fn lose(&self, state: &mut RouteState, msg: String) -> ServeError {
+        state.lost = Some(msg.clone());
+        self.backends[state.backend]
+            .sessions
+            .fetch_sub(1, Ordering::Relaxed);
+        ServeError(msg)
     }
 
     /// Sends `request`, which opens a session, to backend `target`.
@@ -426,46 +495,57 @@ impl Cluster {
                 Response::Error { message } => return Err(ServeError(message)),
                 other => return Err(ServeError(format!("unexpected snapshot reply {other:?}"))),
             };
-        state.retained = Some(Retained {
-            snapshot: snapshot.clone(),
+        state.retained = Retained::Snapshot {
+            blob: snapshot.clone(),
             steps: state.acked_steps,
-        });
+        };
         Ok(snapshot)
     }
 
     // --- session API --------------------------------------------------
 
-    /// Creates a session on the least-loaded backend and retains its
-    /// initial snapshot (when the algorithm supports one) so the
-    /// session is failover-protected from its very first request.
+    /// Creates a session on the least-loaded backend in one backend
+    /// call. The scenario is the session's restore point until its
+    /// first snapshot, so the session is failover-protected from its
+    /// very first request.
     ///
     /// # Errors
     /// Returns a [`ServeError`] if resolution fails or no backend is
     /// alive.
     pub fn create(&self, scenario: Scenario) -> Result<SessionInfo, ServeError> {
-        let scenario = Box::new(scenario);
-        self.place(&Request::Create { scenario })
+        let point = Retained::Scenario(Box::new(scenario));
+        let (id, target, info) = self.place(&point.reopen())?;
+        Ok(self.install_route(id, target, info, point))
     }
 
     /// Restores a session from a client-provided snapshot, placing it
-    /// like [`Cluster::create`].
+    /// like [`Cluster::create`]. The client's snapshot is the session's
+    /// restore point.
     ///
     /// # Errors
     /// Returns a [`ServeError`] on snapshot mismatches or if no backend
     /// is alive.
     pub fn restore(&self, snapshot: SnapshotBlob) -> Result<SessionInfo, ServeError> {
-        self.place(&Request::Restore { snapshot })
+        let (id, target, info) = self.place(&Request::Restore {
+            snapshot: snapshot.clone(),
+        })?;
+        let point = Retained::Snapshot {
+            blob: snapshot,
+            steps: info.steps,
+        };
+        Ok(self.install_route(id, target, info, point))
     }
 
     /// Sends `request`, which opens a session, to the least-loaded
-    /// backend, retrying past backends that die under the call, and
-    /// installs the new session's route.
-    fn place(&self, request: &Request) -> Result<SessionInfo, ServeError> {
+    /// backend, retrying past backends that die under the call. Returns
+    /// the router's id for the session, the backend it opened on, and
+    /// the backend's answer.
+    fn place(&self, request: &Request) -> Result<(u64, usize, SessionInfo), ServeError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         for _ in 0..self.backends.len() {
             let target = self.least_loaded(None)?;
             match self.open_on(target, id, request) {
-                Opened::Created(info) => return Ok(self.install_route(id, target, info)),
+                Opened::Created(info) => return Ok((id, target, info)),
                 Opened::Refused(message) => return Err(ServeError(message)),
                 Opened::Died(_) => {}
             }
@@ -474,13 +554,25 @@ impl Cluster {
     }
 
     /// Registers a fresh route for a just-created/restored remote
-    /// session, taking the initial retained snapshot.
-    fn install_route(&self, id: u64, target: usize, info: SessionInfo) -> SessionInfo {
+    /// session, with `retained` as its restore point. Makes no backend
+    /// call unless the session opened past step 0.
+    fn install_route(
+        &self,
+        id: u64,
+        target: usize,
+        info: SessionInfo,
+        retained: Retained,
+    ) -> SessionInfo {
         let mut state = RouteState {
             backend: target,
             remote: info.id,
+            retained,
             acked_steps: info.steps,
-            ..RouteState::default()
+            last_violations: 0,
+            migrations: 0,
+            failovers: 0,
+            lost_requests: 0,
+            lost: None,
         };
         // Counted before the first call that can fail the session over,
         // which moves the count.
@@ -495,10 +587,6 @@ impl Cluster {
                 state.last_violations = status.report.capacity_violations;
             }
         }
-        // Best-effort initial snapshot: a `static`-algorithm session
-        // simply stays unprotected (and is reported lost if its backend
-        // dies); everything else is restorable from its first step.
-        let _ = self.take_snapshot(id, &mut state);
         self.created.fetch_add(1, Ordering::Relaxed);
         self.routes.write().insert(id, Arc::new(Mutex::new(state)));
         SessionInfo { id, ..info }
@@ -685,7 +773,7 @@ impl Cluster {
             backend: state.backend as u64,
             migrations: state.migrations,
             failovers: state.failovers,
-            snapshot_steps: state.retained.as_ref().map_or(0, |r| r.steps),
+            snapshot_steps: state.retained.steps(),
             lost_requests: state.lost_requests,
         })
     }
@@ -748,8 +836,9 @@ impl Cluster {
         }
     }
 
-    /// Refreshes every session's retained snapshot (the periodic
-    /// background checkpoint that bounds the failover replay gap).
+    /// Refreshes every session's restore point with a snapshot (the
+    /// periodic background checkpoint that bounds the failover replay
+    /// gap).
     fn snapshot_sweep(&self) {
         for (id, route) in self.all_routes() {
             let mut state = route.lock();
@@ -758,7 +847,7 @@ impl Cluster {
             }
             // A snapshot refresh is an optimization, not an obligation:
             // errors (unsupported algorithm, backend mid-crash) keep
-            // the previous retained snapshot.
+            // the previous restore point.
             let _ = self.take_snapshot(id, &mut state);
         }
     }
@@ -802,14 +891,24 @@ impl Cluster {
 }
 
 /// The background loop: pings, failover sweeps, snapshot refreshes,
-/// rebalance checks — each on its own cadence.
+/// rebalance checks — each on its own cadence, checked every
+/// [`MAINTENANCE_TICK`]. A stop unparks the thread, ending the wait
+/// between ticks at once.
 fn maintenance_main(cluster: &Cluster, config: &ClusterConfig) {
+    let this = std::thread::current();
+    let Some(_on_stop) = cluster.on_stop(move || this.unpark()) else {
+        return;
+    };
     let now = Instant::now();
     let mut last_ping = now;
     let mut last_snapshot = now;
     let mut last_rebalance = now;
-    while !cluster.stopping() {
-        std::thread::sleep(Duration::from_millis(10));
+    loop {
+        // An early return only brings the tick sooner.
+        std::thread::park_timeout(MAINTENANCE_TICK);
+        if cluster.stopping() {
+            break;
+        }
         let now = Instant::now();
         if let Some(every) = config.ping_interval {
             if now.duration_since(last_ping) >= every {
@@ -870,10 +969,13 @@ pub fn sibling_serve_bin() -> Result<PathBuf, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::io::{self, Read, Write};
+    use std::net::{Shutdown, TcpListener, TcpStream};
 
     use rdbp_engine::{AlgorithmSpec, InstanceSpec, Registries, WorkloadSpec};
-    use rdbp_serve::{serve, Client, SessionManager};
+    use rdbp_serve::wire::Framer;
+    use rdbp_serve::{serve, Client, Proto, Session, SessionManager};
+    use serde::{Deserialize, Serialize};
 
     type Reactor = (SocketAddr, JoinHandle<std::io::Result<()>>);
 
@@ -903,6 +1005,213 @@ mod tests {
             Ok(Response::Stats { stats }) => stats.open_sessions,
             other => panic!("stats answered {other:?}"),
         }
+    }
+
+    /// A quiescent cluster attached to `backends`.
+    fn cluster_over(backends: &[SocketAddr]) -> Arc<Cluster> {
+        let mut config = ClusterConfig::quiescent();
+        config.attach = backends.to_vec();
+        Cluster::start(&config).expect("cluster over the reactors")
+    }
+
+    /// A `dynamic`×`hedge` session spec, which can snapshot.
+    fn hedge(seed: u64) -> Scenario {
+        let mut algorithm = AlgorithmSpec::named("dynamic");
+        algorithm.policy = Some("hedge".into());
+        Scenario::new(
+            InstanceSpec::packed(4, 8),
+            algorithm,
+            WorkloadSpec::named("uniform"),
+            seed,
+        )
+    }
+
+    type Proxy = (SocketAddr, Arc<Mutex<Vec<String>>>, JoinHandle<()>);
+
+    /// A loopback proxy in front of `backend` that passes every byte
+    /// through both ways and records the op of each request it passes.
+    /// It serves the connections one router's backend opens (monitor
+    /// and pool), and its thread ends once the router closes them.
+    fn recording_proxy(backend: SocketAddr) -> Proxy {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("proxy address");
+        let ops = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ops);
+        let handle = std::thread::spawn(move || {
+            std::thread::scope(|scope| {
+                for client in listener.incoming().take(1 + crate::backend::POOL) {
+                    let client = client.expect("accept the router");
+                    let server = TcpStream::connect(backend).expect("connect to the reactor");
+                    let mut replies = server.try_clone().expect("clone the reactor side");
+                    let mut to_client = client.try_clone().expect("clone the router side");
+                    scope.spawn(move || {
+                        let _ = io::copy(&mut replies, &mut to_client);
+                        let _ = to_client.shutdown(Shutdown::Both);
+                    });
+                    let seen = &seen;
+                    scope.spawn(move || forward_requests(client, server, seen));
+                }
+            });
+        });
+        (addr, ops, handle)
+    }
+
+    fn forward_requests(mut client: TcpStream, mut server: TcpStream, seen: &Mutex<Vec<String>>) {
+        let mut framer = Framer::new(Proto::Binary);
+        let mut chunk = [0u8; 16 * 1024];
+        while let Ok(n @ 1..) = client.read(&mut chunk) {
+            framer.push(&chunk[..n]);
+            while let Some(request) = framer.next_request() {
+                let tree = request.expect("a well-formed request").to_value();
+                let op = String::from_value(tree.get_field("op").expect("an op tag"));
+                seen.lock().push(op.expect("a string op"));
+            }
+            if server.write_all(&chunk[..n]).is_err() {
+                break;
+            }
+        }
+        let _ = server.shutdown(Shutdown::Both);
+    }
+
+    #[test]
+    fn create_and_restore_each_make_one_backend_call() {
+        let backend = reactor();
+        let (proxy, ops, forwarding) = recording_proxy(backend.0);
+        let cluster = cluster_over(&[proxy]);
+        ops.lock().clear();
+
+        let id = cluster.create(hedge(0)).expect("create").id;
+        assert_eq!(*ops.lock(), ["create"], "the scenario is the restore point");
+        cluster.submit(id, &Work::Generate(30)).expect("submit");
+        let blob = cluster.snapshot(id).expect("snapshot");
+
+        ops.lock().clear();
+        let twin = cluster.restore(blob).expect("restore").id;
+        // The client's blob is the restore point; the query reads the
+        // violations the twin opened with.
+        assert_eq!(*ops.lock(), ["restore", "query"], "no snapshot call");
+        assert_eq!(cluster.lineage(twin).expect("lineage").snapshot_steps, 30);
+
+        cluster.close(twin).expect("close the twin");
+        cluster.close(id).expect("close");
+        cluster.shutdown();
+        drop(cluster);
+        forwarding.join().expect("proxy thread");
+        stop(backend);
+    }
+
+    #[test]
+    fn a_never_snapshotted_session_fails_over_from_its_create_request() {
+        let mut reactors = vec![reactor(), reactor()];
+        let cluster = cluster_over(&[reactors[0].0, reactors[1].0]);
+        let id = cluster.create(hedge(3)).expect("create").id;
+        cluster.submit(id, &Work::Generate(60)).expect("submit");
+        let host = cluster.lineage(id).expect("lineage").backend as usize;
+        stop(reactors.remove(host));
+
+        // The query finds the host dead: the survivor creates the
+        // session afresh, and the 60 acknowledged requests are lost.
+        let status = cluster.query(id).expect("query after the failover");
+        assert_eq!(status.report.steps, 0);
+        let lineage = cluster.lineage(id).expect("lineage");
+        assert_eq!(lineage.backend, 1 - host as u64);
+        assert_eq!(
+            (
+                lineage.failovers,
+                lineage.snapshot_steps,
+                lineage.lost_requests
+            ),
+            (1, 0, 60)
+        );
+        let survivor = reactors[0].0;
+        assert_eq!(open_sessions(survivor), 1, "one copy on the survivor");
+        let roster: Vec<_> = cluster.cluster_info().iter().map(|b| b.sessions).collect();
+        assert_eq!(roster.iter().sum::<u64>(), 1, "counted once: {roster:?}");
+
+        // What the survivor holds is the session at step 0: the blob
+        // the create-time snapshot used to retain.
+        let blob = cluster.snapshot(id).expect("snapshot on the survivor");
+        let fresh = Session::new(hedge(3), &Registries::builtin()).expect("in-process session");
+        let want =
+            SnapshotBlob::encode(&fresh.snapshot().expect("fresh snapshot")).expect("encode");
+        assert_eq!(blob.as_bytes(), want.as_bytes());
+
+        cluster.close(id).expect("close");
+        assert_eq!(open_sessions(survivor), 0);
+        cluster.shutdown();
+        stop(reactors.remove(0));
+    }
+
+    #[test]
+    fn a_session_failed_over_from_its_create_request_keeps_the_survivors_snapshot() {
+        let mut reactors = vec![reactor(), reactor(), reactor()];
+        let (proxy, ops, forwarding) = recording_proxy(reactors[2].0);
+        let cluster = cluster_over(&[reactors[0].0, reactors[1].0, proxy]);
+        let id = cluster.create(hedge(7)).expect("create").id;
+        cluster.submit(id, &Work::Generate(20)).expect("submit");
+        // Ties in session count go to the lowest backend id.
+        stop(reactors.remove(0));
+        cluster
+            .submit(id, &Work::Generate(30))
+            .expect("submit after the first failover");
+        assert_eq!(cluster.lineage(id).expect("lineage").backend, 1);
+
+        // The first failover re-created the session and snapshotted it
+        // there, so the second restores that snapshot.
+        ops.lock().clear();
+        stop(reactors.remove(0));
+        let status = cluster.query(id).expect("query after the second failover");
+        assert_eq!(status.report.steps, 0);
+        assert_eq!(*ops.lock(), ["restore", "query"]);
+        let lineage = cluster.lineage(id).expect("lineage");
+        assert_eq!(
+            (
+                lineage.failovers,
+                lineage.snapshot_steps,
+                lineage.lost_requests
+            ),
+            (2, 0, 50)
+        );
+
+        cluster.close(id).expect("close");
+        cluster.shutdown();
+        drop(cluster);
+        forwarding.join().expect("proxy thread");
+        stop(reactors.remove(0));
+    }
+
+    #[test]
+    fn a_restored_session_fails_over_to_the_clients_snapshot() {
+        let mut reactors = vec![reactor(), reactor()];
+        let cluster = cluster_over(&[reactors[0].0, reactors[1].0]);
+        let id = cluster.create(hedge(5)).expect("create").id;
+        cluster.submit(id, &Work::Generate(40)).expect("submit");
+        let blob = cluster.snapshot(id).expect("snapshot");
+        let twin = cluster.restore(blob).expect("restore").id;
+        cluster
+            .submit(twin, &Work::Generate(25))
+            .expect("submit to the twin");
+        let host = cluster.lineage(twin).expect("lineage").backend as usize;
+        stop(reactors.remove(host));
+
+        let status = cluster.query(twin).expect("query after the failover");
+        assert_eq!(status.report.steps, 40, "rewound to the client's snapshot");
+        let lineage = cluster.lineage(twin).expect("lineage");
+        assert_eq!(
+            (
+                lineage.failovers,
+                lineage.snapshot_steps,
+                lineage.lost_requests
+            ),
+            (1, 40, 25)
+        );
+
+        for session in [twin, id] {
+            cluster.close(session).expect("close");
+        }
+        assert_eq!(open_sessions(reactors[0].0), 0);
+        cluster.shutdown();
+        stop(reactors.remove(0));
     }
 
     #[test]
@@ -945,7 +1254,7 @@ mod tests {
         let lineage = cluster.lineage(id).expect("lineage");
         assert_eq!(lineage.backend, survivor as u64);
         assert_eq!((lineage.migrations, lineage.failovers), (0, 1));
-        // The failover rewound to the creation snapshot.
+        // The failover rewound to the create request.
         assert_eq!(lineage.lost_requests, 100);
         let summary = cluster.submit(id, &Work::Generate(10)).expect("submit");
         assert_eq!(summary.steps, 10);

@@ -17,20 +17,20 @@
 //! handful of client connections a router fronts don't need
 //! multiplexing. Requests pipelined on one connection are answered
 //! strictly in order.
+//!
+//! Nothing here sleeps or polls on a timer. The accept loop blocks in
+//! `accept`, and connection threads block in their reads;
+//! [`Cluster::begin_stop`] connects to the listener and shuts every
+//! connection for reading, so a stop wakes all of them at once.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
 use rdbp_serve::wire::{Framer, WireError};
 use rdbp_serve::{Proto, Request, Response};
 
 use crate::cluster::Cluster;
-
-/// How often a connection thread wakes from a blocking read to check
-/// the cluster-wide stop flag.
-const READ_TICK: Duration = Duration::from_millis(100);
 
 /// Runs the router frontend on `listener` until a client sends
 /// `shutdown` (or [`Cluster::begin_stop`] is called). Does **not**
@@ -41,10 +41,21 @@ const READ_TICK: Duration = Duration::from_millis(100);
 /// Returns I/O errors from the accept loop's own machinery;
 /// per-connection errors only end that connection.
 pub fn serve_router(listener: TcpListener, cluster: &Arc<Cluster>, proto: Proto) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+    listener.set_nonblocking(false)?;
+    // A stop wakes the blocked accept with a connection of its own.
+    let wake = reachable(listener.local_addr()?);
+    let Some(_on_stop) = cluster.on_stop(move || {
+        let _ = TcpStream::connect(wake);
+    }) else {
+        return Ok(());
+    };
     let mut workers = Vec::new();
-    while !cluster.stopping() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if cluster.stopping() {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let cluster = Arc::clone(cluster);
                 let handle = std::thread::Builder::new()
@@ -52,24 +63,42 @@ pub fn serve_router(listener: TcpListener, cluster: &Arc<Cluster>, proto: Proto)
                     .spawn(move || connection_main(stream, &cluster, proto))?;
                 workers.push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
         workers.retain(|handle| !handle.is_finished());
     }
-    // Connection threads observe the stop flag within one read tick.
+    // The stop woke every connection thread too.
     for handle in workers {
         let _ = handle.join();
     }
     Ok(())
 }
 
+/// The address this host connects to to reach a listener bound to
+/// `addr`: loopback in place of an unspecified address.
+fn reachable(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
 fn connection_main(mut stream: TcpStream, cluster: &Arc<Cluster>, proto: Proto) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TICK));
+    // A stop shuts the connection for reading, which ends a blocked
+    // read; a reply being written still goes out. A connection that
+    // cannot be watched, or that opens after the stop, closes at once.
+    let Ok(watched) = stream.try_clone() else {
+        return;
+    };
+    let Some(_on_stop) = cluster.on_stop(move || {
+        let _ = watched.shutdown(Shutdown::Read);
+    }) else {
+        return;
+    };
     let mut framer = Framer::new(proto);
     // Set on EOF, a framing violation or `shutdown`: no further
     // message is read or answered.
@@ -79,13 +108,7 @@ fn connection_main(mut stream: TcpStream, cluster: &Arc<Cluster>, proto: Proto) 
         match stream.read(&mut chunk) {
             Ok(0) => closing = true,
             Ok(n) => framer.push(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                continue;
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
         while let Some(message) = framer.next_request() {

@@ -22,18 +22,21 @@
 //!   least loaded when the spread crosses a threshold: greedy
 //!   least-loaded placement, the systems-layer echo of the paper's
 //!   online repartitioning problem.
-//! * **Crash failover** — the router retains periodic snapshots of
-//!   every session; when a backend dies (op I/O error or ping
-//!   timeout), its sessions are restored onto survivors and the
-//!   client sees at most a replay gap, reported honestly through the
-//!   `lineage` op as "replayed from snapshot step N, lost K
-//!   acknowledged requests".
+//! * **Crash failover** — the router retains a restore point for
+//!   every session: the create request until the session's first
+//!   snapshot, then the latest snapshot. When a backend dies (op I/O
+//!   error or ping timeout), its sessions are reopened on survivors
+//!   and the client sees at most a replay gap, reported honestly
+//!   through the `lineage` op as "replayed from snapshot step N, lost
+//!   K acknowledged requests".
 //!
 //! Module map: [`backend`] wraps one `rdbp-serve` process (spawn or
 //! attach, health-checked `hello` handshake, pooled connections,
 //! liveness pings); [`cluster`] is the routing table and the
 //! migration/failover/rebalance engine; [`frontend`] is the
-//! client-facing TCP listener (blocking, thread per connection).
+//! client-facing TCP listener (blocking, thread per connection). A
+//! private `stop` module is the stop flag, which wakes the
+//! maintenance loop and the frontend's blocked threads at once.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -50,6 +53,7 @@
 pub mod backend;
 pub mod cluster;
 pub mod frontend;
+mod stop;
 
 pub use backend::{Backend, PING_TIMEOUT};
 pub use cluster::{sibling_serve_bin, Cluster, ClusterConfig};

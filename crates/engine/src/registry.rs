@@ -364,7 +364,7 @@ impl OracleRegistry {
     pub fn builtin() -> Self {
         let mut reg = Self::empty();
         reg.register("exact", |_inst, _spec, _seed| {
-            Ok(Box::new(ExactDynamicOracle) as Box<dyn OfflineOracle>)
+            Ok(Box::new(ExactDynamicOracle::default()) as Box<dyn OfflineOracle>)
         });
         reg.register("ringload", |_inst, _spec, _seed| {
             Ok(Box::new(RingloadOracle::new()) as _)

@@ -77,8 +77,42 @@ pub trait OfflineOracle {
 /// oracle. Both bounds are `OPT` inside its envelope (`n ≤ 12`,
 /// `ℓ ≤ 5`); outside it the lower bound degrades to the trivial `0`
 /// and there is no upper bound.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactDynamicOracle;
+///
+/// It remembers the last inputs it solved and their `OPT`, so asking
+/// for both bounds on one run solves the DP once.
+#[derive(Debug, Clone, Default)]
+pub struct ExactDynamicOracle {
+    last: Option<Solved>,
+}
+
+/// One input [`ExactDynamicOracle`] solved, and its optimum.
+#[derive(Debug, Clone)]
+struct Solved {
+    instance: RingInstance,
+    initial: Placement,
+    trace: Vec<Edge>,
+    opt: u64,
+}
+
+impl ExactDynamicOracle {
+    /// [`dynamic_opt`] on these inputs, reused if they are the last
+    /// ones solved.
+    fn opt(&mut self, instance: &RingInstance, initial: &Placement, trace: &[Edge]) -> u64 {
+        if let Some(last) = &self.last {
+            if last.instance == *instance && last.initial == *initial && last.trace == trace {
+                return last.opt;
+            }
+        }
+        let opt = dynamic_opt(instance, initial, trace);
+        self.last = Some(Solved {
+            instance: *instance,
+            initial: initial.clone(),
+            trace: trace.to_vec(),
+            opt,
+        });
+        opt
+    }
+}
 
 impl OfflineOracle for ExactDynamicOracle {
     fn name(&self) -> &'static str {
@@ -91,7 +125,7 @@ impl OfflineOracle for ExactDynamicOracle {
 
     fn lower_bound(&mut self, instance: &RingInstance, initial: &Placement, trace: &[Edge]) -> f64 {
         if self.supports(instance) {
-            dynamic_opt(instance, initial, trace) as f64
+            self.opt(instance, initial, trace) as f64
         } else {
             0.0
         }
@@ -104,7 +138,7 @@ impl OfflineOracle for ExactDynamicOracle {
         trace: &[Edge],
     ) -> Option<f64> {
         self.supports(instance)
-            .then(|| dynamic_opt(instance, initial, trace) as f64)
+            .then(|| self.opt(instance, initial, trace) as f64)
     }
 }
 
@@ -127,13 +161,15 @@ pub struct OracleReport {
     /// produced one.
     pub upper_bound: Option<f64>,
     /// `cost / max(lower_bound, 1)` — an upper bound on the true
-    /// competitive ratio of this run.
-    pub ratio: f64,
+    /// competitive ratio of this run — or `None` when the lower bound
+    /// is 0, which certifies no ratio at all.
+    pub ratio: Option<f64>,
 }
 
 impl OracleReport {
-    /// Builds a report, deriving the ratio with the `max(·, 1)` guard
-    /// (a zero lower bound must not divide).
+    /// Builds a report, deriving the ratio: none for a zero lower
+    /// bound, and with the `max(·, 1)` guard otherwise (a fractional
+    /// bound below 1 must not inflate it).
     #[must_use]
     pub fn new(
         oracle: impl Into<String>,
@@ -146,7 +182,7 @@ impl OracleReport {
             cost,
             lower_bound,
             upper_bound,
-            ratio: cost as f64 / lower_bound.max(1.0),
+            ratio: (lower_bound > 0.0).then(|| cost as f64 / lower_bound.max(1.0)),
         }
     }
 }
@@ -164,7 +200,7 @@ mod tests {
         let inst = RingInstance::packed(2, 4);
         let initial = Placement::contiguous(&inst);
         let trace = tiny_trace(&inst);
-        let mut oracle = ExactDynamicOracle;
+        let mut oracle = ExactDynamicOracle::default();
         assert!(oracle.supports(&inst));
         let lb = oracle.lower_bound(&inst, &initial, &trace);
         let ub = oracle.upper_bound(&inst, &initial, &trace).unwrap();
@@ -174,11 +210,38 @@ mod tests {
     }
 
     #[test]
+    fn exact_oracle_reuses_a_solve_only_for_the_same_inputs() {
+        let inst = RingInstance::packed(2, 4);
+        let initial = Placement::contiguous(&inst);
+        let moved = Placement::from_assignment(&inst, vec![1, 0, 0, 0, 1, 1, 1, 0]);
+        let trace = tiny_trace(&inst);
+        let other: Vec<Edge> = (0..40u64).map(|i| inst.edge(i * 5 + 2)).collect();
+        let mut oracle = ExactDynamicOracle::default();
+        for (start, requests) in [
+            (&initial, &trace),
+            (&initial, &other),
+            (&moved, &other),
+            (&initial, &trace),
+        ] {
+            let opt = dynamic_opt(&inst, start, requests) as f64;
+            assert_eq!(oracle.lower_bound(&inst, start, requests), opt);
+            assert_eq!(oracle.upper_bound(&inst, start, requests), Some(opt));
+        }
+        // The same assignment and trace with room to spare on a
+        // server: one migration instead of two uncuts the hot edge.
+        let hot = vec![inst.edge(3); 40];
+        assert_eq!(oracle.lower_bound(&inst, &initial, &hot), 3.0);
+        let wider = RingInstance::new(8, 2, 5);
+        let start = Placement::from_assignment(&wider, initial.assignment().to_vec());
+        assert_eq!(oracle.upper_bound(&wider, &start, &hot), Some(2.0));
+    }
+
+    #[test]
     fn exact_oracle_degrades_gracefully_outside_its_envelope() {
         let inst = RingInstance::packed(8, 32);
         let initial = Placement::contiguous(&inst);
         let trace = tiny_trace(&inst);
-        let mut oracle = ExactDynamicOracle;
+        let mut oracle = ExactDynamicOracle::default();
         assert!(!oracle.supports(&inst));
         assert_eq!(oracle.lower_bound(&inst, &initial, &trace), 0.0);
         assert_eq!(oracle.upper_bound(&inst, &initial, &trace), None);
@@ -187,9 +250,9 @@ mod tests {
     #[test]
     fn oracle_report_guards_the_ratio_and_round_trips() {
         let r = OracleReport::new("ringload", 120, 40.0, Some(90.0));
-        assert_eq!(r.ratio, 3.0);
+        assert_eq!(r.ratio, Some(3.0));
         let zero = OracleReport::new("ringload", 7, 0.0, None);
-        assert_eq!(zero.ratio, 7.0, "max(lb,1) guard");
+        assert_eq!(zero.ratio, None, "a zero LB certifies no ratio");
         for report in [&r, &zero] {
             let back = OracleReport::from_value(&report.to_value()).unwrap();
             assert_eq!(&back, report);

@@ -81,9 +81,10 @@ pub struct SessionLineage {
     pub backend: u64,
     /// Completed live migrations.
     pub migrations: u64,
-    /// Crash failovers (re-restores from a router-held snapshot).
+    /// Crash failovers (reopenings from the router-held restore point).
     pub failovers: u64,
-    /// Steps at the retained snapshot the router would replay from.
+    /// Steps at the restore point the router would replay from (0
+    /// while that is the session's create request).
     pub snapshot_steps: u64,
     /// Requests acknowledged to clients but lost to crashes — the
     /// explicit "replayed from snapshot N, lost K requests" contract.

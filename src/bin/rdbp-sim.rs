@@ -449,9 +449,12 @@ fn main() {
             let ub = orep
                 .upper_bound
                 .map_or_else(|| "n/a".to_string(), |u| format!("{u:.1}"));
+            let ratio = orep
+                .ratio
+                .map_or_else(|| "-".to_string(), |r| format!("{r:.2}"));
             println!(
-                "oracle {}: LB {:.1} UB {ub} → ratio {:.2}",
-                orep.oracle, orep.lower_bound, orep.ratio
+                "oracle {}: LB {:.1} UB {ub} → ratio {ratio}",
+                orep.oracle, orep.lower_bound
             );
         }
     }

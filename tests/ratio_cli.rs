@@ -1,7 +1,7 @@
 //! `rdbp-sim --ratio` compares a run against an offline oracle from
 //! the CLI; these tests pin the JSON shape of the `oracle` object, the
-//! default oracle choice, and the guard rails (unsupported instances,
-//! `--batch` incompatibility). The adversary flags' key list and
+//! default oracle choice, the absent ratio of a zero lower bound, and
+//! the guard rails (unsupported instances, `--batch` incompatibility). The adversary flags' key list and
 //! unknown-key error are pinned here too, and so are `--load-trace`
 //! refusing a trace that names an edge outside its ring and the refusal
 //! of a misspelled flag.
@@ -136,6 +136,34 @@ fn exact_oracle_works_on_tiny_instances_and_refuses_large_ones() {
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("does not support"), "unhelpful error: {err}");
     assert!(err.contains("ringload"), "should suggest ringload: {err}");
+}
+
+#[test]
+fn a_zero_lower_bound_reports_no_ratio() {
+    // 40·k zipf requests are too few for a k-edge window to complete a
+    // phase, so LB = 0 certifies nothing: the ratio is absent, not the
+    // raw online cost.
+    let args = [
+        "--servers",
+        "8",
+        "--capacity",
+        "640",
+        "--workload",
+        "zipf",
+        "--steps",
+        "25600",
+        "--ratio",
+    ];
+    let text = sim_ok(&args);
+    assert!(
+        text.contains("\noracle ringload: LB 0.0 UB 10.0 → ratio -\n"),
+        "{text}"
+    );
+    let json = sim_ok(&[&args[..], &["--json"]].concat());
+    assert!(
+        json.contains("\"lower_bound\":0.0,\"upper_bound\":10.0,\"ratio\":null}"),
+        "{json}"
+    );
 }
 
 #[test]

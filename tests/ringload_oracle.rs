@@ -139,7 +139,7 @@ fn exact_oracle_and_ringload_agree_on_ordering() {
     let inst = RingInstance::packed(2, 4);
     let initial = Placement::contiguous(&inst);
     let trace: Vec<Edge> = (0..80u64).map(|i| inst.edge(i * 5 + 2)).collect();
-    let mut exact = ExactDynamicOracle;
+    let mut exact = ExactDynamicOracle::default();
     let mut ringload = RingloadOracle::new();
     let opt = exact
         .upper_bound(&inst, &initial, &trace)
