@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use rdbp_model::{Edge, OnlineAlgorithm, Placement, RingInstance, Server};
+use rdbp_model::{Edge, OnlineAlgorithm, Placement, Referee, RingInstance, Server};
 use rdbp_mts::{MtsPolicy, PolicyKind};
 
 /// Configuration for [`DynamicPartitioner`].
@@ -70,8 +70,8 @@ pub struct DynamicPartitioner {
     /// index inside its interval).
     cut_state: Vec<u32>,
     placement: Placement,
-    /// Scratch: per-request interval routes for [`Self::serve_batch`]
-    /// (reused across batches).
+    /// Scratch: per-request interval routes for
+    /// [`OnlineAlgorithm::serve_refereed`] (reused across batches).
     route_buf: Vec<[(u32, u32); 2]>,
     /// Proxy costs per interval: hits on the cut edge…
     interval_hit: Vec<u64>,
@@ -320,7 +320,7 @@ impl DynamicPartitioner {
 
     /// Serves one request along its pre-computed interval route —
     /// the shared body of [`OnlineAlgorithm::serve`] and the batched
-    /// [`OnlineAlgorithm::serve_batch`]. Each hit goes through the
+    /// [`OnlineAlgorithm::serve_refereed`]. Each hit goes through the
     /// policies' [`MtsPolicy::serve_hit`] point fast path, so no cost
     /// vector is ever materialized.
     fn serve_routed(&mut self, route: [(u32, u32); 2]) -> u64 {
@@ -429,20 +429,18 @@ impl OnlineAlgorithm for DynamicPartitioner {
     // Batch specialization: interval routing depends only on the fixed
     // geometry (shift, k′), never on the placement, so the whole batch
     // is routed up front in one tight pass; serving then touches the
-    // policies with the is-cut check interleaved per request, exactly
-    // like the per-step path (identical ledgers guaranteed).
-    fn serve_batch(&mut self, requests: &[Edge]) -> rdbp_model::BatchOutcome {
+    // policies request by request, with the referee's charge and audit
+    // around each, so the placement moves exactly as under `serve`.
+    fn serve_refereed(&mut self, requests: &[Edge], referee: &mut dyn Referee) {
         let mut route = std::mem::take(&mut self.route_buf);
         route.clear();
         route.extend(requests.iter().map(|&e| self.intervals_of(e)));
-        let mut out = rdbp_model::BatchOutcome::default();
         for (&request, &pairs) in requests.iter().zip(&route) {
-            out.charged += u64::from(self.placement.is_cut(request));
-            out.migrations += self.serve_routed(pairs);
-            out.max_load_seen = out.max_load_seen.max(self.placement.max_load());
+            referee.before_serve(&self.placement, request);
+            let migrations = self.serve_routed(pairs);
+            referee.after_serve(&mut self.placement, migrations);
         }
         self.route_buf = route;
-        out
     }
 
     fn name(&self) -> &'static str {

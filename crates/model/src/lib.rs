@@ -56,6 +56,6 @@ pub use placement::{JournalIter, MigrationJournal, MigrationRecord, Placement};
 pub use seed::split_mix64;
 pub use sim::{
     run, run_trace, AuditLevel, BatchEvent, BatchOutcome, Driver, NoopObserver, Observer,
-    OnlineAlgorithm, RunReport, StepEvent,
+    OnlineAlgorithm, Referee, RunReport, StepEvent,
 };
 pub use workload::Workload;

@@ -18,13 +18,18 @@
 //!
 //! [`Driver::step_batch`] / [`Driver::step_batch_generated`] serve a
 //! whole request batch with one observer dispatch ([`BatchEvent`])
-//! instead of one per request. Accounting is bit-identical to the
-//! per-step entry points: under full auditing every request still runs
-//! every audit; under [`AuditLevel::None`] the batch is handed to
-//! [`OnlineAlgorithm::serve_batch`], whose contract fixes the same
-//! request-at-a-time charging order. Adaptive workloads (those that
-//! inspect the live placement) are automatically generated
-//! request-by-request so batching never changes what an adversary sees.
+//! instead of one per request. Every entry point, per-step or batched,
+//! at either audit level, hands its requests to
+//! [`OnlineAlgorithm::serve_refereed`] with the driver as the
+//! [`Referee`]: the algorithm keeps its own batch loop (e.g. a
+//! pre-routed one), and the driver still charges and audits each
+//! request itself, on the placement as it stands, checking that the
+//! algorithm reported every request once and in order. So accounting
+//! is bit-identical to the per-step entry points, and nothing an
+//! algorithm claims about its own costs reaches the ledger. Adaptive
+//! workloads (those that inspect the live placement) are automatically
+//! generated request-by-request so batching never changes what an
+//! adversary sees.
 
 use std::collections::HashMap;
 
@@ -38,7 +43,8 @@ use crate::{CostLedger, Edge, Placement, Process, WorkCounters};
 /// while amortizing the per-edge virtual dispatch.
 const GEN_CHUNK: u64 = 4096;
 
-/// What a whole batch did inside [`OnlineAlgorithm::serve_batch`].
+/// What a whole batch did inside [`OnlineAlgorithm::serve_batch`]:
+/// the counting [`Referee`] that method runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchOutcome {
     /// Requests whose edge was cut *at request time* (communication
@@ -49,6 +55,32 @@ pub struct BatchOutcome {
     /// Largest max-load observed after serving each request of the
     /// batch.
     pub max_load_seen: u32,
+}
+
+impl Referee for BatchOutcome {
+    fn before_serve(&mut self, placement: &Placement, request: Edge) {
+        self.charged += u64::from(placement.is_cut(request));
+    }
+
+    fn after_serve(&mut self, placement: &mut Placement, migrations: u64) {
+        self.migrations += migrations;
+        self.max_load_seen = self.max_load_seen.max(placement.max_load());
+    }
+}
+
+/// The per-request callback of [`OnlineAlgorithm::serve_refereed`]: an
+/// algorithm's batch loop hands every request to its referee before and
+/// after serving it, so the referee charges and audits each request on
+/// the placement as it stands while the algorithm keeps its own loop.
+pub trait Referee {
+    /// Called once per request, in order, before the algorithm reacts
+    /// to it: `placement` is the placement the request is charged on.
+    fn before_serve(&mut self, placement: &Placement, request: Edge);
+
+    /// Called once per request, right after the algorithm served it,
+    /// with the migrations it reports for that request. The referee may
+    /// drain the placement's migration journal here.
+    fn after_serve(&mut self, placement: &mut Placement, migrations: u64);
 }
 
 /// An online algorithm for ring-demand balanced partitioning.
@@ -62,31 +94,48 @@ pub trait OnlineAlgorithm {
     fn placement(&self) -> &Placement;
 
     /// Mutable access to the placement — **driver plumbing**, used to
-    /// arm and drain the migration journal around each audited serve.
+    /// arm and disarm the migration journal around each refereed call.
     /// Algorithms must route their own moves through
     /// [`Placement::migrate`]/[`Placement::migrate_segment`] as usual.
     fn placement_mut(&mut self) -> &mut Placement;
 
     /// Serves one communication request and returns the number of
     /// process migrations performed while serving it.
+    ///
+    /// The driver never calls this directly: it goes through
+    /// [`OnlineAlgorithm::serve_refereed`], whose default loops over
+    /// `serve`.
     fn serve(&mut self, request: Edge) -> u64;
 
-    /// Serves a request batch, charging communication per request from
-    /// the placement *as it stands when that request is reached* (the
-    /// same order the per-step driver uses).
+    /// Serves a request batch in order, reporting every request to
+    /// `referee`: [`Referee::before_serve`] with the placement as it
+    /// stands when that request is reached, then
+    /// [`Referee::after_serve`] with the migrations serving it took.
+    /// Every [`Driver`] entry point charges and audits through this.
     ///
-    /// The default loops over [`OnlineAlgorithm::serve`];
-    /// implementations may specialize (e.g. pre-route the whole batch)
-    /// but must keep the request-at-a-time accounting order so batched
-    /// and unbatched runs produce identical ledgers.
-    fn serve_batch(&mut self, requests: &[Edge]) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
+    /// The default loops over [`OnlineAlgorithm::serve`].
+    /// Implementations may specialize it (e.g. pre-route the whole
+    /// batch) but must call the referee exactly once before and once
+    /// after each request, in request order, with the requests given,
+    /// and make no move after the last `after_serve`: the driver panics
+    /// on a skipped, repeated, substituted or unsettled request, and
+    /// under full audit on an unsettled migration.
+    fn serve_refereed(&mut self, requests: &[Edge], referee: &mut dyn Referee) {
         for &request in requests {
-            out.charged += u64::from(self.placement().is_cut(request));
-            out.migrations += self.serve(request);
-            out.max_load_seen = out.max_load_seen.max(self.placement().max_load());
+            referee.before_serve(self.placement(), request);
+            let migrations = self.serve(request);
+            referee.after_serve(self.placement_mut(), migrations);
         }
-        out
+    }
+
+    /// Serves a request batch without a driver and counts what it did:
+    /// [`OnlineAlgorithm::serve_refereed`] with [`BatchOutcome`] as the
+    /// referee. The driver never calls this, so nothing an algorithm
+    /// reports here reaches a ledger.
+    fn serve_batch(&mut self, requests: &[Edge]) -> BatchOutcome {
+        let mut outcome = BatchOutcome::default();
+        self.serve_refereed(requests, &mut outcome);
+        outcome
     }
 
     /// Human-readable name (for reports).
@@ -310,7 +359,9 @@ impl Observer for NoopObserver {
 ///
 /// # Panics
 /// Panics under [`AuditLevel::Full`] if the algorithm mis-reports its
-/// migrations (reported ≠ journaled moves).
+/// migrations (reported ≠ journaled moves), and at either level if its
+/// [`OnlineAlgorithm::serve_refereed`] skips, repeats, substitutes or
+/// leaves unsettled a request.
 pub fn run<A, W>(algorithm: &mut A, workload: &mut W, steps: u64, audit: AuditLevel) -> RunReport
 where
     A: OnlineAlgorithm + ?Sized,
@@ -468,14 +519,23 @@ impl Driver {
     where
         A: OnlineAlgorithm + ?Sized,
     {
-        let event = self.step_inner(algorithm, request);
+        let mut one = BatchEvent::at(self.report.steps);
+        self.referee(algorithm, std::slice::from_ref(&request), &mut one);
+        let event = StepEvent {
+            step: one.start_step,
+            request,
+            charged: one.charged == 1,
+            migrations: one.migrations,
+            max_load: one.max_load,
+            violated: one.violations == 1,
+        };
         observer.on_step(&event);
         event
     }
 
     /// Serves an explicit request batch, emitting one [`BatchEvent`] to
-    /// `observer` (no per-step events). Under full auditing every
-    /// request still runs the journal and capacity audits.
+    /// `observer` (no per-step events). Every request is charged and
+    /// audited exactly as [`Driver::step`] would.
     ///
     /// # Panics
     /// Same contract as [`run`].
@@ -489,7 +549,7 @@ impl Driver {
         A: OnlineAlgorithm + ?Sized,
     {
         let mut event = BatchEvent::at(self.report.steps);
-        self.step_batch_inner(algorithm, requests, &mut event);
+        self.referee(algorithm, requests, &mut event);
         observer.on_batch(&event);
         event
     }
@@ -520,8 +580,7 @@ impl Driver {
         if workload.is_adaptive() {
             for _ in 0..steps {
                 let request = workload.next_request(algorithm.placement());
-                let step = self.step_inner(algorithm, request);
-                accumulate(&mut event, &step);
+                self.referee(algorithm, std::slice::from_ref(&request), &mut event);
             }
         } else {
             let mut buf = std::mem::take(&mut self.gen_buf);
@@ -531,7 +590,7 @@ impl Driver {
                 buf.clear();
                 workload.fill_batch(algorithm.placement(), take, &mut buf);
                 debug_assert_eq!(buf.len() as u64, take, "fill_batch under-filled");
-                self.step_batch_inner(algorithm, &buf, &mut event);
+                self.referee(algorithm, &buf, &mut event);
                 left -= take;
             }
             self.gen_buf = buf;
@@ -540,100 +599,38 @@ impl Driver {
         event
     }
 
-    /// Batch body shared by [`Driver::step_batch`] and
-    /// [`Driver::step_batch_generated`]: accounts the requests without
-    /// dispatching any observer event.
-    fn step_batch_inner<A>(&mut self, algorithm: &mut A, requests: &[Edge], event: &mut BatchEvent)
+    /// The one serving path of every entry point: hands `requests` to
+    /// [`OnlineAlgorithm::serve_refereed`] with this driver as the
+    /// [`Referee`], adding each request's accounting to `event`.
+    ///
+    /// The journal is armed (full audit) or disarmed (no audit) once per
+    /// call: a snapshot restore replaces the placement wholesale, but
+    /// none can happen inside a call. Under full audit the call must
+    /// also leave the journal drained, so no move made after the last
+    /// request was settled goes unaudited.
+    fn referee<A>(&mut self, algorithm: &mut A, requests: &[Edge], event: &mut BatchEvent)
     where
         A: OnlineAlgorithm + ?Sized,
     {
-        match self.audit {
-            AuditLevel::Full { .. } => {
-                // Full audit is inherently per-request: the journal is
-                // drained and the capacity limit checked after every
-                // serve, exactly as in the unbatched path.
-                for &request in requests {
-                    let step = self.step_inner(algorithm, request);
-                    accumulate(event, &step);
-                }
-            }
-            AuditLevel::None => {
-                if algorithm.placement().journaling() {
-                    algorithm.placement_mut().set_journaling(false);
-                }
-                let out = algorithm.serve_batch(requests);
-                self.report.ledger.communication += out.charged;
-                self.report.ledger.migration += out.migrations;
-                self.report.steps += requests.len() as u64;
-                self.requests += requests.len() as u64;
-                self.report.max_load_seen = self.report.max_load_seen.max(out.max_load_seen);
-                event.served += requests.len() as u64;
-                event.charged += out.charged;
-                event.migrations += out.migrations;
-                event.max_load = event.max_load.max(out.max_load_seen);
-            }
+        let journaling = matches!(self.audit, AuditLevel::Full { .. });
+        if algorithm.placement().journaling() != journaling {
+            algorithm.placement_mut().set_journaling(journaling);
         }
-    }
-
-    /// One fully accounted step, without observer dispatch.
-    fn step_inner<A>(&mut self, algorithm: &mut A, request: Edge) -> StepEvent
-    where
-        A: OnlineAlgorithm + ?Sized,
-    {
-        let charged = algorithm.placement().is_cut(request);
-        if charged {
-            self.report.ledger.communication += 1;
-        }
-        match self.audit {
-            AuditLevel::Full { .. } => {
-                // Arm the journal so this step's migrations are
-                // recorded (idempotent; re-armed every step because
-                // snapshot restores replace the placement wholesale).
-                let placement = algorithm.placement_mut();
-                if !placement.journaling() {
-                    placement.set_journaling(true);
-                }
-                debug_assert!(
-                    placement.journal().is_empty(),
-                    "journal must be drained between steps"
-                );
-            }
-            AuditLevel::None => {
-                // Disarm journaling left over from an earlier audited
-                // driver so unaudited serving never buffers records.
-                if algorithm.placement().journaling() {
-                    algorithm.placement_mut().set_journaling(false);
-                }
-            }
-        }
-        let step_index = self.report.steps;
-        let reported = algorithm.serve(request);
-        self.report.ledger.migration += reported;
-        self.report.steps += 1;
-        self.requests += 1;
-
-        let max_load = algorithm.placement().max_load();
-        self.report.max_load_seen = self.report.max_load_seen.max(max_load);
-
-        let mut violated = false;
-        if let AuditLevel::Full { load_limit } = self.audit {
-            self.audited_steps += 1;
-            self.verify_journal(algorithm.placement(), reported);
-            algorithm.placement_mut().clear_journal();
-            if max_load > load_limit {
-                self.report.capacity_violations += 1;
-                violated = true;
-            }
-        }
-
-        StepEvent {
-            step: step_index,
-            request,
-            charged,
-            migrations: reported,
-            max_load,
-            violated,
-        }
+        let mut referee = DriverReferee {
+            driver: self,
+            requests,
+            next: 0,
+            open: None,
+            event,
+        };
+        algorithm.serve_refereed(requests, &mut referee);
+        referee.close();
+        let left = algorithm.placement().journal().len();
+        assert!(
+            left == 0,
+            "referee: the algorithm made {left} migration(s) after settling its last request \
+             (an unsettled migration)"
+        );
     }
 
     /// The O(changed) migration audit: the reported count must equal the
@@ -690,12 +687,111 @@ impl Driver {
     }
 }
 
-fn accumulate(event: &mut BatchEvent, step: &StepEvent) {
-    event.served += 1;
-    event.charged += u64::from(step.charged);
-    event.migrations += step.migrations;
-    event.max_load = event.max_load.max(step.max_load);
-    event.violations += u64::from(step.violated);
+/// The driver's [`Referee`] for one [`OnlineAlgorithm::serve_refereed`]
+/// call: charges and audits each request as the algorithm reports it,
+/// and checks that the algorithm reports exactly the driver's requests,
+/// once each and in order.
+struct DriverReferee<'a> {
+    driver: &'a mut Driver,
+    requests: &'a [Edge],
+    /// Index of the next request `before_serve` expects.
+    next: usize,
+    /// Whether the request `before_serve` opened was charged, until
+    /// `after_serve` settles it.
+    open: Option<bool>,
+    event: &'a mut BatchEvent,
+}
+
+impl DriverReferee<'_> {
+    /// Ends the call: every request must have been opened and settled.
+    fn close(self) {
+        if self.open.is_some() {
+            self.unsettled();
+        }
+        assert!(
+            self.next == self.requests.len(),
+            "referee: the algorithm returned after serving {} of its {} requests (a skipped \
+             request)",
+            self.next,
+            self.requests.len()
+        );
+    }
+
+    fn unsettled(&self) -> ! {
+        panic!(
+            "referee: request {} (edge {}) was never settled by after_serve (an unsettled \
+             request)",
+            self.next - 1,
+            self.requests[self.next - 1].0
+        )
+    }
+}
+
+impl Referee for DriverReferee<'_> {
+    fn before_serve(&mut self, placement: &Placement, request: Edge) {
+        if self.open.is_some() {
+            self.unsettled();
+        }
+        let Some(&expected) = self.requests.get(self.next) else {
+            panic!(
+                "referee: the algorithm served edge {} after all {} requests of the call (a \
+                 repeated request)",
+                request.0,
+                self.requests.len()
+            );
+        };
+        assert!(
+            request == expected,
+            "referee: the algorithm served edge {} as request {}, which is edge {} (a \
+             substituted request)",
+            request.0,
+            self.next,
+            expected.0
+        );
+        debug_assert!(
+            placement.journal().is_empty(),
+            "journal must be drained between steps"
+        );
+        self.next += 1;
+        let charged = placement.is_cut(request);
+        self.driver.report.ledger.communication += u64::from(charged);
+        self.open = Some(charged);
+    }
+
+    fn after_serve(&mut self, placement: &mut Placement, migrations: u64) {
+        let Some(charged) = self.open.take() else {
+            panic!(
+                "referee: after_serve called with no request open, {} of {} served (a \
+                 repeated request)",
+                self.next,
+                self.requests.len()
+            );
+        };
+        let driver = &mut *self.driver;
+        driver.report.ledger.migration += migrations;
+        driver.report.steps += 1;
+        driver.requests += 1;
+        let max_load = placement.max_load();
+        driver.report.max_load_seen = driver.report.max_load_seen.max(max_load);
+
+        let mut violated = false;
+        if let AuditLevel::Full { load_limit } = driver.audit {
+            driver.audited_steps += 1;
+            driver.verify_journal(placement, migrations);
+            placement.clear_journal();
+            if max_load > load_limit {
+                driver.report.capacity_violations += 1;
+                violated = true;
+            }
+        }
+
+        let event = &mut *self.event;
+        event.served += 1;
+        event.charged += u64::from(charged);
+        event.migrations += migrations;
+        event.max_load = event.max_load.max(max_load);
+        event.violations += u64::from(violated);
+    }
 }
 
 #[cfg(test)]

@@ -31,9 +31,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, SendError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, SendError, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use serde::{Deserialize, Serialize};
@@ -180,6 +180,10 @@ type Op = Box<dyn FnOnce(Option<&mut Shard>) + Send + 'static>;
 pub struct SessionManager {
     queues: Vec<Sender<Option<Op>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
+    /// Never sent on: each worker holds a sender and drops it as it
+    /// exits, on a normal return and on a panic alike, so this
+    /// disconnects once the last worker is out.
+    exited: Mutex<Receiver<()>>,
     next_id: AtomicU64,
     /// Shared with the ops `create`, `restore` and `close` send, which
     /// update it when they complete.
@@ -198,16 +202,19 @@ impl SessionManager {
         assert!(workers > 0, "need at least one worker");
         let registries = Arc::new(registries);
         let counters = Arc::new(Counters::default());
+        let (exit, exited) = unbounded::<()>();
         let mut queues = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let (tx, rx) = unbounded::<Option<Op>>();
             let regs = Arc::clone(&registries);
             let stats = Arc::clone(&counters);
+            let exit = exit.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("rdbp-worker-{w}"))
                     .spawn(move || {
+                        let _exit = exit;
                         let mut shard = Shard {
                             sessions: HashMap::new(),
                             registries: regs,
@@ -224,6 +231,7 @@ impl SessionManager {
         Self {
             queues,
             handles: Mutex::new(handles),
+            exited: Mutex::new(exited),
             next_id: AtomicU64::new(1),
             shard_of: Arc::new(RwLock::new(HashMap::new())),
             counters,
@@ -485,25 +493,26 @@ impl SessionManager {
         for queue in &self.queues {
             let _ = queue.send(None);
         }
-        let mut pending: Vec<JoinHandle<()>> = std::mem::take(&mut *self.handles.lock());
-        let cutoff = Instant::now() + deadline;
-        loop {
-            let (finished, busy): (Vec<_>, Vec<_>) =
-                pending.into_iter().partition(JoinHandle::is_finished);
-            for handle in finished {
+        // One timed receive, woken by the last worker out.
+        let clean = matches!(
+            self.exited.lock().recv_timeout(deadline),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        // After a clean wait every join only reaps a thread on its way
+        // out; after a timeout, only the finished ones are joined.
+        let mut pending = Vec::new();
+        for handle in std::mem::take(&mut *self.handles.lock()) {
+            if clean || handle.is_finished() {
                 let _ = handle.join();
+            } else {
+                pending.push(handle);
             }
-            pending = busy;
-            if pending.is_empty() {
-                return StopReport {
-                    clean: true,
-                    live_sessions: Vec::new(),
-                };
-            }
-            if Instant::now() >= cutoff {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        }
+        if pending.is_empty() {
+            return StopReport {
+                clean: true,
+                live_sessions: Vec::new(),
+            };
         }
         let mut live_sessions: Vec<u64> = self.shard_of.read().keys().copied().collect();
         live_sessions.sort_unstable();

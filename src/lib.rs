@@ -98,7 +98,7 @@ pub mod prelude {
     pub use rdbp_model::{
         run, run_trace, AuditLevel, BatchEvent, CostLedger, CostModel, Edge, FamilyCostObserver,
         GreedyCutMaximizer, MigrationRecord, Observer, OnlineAlgorithm, Placement, Process,
-        RingInstance, RunReport, Segment, SeparationChaser, Server, StepEvent, Workload,
+        Referee, RingInstance, RunReport, Segment, SeparationChaser, Server, StepEvent, Workload,
     };
     pub use rdbp_mts::PolicyKind;
     pub use rdbp_offline::{
