@@ -62,15 +62,13 @@ impl OnlineAlgorithm for NeverMove {
         "never-move"
     }
 
+    // The placement never changes after construction, so a same-config
+    // instance already holds all of the state.
     fn export_state(&self) -> Option<Value> {
-        Some(Value::Obj(vec![(
-            "placement".into(),
-            self.placement.to_value(),
-        )]))
+        Some(Value::Obj(Vec::new()))
     }
 
-    fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        self.placement = placement_field(state, self.placement.instance())?;
+    fn restore_state(&mut self, _state: &Value) -> Result<(), DeError> {
         Ok(())
     }
 }
@@ -347,6 +345,12 @@ mod tests {
         let report = run(&mut alg, &mut w, 24, AuditLevel::Full { load_limit: 4 });
         assert_eq!(report.ledger.communication, 6); // 3 cuts × 2 laps
         assert_eq!(report.ledger.migration, 0);
+    }
+
+    #[test]
+    fn never_move_snapshot_is_empty() {
+        let alg = NeverMove::new(&inst());
+        assert_eq!(alg.export_state(), Some(Value::Obj(Vec::new())));
     }
 
     #[test]

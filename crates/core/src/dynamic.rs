@@ -59,6 +59,15 @@ impl Default for DynamicConfig {
     }
 }
 
+impl DynamicConfig {
+    /// The interval width `k′ = ⌈(1+ε)k⌉` for capacity `k`; a fixed
+    /// shift must lie below it.
+    #[must_use]
+    pub fn k_prime(&self, capacity: u32) -> u32 {
+        (((1.0 + self.epsilon) * f64::from(capacity)).ceil() as u32).max(1)
+    }
+}
+
 /// The Theorem 2.1 online algorithm.
 pub struct DynamicPartitioner {
     instance: RingInstance,
@@ -67,7 +76,8 @@ pub struct DynamicPartitioner {
     shift: u32,
     policies: Vec<Box<dyn MtsPolicy>>,
     /// Mirror of each policy's current state (the cut edge's local
-    /// index inside its interval).
+    /// index inside its interval); restore derives it from the
+    /// policies.
     cut_state: Vec<u32>,
     placement: Placement,
     /// Scratch: per-request interval routes for
@@ -110,7 +120,7 @@ impl DynamicPartitioner {
         );
         let n = instance.n();
         let k = instance.capacity();
-        let k_prime = (((1.0 + config.epsilon) * f64::from(k)).ceil() as u32).max(1);
+        let k_prime = config.k_prime(k);
         let ell_prime = n.div_ceil(k_prime);
         assert!(
             ell_prime <= instance.servers(),
@@ -339,6 +349,7 @@ impl DynamicPartitioner {
                 self.interval_move[i] += u64::from(old_state.abs_diff(new_state as u32));
                 migrations += self.set_cut(i, new_state as u32);
             }
+            debug_assert_eq!(self.cut_state[i] as usize, self.policies[i].state());
         }
         migrations
     }
@@ -464,70 +475,21 @@ impl OnlineAlgorithm for DynamicPartitioner {
         counters
     }
 
-    // Geometry (`k′`, `ℓ′`) is construction-derived; everything the
-    // construction randomizes (the shift) or mutates afterwards (cut
-    // states, placement, proxy costs, per-interval MTS policies) is
-    // captured, so restoring into a same-config instance resumes
-    // bit-identically even though the fresh instance drew its own
-    // shift.
+    // Only what a same-config, same-seed instance cannot rebuild: the
+    // proxy costs and the per-interval MTS policies. Geometry and the
+    // shift (hence `setup_migrations`) are drawn at construction; each
+    // cut is its policy's state, and the cuts induce the placement
+    // (Section 3.1), so restore derives both.
     fn export_state(&self) -> Option<Value> {
         let policies: Option<Vec<Value>> = self.policies.iter().map(|p| p.export_state()).collect();
         Some(Value::Obj(vec![
-            ("shift".into(), self.shift.to_value()),
-            ("cut_state".into(), self.cut_state.to_value()),
-            ("placement".into(), self.placement.to_value()),
             ("interval_hit".into(), self.interval_hit.to_value()),
             ("interval_move".into(), self.interval_move.to_value()),
-            ("setup_migrations".into(), self.setup_migrations.to_value()),
             ("policies".into(), Value::Arr(policies?)),
         ]))
     }
 
     fn restore_state(&mut self, state: &Value) -> Result<(), DeError> {
-        let shift = u32::from_value(state.get_field("shift")?)?;
-        if shift >= self.k_prime {
-            return Err(DeError(format!(
-                "shift {shift} out of range 0..{}",
-                self.k_prime
-            )));
-        }
-        let cut_state = <Vec<u32> as Deserialize>::from_value(state.get_field("cut_state")?)?;
-        if cut_state.len() != self.ell_prime as usize {
-            return Err(DeError(format!(
-                "cut_state has {} intervals, expected {}",
-                cut_state.len(),
-                self.ell_prime
-            )));
-        }
-        if let Some(&s) = cut_state.iter().find(|&&s| s >= self.k_prime) {
-            return Err(DeError(format!(
-                "cut state {s} out of range 0..{}",
-                self.k_prime
-            )));
-        }
-        let placement = Placement::from_value(state.get_field("placement")?)?;
-        if placement.instance() != &self.instance {
-            return Err(DeError(format!(
-                "snapshot instance {:?} != {:?}",
-                placement.instance(),
-                self.instance
-            )));
-        }
-        // Integrity: the placement must be exactly the slice mapping the
-        // cut states induce — a corrupt snapshot fails here instead of
-        // silently desynchronizing the incremental mapping.
-        let want = assignment_from_cuts(
-            self.instance.n(),
-            self.k_prime,
-            self.ell_prime,
-            shift,
-            &cut_state,
-        );
-        if placement.assignment() != &want[..] {
-            return Err(DeError(
-                "snapshot placement is inconsistent with its cut states".into(),
-            ));
-        }
         let policies = match state.get_field("policies")? {
             Value::Arr(items) => items,
             other => return Err(DeError(format!("expected policy array, got {other:?}"))),
@@ -547,21 +509,26 @@ impl OnlineAlgorithm for DynamicPartitioner {
         {
             return Err(DeError("interval cost arity mismatch".into()));
         }
-        let setup_migrations = u64::from_value(state.get_field("setup_migrations")?)?;
         // Top-level fields are parsed and validated before any mutation.
         // The per-policy restores below mutate as they go, so an error
         // partway through this loop leaves some policies restored and
         // others not — per the trait contract, a failed restore means
-        // the instance must be discarded (Session::restore does).
+        // the instance must be discarded (Session::restore does). Each
+        // policy's restore bounds its state by k′.
         for (policy, snap) in self.policies.iter_mut().zip(policies) {
             policy.restore_state(snap)?;
         }
-        self.shift = shift;
-        self.cut_state = cut_state;
-        self.placement = placement;
+        self.cut_state = self.policies.iter().map(|p| p.state() as u32).collect();
+        let assignment = assignment_from_cuts(
+            self.instance.n(),
+            self.k_prime,
+            self.ell_prime,
+            self.shift,
+            &self.cut_state,
+        );
+        self.placement = Placement::from_assignment(&self.instance, assignment);
         self.interval_hit = interval_hit;
         self.interval_move = interval_move;
-        self.setup_migrations = setup_migrations;
         Ok(())
     }
 }
@@ -837,6 +804,51 @@ mod tests {
         let report = run(&mut alg, &mut w, 500, AuditLevel::Full { load_limit: 12 });
         assert_eq!(report.ledger.migration, 0);
         assert_eq!(report.ledger.communication, 0, "single slice never cuts");
+    }
+
+    #[test]
+    fn restore_derives_cuts_and_placement_from_the_policies() {
+        // Interval 1's boundary on packed(4, 8) (k′ = 12, ℓ′ = 3) is
+        // never clamped, so moving its cut moves processes.
+        let inst = RingInstance::packed(4, 8);
+        let config = cfg(PolicyKind::HstHedge, 5);
+        let mut alg = DynamicPartitioner::new(&inst, config);
+        let bound = alg.load_bound();
+        let audit = AuditLevel::Full { load_limit: bound };
+        let mut w = workload::UniformRandom::new(3);
+        let _ = run(&mut alg, &mut w, 300, audit);
+
+        // Edit interval 1's coupling state, `[u, state, moved]`.
+        let edited = (alg.cut_state[1] + alg.k_prime / 2) % alg.k_prime;
+        let mut snap = alg.export_state().unwrap();
+        let Value::Obj(fields) = &mut snap else {
+            panic!("a snapshot is an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["interval_hit", "interval_move", "policies"]);
+        let (_, Value::Arr(policies)) = fields.iter_mut().find(|(k, _)| k == "policies").unwrap()
+        else {
+            panic!("policies is an array")
+        };
+        let Value::Obj(policy) = &mut policies[1] else {
+            panic!("a policy snapshot is an object")
+        };
+        let (_, Value::Arr(coupling)) = policy.iter_mut().find(|(k, _)| k == "coupling").unwrap()
+        else {
+            panic!("coupling is an array")
+        };
+        coupling[1] = Value::UInt(u64::from(edited));
+
+        let mut restored = DynamicPartitioner::new(&inst, config);
+        restored.restore_state(&snap).unwrap();
+        let mut cuts = alg.cut_state.clone();
+        cuts[1] = edited;
+        assert_eq!(restored.cut_state, cuts);
+        let want = assignment_from_cuts(inst.n(), alg.k_prime, alg.ell_prime, alg.shift, &cuts);
+        assert_eq!(restored.placement().assignment(), &want[..]);
+        assert_ne!(restored.placement(), alg.placement());
+        let report = run(&mut restored, &mut w, 500, audit);
+        assert_eq!(report.capacity_violations, 0);
     }
 
     #[test]

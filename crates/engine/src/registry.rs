@@ -60,6 +60,20 @@ pub type WorkloadRegistry = Registry<WorkloadSpec, Box<dyn Workload>>;
 /// --opt-oracle` and the ratio experiments.
 pub type OracleRegistry = Registry<OracleSpec, Box<dyn OfflineOracle>>;
 
+/// The spec's `epsilon`, or `default` when unset; the partitioners'
+/// constructors assert it finite and positive, so anything else is a
+/// spec error here.
+fn epsilon(spec: &AlgorithmSpec, default: f64) -> Result<f64, SpecError> {
+    let epsilon = spec.epsilon.unwrap_or(default);
+    if epsilon.is_finite() && epsilon > 0.0 {
+        Ok(epsilon)
+    } else {
+        Err(SpecError(format!(
+            "epsilon must be finite and positive, got {epsilon}"
+        )))
+    }
+}
+
 /// The error for `key` missing from a registry of `kind`s.
 fn unknown_key<'a>(kind: &str, key: &str, valid: impl IntoIterator<Item = &'a str>) -> SpecError {
     let valid: Vec<&str> = valid.into_iter().collect();
@@ -124,20 +138,24 @@ impl AlgorithmRegistry {
     pub fn builtin() -> Self {
         let mut reg = Self::empty();
         reg.register("dynamic", |inst, spec, seed| {
-            let alg = DynamicPartitioner::new(
-                inst,
-                DynamicConfig {
-                    epsilon: spec.epsilon.unwrap_or(0.5),
-                    policy: spec
-                        .policy
-                        .as_deref()
-                        .unwrap_or("hedge")
-                        .parse()
-                        .map_err(SpecError)?,
-                    seed,
-                    shift: spec.shift,
-                },
-            );
+            let config = DynamicConfig {
+                epsilon: epsilon(spec, 0.5)?,
+                policy: spec
+                    .policy
+                    .as_deref()
+                    .unwrap_or("hedge")
+                    .parse()
+                    .map_err(SpecError)?,
+                seed,
+                shift: spec.shift,
+            };
+            let k_prime = config.k_prime(inst.capacity());
+            if let Some(shift) = config.shift.filter(|&shift| shift >= k_prime) {
+                return Err(SpecError(format!(
+                    "shift must be below k′ = {k_prime}, got {shift}"
+                )));
+            }
+            let alg = DynamicPartitioner::new(inst, config);
             let load_bound = alg.load_bound();
             Ok(BuiltAlgorithm {
                 algorithm: Box::new(alg),
@@ -148,7 +166,7 @@ impl AlgorithmRegistry {
             let alg = StaticPartitioner::with_contiguous(
                 inst,
                 StaticConfig {
-                    epsilon: spec.epsilon.unwrap_or(1.0),
+                    epsilon: epsilon(spec, 1.0)?,
                     seed,
                 },
             );

@@ -143,17 +143,19 @@ pub trait OnlineAlgorithm {
         "online"
     }
 
-    /// Exports a serializable snapshot of every piece of mutable state,
-    /// or `None` if the algorithm does not support checkpointing.
+    /// Exports a serializable snapshot of the state a same-config,
+    /// same-seed instance cannot rebuild, or `None` if the algorithm
+    /// does not support checkpointing.
     ///
     /// The contract (shared with [`Workload::export_state`]): restoring
     /// the snapshot into a *freshly constructed* instance — same
     /// instance, same configuration, same seed — via
     /// [`Self::restore_state`] must make every subsequent `serve` call
     /// behave bit-identically to the instance the snapshot was taken
-    /// from. Construction-time randomness (e.g. a random shift) need
-    /// not be captured separately as long as the snapshot overwrites
-    /// everything it influenced.
+    /// from. Construction-time randomness (e.g. a random shift) is
+    /// drawn again by that construction and need not be captured, and
+    /// neither does state the restore derives from what it did
+    /// capture.
     fn export_state(&self) -> Option<Value> {
         None
     }

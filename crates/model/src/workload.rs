@@ -35,13 +35,12 @@ pub trait Workload {
     ///
     /// For oblivious workloads this is exactly `n` calls to
     /// [`Workload::next_request`] — same RNG stream, same requests —
-    /// with one virtual dispatch per batch instead of one per edge;
-    /// implementations specialize it with tight loops that hoist the
-    /// per-request instance lookups. For adaptive workloads the default
-    /// generates against the *fixed* `placement` snapshot, which is
-    /// only correct when the placement cannot change mid-batch — the
-    /// batched driver never calls `fill_batch` on an adaptive workload
-    /// (see [`Workload::is_adaptive`]).
+    /// with one virtual dispatch per batch instead of one per edge
+    /// (inside the loop `next_request` is statically dispatched). For
+    /// adaptive workloads it generates against the *fixed* `placement`
+    /// snapshot, which is only correct when the placement cannot change
+    /// mid-batch — the batched driver never calls `fill_batch` on an
+    /// adaptive workload (see [`Workload::is_adaptive`]).
     fn fill_batch(&mut self, placement: &Placement, n: u64, out: &mut Vec<Edge>) {
         out.reserve(n as usize);
         for _ in 0..n {
@@ -104,15 +103,6 @@ impl Workload for Sequential {
         e
     }
 
-    fn fill_batch(&mut self, placement: &Placement, n: u64, out: &mut Vec<Edge>) {
-        let inst = *placement.instance();
-        out.reserve(n as usize);
-        for _ in 0..n {
-            out.push(inst.edge(self.t));
-            self.t += 1;
-        }
-    }
-
     fn name(&self) -> &'static str {
         "allreduce"
     }
@@ -147,14 +137,6 @@ impl Workload for UniformRandom {
     fn next_request(&mut self, placement: &Placement) -> Edge {
         let n = placement.instance().n();
         Edge(self.rng.random_range(0..n))
-    }
-
-    fn fill_batch(&mut self, placement: &Placement, n: u64, out: &mut Vec<Edge>) {
-        let edges = placement.instance().n();
-        out.reserve(n as usize);
-        for _ in 0..n {
-            out.push(Edge(self.rng.random_range(0..edges)));
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -224,16 +206,6 @@ impl Workload for Zipf {
         Edge(self.edge_of_rank[rank])
     }
 
-    fn fill_batch(&mut self, _placement: &Placement, n: u64, out: &mut Vec<Edge>) {
-        let last = self.edge_of_rank.len() - 1;
-        out.reserve(n as usize);
-        for _ in 0..n {
-            let u: f64 = self.rng.random();
-            let rank = self.cdf.partition_point(|&c| c < u).min(last);
-            out.push(Edge(self.edge_of_rank[rank]));
-        }
-    }
-
     fn name(&self) -> &'static str {
         "zipf"
     }
@@ -287,18 +259,6 @@ impl Workload for SlidingWindow {
         let offset = u64::from(self.rng.random_range(0..self.width.min(inst.n())));
         self.t += 1;
         inst.edge(base + offset)
-    }
-
-    fn fill_batch(&mut self, placement: &Placement, n: u64, out: &mut Vec<Edge>) {
-        let inst = *placement.instance();
-        let width = self.width.min(inst.n());
-        out.reserve(n as usize);
-        for _ in 0..n {
-            let base = self.t / self.period;
-            let offset = u64::from(self.rng.random_range(0..width));
-            self.t += 1;
-            out.push(inst.edge(base + offset));
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -362,20 +322,6 @@ impl Workload for RotatingHotspot {
         }
     }
 
-    fn fill_batch(&mut self, placement: &Placement, n: u64, out: &mut Vec<Edge>) {
-        let inst = *placement.instance();
-        out.reserve(n as usize);
-        for _ in 0..n {
-            let epoch = self.t / self.dwell;
-            self.t += 1;
-            out.push(if self.rng.random::<f64>() < self.p_hot {
-                inst.edge(epoch * u64::from(self.jump))
-            } else {
-                Edge(self.rng.random_range(0..inst.n()))
-            });
-        }
-    }
-
     fn name(&self) -> &'static str {
         "rotating-hotspot"
     }
@@ -434,19 +380,6 @@ impl Workload for Bursty {
         fresh
     }
 
-    fn fill_batch(&mut self, placement: &Placement, n: u64, out: &mut Vec<Edge>) {
-        let edges = placement.instance().n();
-        out.reserve(n as usize);
-        for _ in 0..n {
-            let fresh = match self.current {
-                Some(e) if self.rng.random::<f64>() < self.p_continue => e,
-                _ => Edge(self.rng.random_range(0..edges)),
-            };
-            self.current = Some(fresh);
-            out.push(fresh);
-        }
-    }
-
     fn name(&self) -> &'static str {
         "bursty"
     }
@@ -494,20 +427,6 @@ impl Workload for RandomWalk {
             _ => {}
         }
         placement.instance().edge(self.position)
-    }
-
-    fn fill_batch(&mut self, placement: &Placement, n: u64, out: &mut Vec<Edge>) {
-        let inst = *placement.instance();
-        let edges = u64::from(inst.n());
-        out.reserve(n as usize);
-        for _ in 0..n {
-            match self.rng.random_range(0..3u8) {
-                0 => self.position = (self.position + 1) % edges,
-                1 => self.position = (self.position + edges - 1) % edges,
-                _ => {}
-            }
-            out.push(inst.edge(self.position));
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -606,15 +525,6 @@ impl Workload for Replay {
         let e = self.requests[self.t % self.requests.len()];
         self.t += 1;
         e
-    }
-
-    fn fill_batch(&mut self, _placement: &Placement, n: u64, out: &mut Vec<Edge>) {
-        let len = self.requests.len();
-        out.reserve(n as usize);
-        for _ in 0..n {
-            out.push(self.requests[self.t % len]);
-            self.t += 1;
-        }
     }
 
     fn name(&self) -> &'static str {

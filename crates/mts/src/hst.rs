@@ -1111,11 +1111,12 @@ mod tests {
     #[test]
     fn incremental_softmax_matches_full_refresh() {
         // Seeded streams of hits — a drifting hot spot plus uniform
-        // noise — with cost-vector and weighted serves mixed in (the
-        // weighted ones sometimes heavy enough to underflow a lane's
-        // exp to 0.0). After every serve, every family's conditionals
-        // must carry exactly the bits the full softmax of its weights
-        // gives, and the run must cross phase resets at every level.
+        // noise — with cost-vector and scaled one-hot serves mixed in
+        // (the one-hot ones sometimes heavy enough to underflow a
+        // lane's exp to 0.0). After every serve, every family's
+        // conditionals must carry exactly the bits the full softmax of
+        // its weights gives, and the run must cross phase resets at
+        // every level.
         for n in [2usize, 3, 5, 23, 48, 96, 384] {
             let mut p = HstHedge::new(n, n / 2, 11);
             let mut rng = StdRng::seed_from_u64(n as u64);
@@ -1150,7 +1151,9 @@ mod tests {
                         } else {
                             rng.random_range(0.0..3.0)
                         };
-                        let _ = p.serve_weighted(rng.random_range(0..n), weight);
+                        let mut costs = vec![0.0; n];
+                        costs[rng.random_range(0..n)] = weight;
+                        let _ = p.serve(&costs);
                     }
                     3 => {
                         let _ = p.serve_hit(rng.random_range(0..n));

@@ -106,32 +106,6 @@ pub trait MtsPolicy {
         self.serve(&costs)
     }
 
-    /// Weighted point request: serves the task `weight · e_index`
-    /// (cost `weight` on state `index`, 0 elsewhere). The generalized
-    /// learning model's reduction produces exactly this task shape — a
-    /// request on a pair with learning cost `w` becomes weight `w` on
-    /// its cut-edge state — so the family hook lives here rather than
-    /// in every caller. `weight = 1.0` must behave exactly like
-    /// [`MtsPolicy::serve_hit`]; the default builds the scaled one-hot
-    /// vector and falls back to [`MtsPolicy::serve`].
-    ///
-    /// # Panics
-    /// Panics if `index >= num_states()` or `weight` is negative/NaN.
-    fn serve_weighted(&mut self, index: usize, weight: f64) -> usize {
-        assert!(
-            index < self.num_states(),
-            "hit index {index} out of range 0..{}",
-            self.num_states()
-        );
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "task weight must be finite and non-negative, got {weight}"
-        );
-        let mut costs = vec![0.0; self.num_states()];
-        costs[index] = weight;
-        self.serve(&costs)
-    }
-
     /// Human-readable name (for reports).
     fn name(&self) -> &'static str;
 
@@ -510,54 +484,5 @@ mod tests {
     fn serve_hit_rejects_bad_index() {
         let mut p = Sitter { n: 3, s: 0 };
         let _ = p.serve_hit(3);
-    }
-
-    #[test]
-    fn serve_weighted_at_unit_weight_equals_serve_hit_for_every_policy() {
-        // The generalized-learning hook must be a strict extension: at
-        // weight 1 the state sequence coincides with `serve_hit` for
-        // identically-seeded twins of each policy.
-        let n = 23;
-        let make: Vec<Box<dyn Fn() -> Box<dyn MtsPolicy>>> = vec![
-            Box::new(|| Box::new(crate::WorkFunction::new(23, 11))),
-            Box::new(|| Box::new(crate::SminGradient::new(23, 11, 42))),
-            Box::new(|| Box::new(crate::HstHedge::new(23, 11, 42))),
-            Box::new(|| Box::new(crate::Marking::new(23, 11, 42))),
-        ];
-        for build in make {
-            let mut by_hit = build();
-            let mut by_weight = build();
-            let name = by_hit.name();
-            for t in 0..200usize {
-                let hit = (t * 7 + t * t % 5) % n;
-                let a = by_hit.serve_hit(hit);
-                let b = by_weight.serve_weighted(hit, 1.0);
-                assert_eq!(a, b, "{name}: diverged at step {t} (hit {hit})");
-            }
-        }
-    }
-
-    #[test]
-    fn serve_weighted_scales_the_task() {
-        // On the work function, a weight-3 hit equals serving the
-        // scaled one-hot vector through `serve`.
-        let mut by_vector = crate::WorkFunction::new(9, 4);
-        let mut by_weight = crate::WorkFunction::new(9, 4);
-        let mut costs = vec![0.0; 9];
-        for t in 0..100usize {
-            let hit = (t * 5 + 1) % 9;
-            costs[hit] = 3.0;
-            let a = by_vector.serve(&costs);
-            costs[hit] = 0.0;
-            let b = by_weight.serve_weighted(hit, 3.0);
-            assert_eq!(a, b, "diverged at step {t}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "task weight")]
-    fn serve_weighted_rejects_nan_weights() {
-        let mut p = Sitter { n: 3, s: 0 };
-        let _ = p.serve_weighted(1, f64::NAN);
     }
 }

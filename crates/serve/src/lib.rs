@@ -13,9 +13,9 @@
 //!   workload + the incremental [`rdbp_model::Driver`], fed through
 //!   [`Session::submit`]. Snapshot/restore captures the spec, the
 //!   mid-run report, the work counters and the algorithm's/workload's
-//!   full mutable state; restore-then-continue is **bit-identical** to
-//!   an uninterrupted run, counters included (pinned by property
-//!   tests).
+//!   state that a rebuild cannot derive; restore-then-continue is
+//!   **bit-identical** to an uninterrupted run, counters included
+//!   (pinned by property tests).
 //! * [`SessionManager`] — sessions sharded `id % workers` across a
 //!   worker-thread pool (vendored [`crossbeam`] channels +
 //!   [`parking_lot`] routing locks); per-session FIFO ordering,

@@ -711,6 +711,38 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_epsilon_or_shift_is_refused_and_the_pool_serves_on() {
+        // packed(4, 8) at the default ε = 0.5 has k′ = 12.
+        let manager = SessionManager::new(1, Registries::builtin());
+        let earlier = manager.create(scenario(1)).unwrap().id;
+        let with = |name: &str, epsilon: Option<f64>, shift: Option<u32>| {
+            let mut s = scenario(2);
+            s.algorithm = AlgorithmSpec::named(name);
+            s.algorithm.epsilon = epsilon;
+            s.algorithm.shift = shift;
+            s
+        };
+        for (spec, field) in [
+            (with("dynamic", Some(0.0), None), "epsilon"),
+            (with("dynamic", Some(-1.0), None), "epsilon"),
+            (with("dynamic", Some(f64::NAN), None), "epsilon"),
+            (with("dynamic", Some(f64::INFINITY), None), "epsilon"),
+            (with("dynamic", None, Some(12)), "shift"),
+            (with("dynamic", None, Some(999)), "shift"),
+            (with("static", Some(0.0), None), "epsilon"),
+            (with("static", Some(f64::NAN), None), "epsilon"),
+        ] {
+            let err = manager.create(spec.clone()).expect_err("must be refused");
+            assert!(err.0.starts_with(field), "{:?}: {err}", spec.algorithm);
+            let summary = manager.submit(earlier, Work::Generate(10)).unwrap();
+            assert_eq!(summary.served, 10, "after {:?}", spec.algorithm);
+        }
+        let last = manager.create(with("dynamic", None, Some(11))).unwrap().id;
+        assert_eq!(manager.submit(last, Work::Generate(10)).unwrap().steps, 10);
+        assert_eq!(manager.query(earlier).unwrap().report.steps, 80);
+    }
+
+    #[test]
     fn unknown_sessions_error() {
         let manager = SessionManager::new(1, Registries::builtin());
         assert!(manager.submit(99, Work::Generate(1)).is_err());

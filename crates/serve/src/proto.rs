@@ -52,8 +52,10 @@ use crate::wire::SnapshotBlob;
 /// sessions to or from; no message layout changed. Version 5 sends
 /// every non-empty numeric array as a packed column (value tags 0x09
 /// and 0x0A, see [`crate::wire`]), which a version-4 peer cannot
-/// decode; NDJSON and the snapshot tree are unchanged.
-pub const PROTO_VERSION: u64 = 5;
+/// decode; NDJSON and the snapshot tree are unchanged. Version 6
+/// moves [`crate::SNAPSHOT_VERSION`] 4 snapshots, for the same reason
+/// as version 4; no message layout changed.
+pub const PROTO_VERSION: u64 = 6;
 
 /// What a server says about itself in reply to `hello` — the liveness
 /// handshake a router (or `rdbp-load --ping`) health-checks before
@@ -736,8 +738,8 @@ mod tests {
 
     /// The `snapshot` response of a `dynamic`×`hedge` session on
     /// packed(4, 8), seed 7, after 200 `uniform` requests: Hedge
-    /// weights and phase costs (f64 columns), cut states, placement and
-    /// interval tallies (integer columns), and RNG words.
+    /// weights and phase costs (f64 columns), interval tallies (integer
+    /// columns), and RNG words.
     fn pinned_snapshot_response() -> Response {
         let mut algorithm = AlgorithmSpec::named("dynamic");
         algorithm.policy = Some("hedge".into());

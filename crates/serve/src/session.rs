@@ -11,13 +11,13 @@
 //! ## Snapshot contract
 //!
 //! [`Session::snapshot`] captures the scenario spec, the mid-run
-//! [`RunReport`], the session's [`WorkCounters`], and the algorithm's
-//! and workload's full mutable state (via their `export_state` hooks).
-//! [`Session::restore`] rebuilds the session from the spec — same
-//! construction path, same seeds — then overwrites the mutable state
-//! and keeps the counters. The contract, pinned by the
-//! `snapshot_restore` property tests: **restore-then-continue is
-//! bit-identical to an uninterrupted run** — same requests, same
+//! [`RunReport`], the session's [`WorkCounters`], and the state of the
+//! algorithm and workload that a rebuild cannot derive (via their
+//! `export_state` hooks). [`Session::restore`] rebuilds the session
+//! from the spec — same construction path, same seeds — then
+//! overwrites that state and keeps the counters. The contract, pinned
+//! by the `snapshot_restore` property tests: **restore-then-continue
+//! is bit-identical to an uninterrupted run** — same requests, same
 //! ledger, same audits, same final report, same work counters.
 
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -35,7 +35,10 @@ use crate::{ServeError, MAX_PROCESSES};
 /// a restored session performs work-counter-identical serves.
 /// Version 3: the session's [`WorkCounters`] ride along as `counters`,
 /// so a restored session reports the work of its whole history.
-pub const SNAPSHOT_VERSION: u64 = 3;
+/// Version 4: the `dynamic` partitioner's state drops what restore
+/// derives (shift, cut states, placement, setup migrations), and
+/// `never-move`'s is empty.
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// What one batched submission did (cumulative fields cover the whole
 /// session so far, not just this batch).

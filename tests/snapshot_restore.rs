@@ -24,6 +24,8 @@ const ALGORITHMS: &[(&str, Option<&str>)] = &[
     ("greedy", None),
     ("component", None),
     ("never-move", None),
+    ("dynamic", Some("marking")),
+    ("learning", None),
 ];
 
 const WORKLOADS: &[&str] = &[
